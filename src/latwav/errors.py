@@ -13,10 +13,6 @@ class NotExpansiveError(LatwavError):
     """Matrix has an eigenvalue of modulus <= 1."""
 
 
-class ExpansivenessInconclusiveError(LatwavError):
-    """An eigenvalue modulus is too close to 1 to decide numerically."""
-
-
 class DimensionMismatchError(LatwavError):
     """Operands have incompatible dimensions."""
 

@@ -11,24 +11,12 @@ computation downstream relies on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import product
 
-import numpy as np
-
-from .errors import (
-    DimensionMismatchError,
-    ExpansivenessInconclusiveError,
-    NotDyadicError,
-    NotExpansiveError,
-)
+from .errors import DimensionMismatchError, NotDyadicError, NotExpansiveError
 
 LatticePoint = tuple[int, ...]
-
-# Decision band half-width for the expansiveness test.  Integer matrices with
-# eigenvalues genuinely on the unit circle are caught exactly beforehand, so
-# landing inside the band means "refuse to guess", not "assume shrinking".
-EXPANSIVE_TOL = 1e-9
 
 
 def as_point(coords) -> LatticePoint:
@@ -191,53 +179,28 @@ class SnfFactorization:
         return self.U.mul(self.D).mul(self.V)
 
 
-def _monic_divides(divisor: tuple[int, ...], poly: tuple[int, ...]) -> bool:
-    """Exact divisibility test for integer polynomials with monic divisor."""
-    rem = list(poly)
-    dd = len(divisor) - 1
-    while len(rem) - 1 >= dd:
-        lead = rem[0]
-        if lead != 0:
-            for i in range(dd + 1):
-                rem[i] -= lead * divisor[i]
-        rem.pop(0)
-    return all(c == 0 for c in rem)
-
-
-# Minimal polynomials of the roots of unity of degree <= 2.  These are the
-# only integer-polynomial factors that can place an eigenvalue of a small
-# dyadic matrix exactly on the unit circle; dividing them out first lets the
-# numeric stage refuse only the genuinely ambiguous cases.
-_UNIT_CIRCLE_FACTORS = (
-    (1, -1),      # x - 1
-    (1, 1),       # x + 1
-    (1, 0, 1),    # x^2 + 1
-    (1, 1, 1),    # x^2 + x + 1
-    (1, -1, 1),   # x^2 - x + 1
-)
-
-
 def is_expansive(A: IntMatrix) -> bool:
-    """True iff every eigenvalue of A has modulus > 1.
+    """True iff every eigenvalue of A has modulus > 1, decided exactly.
 
-    The characteristic polynomial is computed exactly; known unit-circle
-    factors are certified by exact division, everything else is decided from
-    double-precision roots with a +/-1e-9 band around modulus 1.  Inside the
-    band we raise rather than guess.
+    The eigenvalues of A lie outside the closed unit disk exactly when the
+    roots of the reversed characteristic polynomial r(z) = z^d * chi_A(1/z)
+    lie inside the open disk.  That is settled by the Schur-Cohn (Jury)
+    recursion run fraction-free over the integers: with f = a_0 + ... + a_n z^n
+    and f* its reversal, f is stable iff |a_0| < |a_n| and
+    (a_n f - a_0 f*) / z, of degree n - 1, is stable.  Each step divides out
+    the content so the coefficients stay small.  Roots on the unit circle
+    (and the eigenvalue 0) end the recursion with False; nothing rounds.
     """
-    poly = A.charpoly()
-    for factor in _UNIT_CIRCLE_FACTORS:
-        if len(factor) <= len(poly) and _monic_divides(factor, poly):
+    # The charpoly's coefficients, highest degree first, are r's lowest first.
+    f = list(A.charpoly())
+    while len(f) > 1:
+        a0, an = f[0], f[-1]
+        if abs(a0) >= abs(an):
             return False
-    roots = np.roots(np.array(poly, dtype=float))
-    min_mod = float(np.min(np.abs(roots)))
-    if min_mod > 1.0 + EXPANSIVE_TOL:
-        return True
-    if min_mod < 1.0 - EXPANSIVE_TOL:
-        return False
-    raise ExpansivenessInconclusiveError(
-        f"eigenvalue modulus {min_mod!r} within {EXPANSIVE_TOL} of 1; refusing to decide"
-    )
+        f = [an * x - a0 * y for x, y in zip(f[1:], reversed(f[:-1]))]
+        g = math.gcd(*f)
+        f = [x // g for x in f]
+    return True
 
 
 def smith_normal_form(A: IntMatrix) -> SnfFactorization:
@@ -423,7 +386,3 @@ def from_adapted(dil: DilationMatrix, c: LatticePoint) -> LatticePoint:
     check_dim(c, dil.dim)
     return dil.adapted_basis.vec(c)
 
-
-def lattice_window(dim: int, radius: int):
-    """Iterate all integer points of [-radius, radius]^dim (test helper)."""
-    return product(range(-radius, radius + 1), repeat=dim)

@@ -7,6 +7,7 @@ parse."""
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 from .cascade import CascadeGrid
@@ -18,7 +19,12 @@ from .verify import ResidualReport
 
 
 def canonical_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2)
+    """Strict JSON: a NaN or infinity (from input magnitudes that overflow
+    double precision) is refused rather than written as a bare token."""
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise InputFormatError(f"result is not finite: {exc}") from exc
 
 
 def matrix_to_json(m: IntMatrix) -> dict:
@@ -81,6 +87,19 @@ def filter_to_json(filt: Filter) -> dict:
     }
 
 
+def _finite(x, where: str) -> float:
+    """A JSON number as a finite float; strings, booleans, NaN and values
+    beyond double range are input errors."""
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
+        try:
+            value = float(x)
+        except OverflowError:
+            value = math.inf
+        if math.isfinite(value):
+            return value
+    raise InputFormatError(f"{where} = {x!r} is not a finite number")
+
+
 def filter_from_json(data, where: str = "filter") -> Filter:
     if not isinstance(data, dict):
         raise InputFormatError(f"{where}: expected an object")
@@ -95,8 +114,7 @@ def filter_from_json(data, where: str = "filter") -> Filter:
     entries = data["coeffs"]
     if not isinstance(entries, list) or not entries:
         raise InputFormatError(f"{where}: 'coeffs' must be a non-empty list")
-    coeffs = {}
-    any_imag = any(e.get("im", 0.0) for e in entries if isinstance(e, dict))
+    parsed = {}
     for idx, e in enumerate(entries):
         if not isinstance(e, dict) or "n" not in e or "re" not in e:
             raise InputFormatError(f"{where}: coeffs[{idx}] needs fields 'n' and 're'")
@@ -108,10 +126,14 @@ def filter_from_json(data, where: str = "filter") -> Filter:
                 f"{where}: coeffs[{idx}].n = {n!r} is not a length-{dil.dim} integer point"
             )
         p = tuple(n)
-        if p in coeffs:
+        if p in parsed:
             raise InputFormatError(f"{where}: duplicate coefficient at {p}")
-        re, im = float(e["re"]), float(e.get("im", 0.0))
-        coeffs[p] = complex(re, im) if any_imag else re
+        parsed[p] = (
+            _finite(e["re"], f"{where}: coeffs[{idx}].re"),
+            _finite(e.get("im", 0.0), f"{where}: coeffs[{idx}].im"),
+        )
+    any_imag = any(im for _, im in parsed.values())
+    coeffs = {p: complex(re, im) if any_imag else re for p, (re, im) in parsed.items()}
     try:
         return Filter.from_coeffs(dil, coeffs)
     except (LatwavError, ValueError) as exc:

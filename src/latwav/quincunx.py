@@ -11,18 +11,17 @@ the frequency side, to
 Rotating the diamond by u = t1 + t2, v = t1 - t2 makes the integral separable
 and exactly evaluable: it vanishes iff m + n is even (and (m, n) != 0), and
 equals (2 sqrt(2) / pi^2) * (-1)^(m+1) / (m^2 - n^2) when m + n is odd.  The
-closed form is cross-checked against adaptive 2D quadrature of the defining
-integral; the support therefore contains the full odd-sum sublattice shifted
-copy of Z^2, which is what ``sublattice_premise`` detects (an infinite
-even-sum sublattice inside a support rules out any one-dimensional transfer).
+test suite cross-checks the closed form against adaptive 2D quadrature of the
+defining integral.  The support therefore contains the full odd-sum
+sublattice shifted copy of Z^2, which is what ``sublattice_premise`` detects
+(an infinite even-sum sublattice inside a support rules out any
+one-dimensional transfer).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy.integrate import dblquad
 
 from .errors import DimensionMismatchError
 from .lawton import SupportSet
@@ -51,28 +50,6 @@ def shannon_coeff(m: int, n: int) -> float:
     c1 = _cosine_line_integral(m + n)
     c2 = _cosine_line_integral(m - n)
     return (SQRT2 / (4.0 * math.pi ** 2)) * 0.5 * c1 * c2
-
-
-def shannon_coeff_quadrature(m: int, n: int, epsabs: float = 1e-12,
-                             epsrel: float = 1e-12) -> float:
-    """Independent oracle: adaptive 2D quadrature of the defining integral.
-
-    Integrates cos(m t1 + n t2) over the diamond |t1| + |t2| <= pi directly
-    (split at the t1 = 0 kink of the boundary), no change of variables.
-    """
-    def integrand(t2, t1):
-        return math.cos(m * t1 + n * t2)
-
-    total = 0.0
-    for lo, hi in ((-math.pi, 0.0), (0.0, math.pi)):
-        val, _ = dblquad(
-            integrand, lo, hi,
-            lambda t1: abs(t1) - math.pi,
-            lambda t1: math.pi - abs(t1),
-            epsabs=epsabs, epsrel=epsrel,
-        )
-        total += val
-    return (SQRT2 / (4.0 * math.pi ** 2)) * total
 
 
 @dataclass(frozen=True)

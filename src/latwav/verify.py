@@ -6,8 +6,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .intlat import LatticePoint, coset_representative, smith_normal_form
 from .lawton import ReducedSystem
 from .transfer import Filter
@@ -62,13 +60,15 @@ def lawton_residuals(filt: Filter, system: ReducedSystem | None = None) -> Resid
     )
 
 
-def _dual_coset_shift(filt: Filter) -> np.ndarray:
-    """The frequency shift 2*pi*(A^T)^-1*q with q outside A^T*Z^d.
+def _dual_coset_shift(filt: Filter):
+    """The frequency shift 2*pi*(A^T)^-1*q with q outside A^T*Z^d, as an array.
 
     q is the coset representative obtained from the Smith normal form of the
     transpose; the solve is exact (adjugate over determinant) before the
     final float conversion.
     """
+    import numpy as np
+
     at = filt.matrix.A.transpose()
     q = coset_representative(smith_normal_form(at))
     det = at.det()
@@ -83,6 +83,8 @@ def qmf_check(filt: Filter, samples: int = 1024, seed: int = 0) -> float:
     dual-lattice coset shift; for an exact solution the deviation vanishes up
     to roundoff.  Sampling points are pseudo-random with a fixed seed.
     """
+    import numpy as np
+
     pts = sorted(filt.coeffs)
     n_mat = np.array(pts, dtype=float)
     values = np.array([filt.coeffs[p] for p in pts], dtype=complex)

@@ -167,3 +167,34 @@ def test_cascade_level_cap(workdir, capsys):
     code, _, err = run(capsys, "cascade", str(workdir / "haar1d.json"), "--levels", "30")
     assert code == 2
     assert "cap" in err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("re", '"abc"'), ("re", '"NaN"'), ("re", "1e309"), ("re", "NaN"),
+    ("re", "true"), ("re", "1" + "0" * 400), ("im", "-1e400"),
+], ids=["string", "nan-string", "1e309", "nan", "bool", "huge-int", "im-inf"])
+def test_non_finite_or_non_numeric_coefficient_is_input_error(workdir, capsys, field, value):
+    """Coefficient values must be finite JSON numbers: anything else exits 2
+    with a message and writes nothing on stdout."""
+    data = json.loads((workdir / "haar1d.json").read_text())
+    data["coeffs"][1][field] = "PLACEHOLDER"
+    (workdir / "bad_value.json").write_text(
+        canonical_dumps(data).replace('"PLACEHOLDER"', value)
+    )
+    code, out, err = run(capsys, "verify", str(workdir / "bad_value.json"))
+    assert code == 2
+    assert out == ""
+    assert f"coeffs[1].{field}" in err and "not a finite number" in err
+
+
+# the QMF check's numpy arithmetic warns about the overflow on its way
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowing_result_is_not_written_as_nan(workdir, capsys):
+    """Finite input whose residuals overflow double precision: strict JSON
+    output refuses the infinity instead of printing a bare token."""
+    big = Filter.from_coeffs(haar_1d().matrix, {(0,): 1e200, (1,): 1e200})
+    (workdir / "big.json").write_text(canonical_dumps(filter_to_json(big)))
+    code, out, err = run(capsys, "verify", str(workdir / "big.json"))
+    assert code == 2
+    assert out == ""
+    assert "not finite" in err

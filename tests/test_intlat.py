@@ -14,11 +14,10 @@ from latwav.intlat import (
     in_dilated_lattice,
     in_dilated_lattice_exact,
     is_expansive,
-    lattice_window,
     smith_normal_form,
     to_adapted,
 )
-from util import random_dyadic_matrices
+from util import companion, float_is_expansive, lattice_window, random_dyadic_matrices
 
 QUINCUNX = [[1, 1], [-1, 1]]
 ANTIDIAG = [[0, 2], [1, 0]]
@@ -93,6 +92,41 @@ def test_expansive_examples():
     assert not is_expansive(IntMatrix.from_rows([[1, 1], [1, 0]]))
     # rotation by 90 degrees: both eigenvalues exactly on the circle
     assert not is_expansive(IntMatrix.from_rows([[0, -1], [1, 0]]))
+
+
+def test_expansive_matches_float_oracle_on_random_matrices():
+    """Exact Schur-Cohn answer == float-root answer wherever the float oracle
+    is conclusive, on random integer matrices of dimension 1-5."""
+    rng = np.random.default_rng(20261017)
+    conclusive = {True: 0, False: 0}
+    for dim in (1, 2, 3, 4, 5):
+        for _ in range(300):
+            m = IntMatrix.from_rows(rng.integers(-4, 5, size=(dim, dim)).tolist())
+            expected = float_is_expansive(m)
+            if expected is None:
+                continue
+            conclusive[expected] += 1
+            assert is_expansive(m) == expected, m.rows
+        for m in random_dyadic_matrices(rng, dim, 20):
+            expected = float_is_expansive(m)
+            if expected is not None:
+                conclusive[expected] += 1
+                assert is_expansive(m) == expected, m.rows
+    assert min(conclusive.values()) >= 100  # both answers well exercised
+
+
+def test_unit_circle_eigenvalues_decided_exactly():
+    """Companions of (x^4 + 1)(x - 2), Phi_5(x)(x - 2) and Phi_12(x)(x + 2):
+    eigenvalues on the unit circle that the float oracle cannot decide; the
+    exact test says "not expansive"."""
+    for poly in ((1, -2, 0, 0, 1, -2), (1, -1, -1, -1, -1, -2), (1, 2, -1, -2, 1, 2)):
+        m = companion(poly)
+        assert m.charpoly() == poly
+        assert abs(m.det()) == 2
+        assert float_is_expansive(m) is None
+        assert is_expansive(m) is False
+        with pytest.raises(NotExpansiveError):
+            DilationMatrix.from_matrix(m)
 
 
 def test_quincunx_charpoly():

@@ -3,17 +3,35 @@
 import math
 
 import pytest
+from scipy.integrate import dblquad
 
 from latwav.errors import DimensionMismatchError
 from latwav.lawton import SupportSet
-from latwav.quincunx import (
-    shannon_coeff,
-    shannon_coeff_quadrature,
-    sublattice_premise,
-    support_pattern,
-)
+from latwav.quincunx import shannon_coeff, sublattice_premise, support_pattern
 
 SQRT2 = math.sqrt(2.0)
+
+
+def shannon_coeff_quadrature(m: int, n: int, epsabs: float = 1e-12,
+                             epsrel: float = 1e-12) -> float:
+    """Independent oracle: adaptive 2D quadrature of the defining integral.
+
+    Integrates cos(m t1 + n t2) over the diamond |t1| + |t2| <= pi directly
+    (split at the t1 = 0 kink of the boundary), no change of variables.
+    """
+    def integrand(t2, t1):
+        return math.cos(m * t1 + n * t2)
+
+    total = 0.0
+    for lo, hi in ((-math.pi, 0.0), (0.0, math.pi)):
+        val, _ = dblquad(
+            integrand, lo, hi,
+            lambda t1: abs(t1) - math.pi,
+            lambda t1: math.pi - abs(t1),
+            epsabs=epsabs, epsrel=epsrel,
+        )
+        total += val
+    return (SQRT2 / (4.0 * math.pi ** 2)) * total
 
 
 def test_frozen_values():
