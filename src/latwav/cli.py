@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 verification failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -87,6 +88,11 @@ def _emit(data) -> None:
     print(jsonio.canonical_dumps(data))
 
 
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise InputFormatError(message)
+
+
 def _cmd_snf(args, config: Config) -> int:
     matrix = jsonio.matrix_from_json(jsonio.load_json(args.matrix), args.matrix)
     _emit(jsonio.snf_to_json(smith_normal_form(matrix)))
@@ -108,6 +114,8 @@ def _cmd_reduce(args, config: Config) -> int:
 def _cmd_verify(args, config: Config) -> int:
     filt = jsonio.filter_from_json(jsonio.load_json(args.filter), args.filter)
     tolerance = args.tolerance if args.tolerance is not None else config.tolerance
+    _require(math.isfinite(tolerance) and tolerance > 0,
+             f"--tolerance must be a positive number, got {tolerance!r}")
     report = lawton_residuals(filt)
     deviation = qmf_check(filt, samples=QMF_SAMPLES, seed=QMF_SEED)
     data = jsonio.residual_report_to_json(report)
@@ -133,10 +141,11 @@ def _cmd_transfer(args, config: Config) -> int:
 def _cmd_cascade(args, config: Config) -> int:
     filt = jsonio.filter_from_json(jsonio.load_json(args.filter), args.filter)
     levels = args.levels if args.levels is not None else config.cascade_level_cap
-    if levels > config.cascade_level_cap:
-        raise InputFormatError(
-            f"--levels {levels} exceeds the configured cap {config.cascade_level_cap}"
-        )
+    _require(levels >= 0, f"--levels must be nonnegative, got {levels}")
+    _require(math.isfinite(args.tol) and args.tol >= 0,
+             f"--tol must be a nonnegative number, got {args.tol!r}")
+    _require(levels <= config.cascade_level_cap,
+             f"--levels {levels} exceeds the configured cap {config.cascade_level_cap}")
     grid, diffs = cascade_mod.run_cascade(
         filt, max_level=levels, tol=args.tol, cell_budget=config.cell_budget,
         residual_warn_tolerance=config.tolerance,
@@ -163,6 +172,7 @@ def _cmd_cascade(args, config: Config) -> int:
 
 
 def _cmd_quincunx(args, config: Config) -> int:
+    _require(args.width >= 1, f"--width must be >= 1, got {args.width}")
     report = support_pattern(args.width)
     out = _out_dir(config)
     lines = ["m,n,s"]
@@ -197,6 +207,7 @@ def _cmd_encode(args, config: Config) -> int:
         raise InputFormatError(f"--point {args.point!r} is not a comma-separated integer tuple") from exc
     if len(point) != args.d:
         raise InputFormatError(f"--point has {len(point)} coordinates, --d is {args.d}")
+    _require(args.N >= 1, f"--N must be >= 1, got {args.N}")
     params = EncodingParams(args.d, args.N)
     data = {
         "point": list(point),

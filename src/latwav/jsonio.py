@@ -1,8 +1,8 @@
 """Wire formats: JSON for structured objects, CSV for grids.
 
-``canonical_dumps`` fixes key order and relies on shortest round-trip float
-formatting, so any emitted document re-serializes bit-identically after a
-parse."""
+``canonical_dumps`` writes compact JSON (no whitespace between tokens),
+fixes key order and relies on shortest round-trip float formatting, so any
+emitted document re-serializes bit-identically after a parse."""
 
 from __future__ import annotations
 
@@ -19,10 +19,11 @@ from .verify import ResidualReport
 
 
 def canonical_dumps(obj) -> str:
-    """Strict JSON: a NaN or infinity (from input magnitudes that overflow
-    double precision) is refused rather than written as a bare token."""
+    """Strict, compact JSON: a NaN or infinity (from input magnitudes that
+    overflow double precision) is refused rather than written as a bare
+    token.  Without ``indent`` the json module uses its C encoder."""
     try:
-        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
     except ValueError as exc:
         raise InputFormatError(f"result is not finite: {exc}") from exc
 
@@ -223,7 +224,7 @@ def grid_centers_1d_csv(grid: CascadeGrid) -> str:
 def load_json(path: str | Path):
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputFormatError(f"{path}: {exc}") from exc
     try:
         return json.loads(text)

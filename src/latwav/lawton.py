@@ -143,6 +143,14 @@ def build_reduced_system(support: SupportSet, dil: DilationMatrix) -> ReducedSys
     The index set consists of one representative per generator pair {k, -k}:
     the one with nonnegative radix value in the adapted chart, listed in
     increasing radix order (so the zero generator always comes first).
+
+    One pass over ordered pairs builds everything.  The radix value is
+    linear and injective on the centered window, which holds every adapted
+    difference, so v = radix(c_b) - radix(c_a) identifies the generator
+    k = b - a and its sign is the canonical-sign test.  Only pairs whose last
+    adapted coordinates share a parity differ by an element of A*Z^d.
+    Iterating a in support order adds at most one pair per generator for
+    each a, so every bucket lists its pairs (n, n + k) in support order.
     """
     if support.dim != dil.dim:
         raise DimensionMismatchError("support and matrix dimensions differ")
@@ -150,26 +158,30 @@ def build_reduced_system(support: SupportSet, dil: DilationMatrix) -> ReducedSys
     order = _ordered_points(support, adapted, c_min)
     params = EncodingParams(support.dim, n_exp)
 
-    candidates: dict[LatticePoint, int] = {}
-    for a in support.points:
-        ca = adapted[a]
-        for b in support.points:
-            cb = adapted[b]
-            ck = tuple(x - y for x, y in zip(cb, ca))
-            if ck[-1] % 2 != 0:
-                continue
-            value = radix_encode(params, ck)
-            if value < 0:
-                continue
-            k = tuple(x - y for x, y in zip(b, a))
-            candidates[k] = value
+    radix = {p: radix_encode(params, adapted[p]) for p in order}
+    classes: tuple[list, list] = ([], [])
+    for p in order:
+        classes[adapted[p][-1] % 2].append((radix[p], p))
 
-    index_set = tuple(sorted(candidates, key=candidates.__getitem__))
+    buckets: dict[int, list] = {}
+    for a in order:
+        ra = radix[a]
+        for rb, b in classes[adapted[a][-1] % 2]:
+            v = rb - ra
+            if v >= 0:
+                bucket = buckets.get(v)
+                if bucket is None:
+                    buckets[v] = [(a, b)]
+                else:
+                    bucket.append((a, b))
+
     equations = {}
-    for k in index_set:
-        pairs = _pairs_for(support, order, k)
-        rhs = 1 if all(c == 0 for c in k) else 0
-        equations[k] = Equation(k=k, pairs=pairs, rhs=rhs)
+    for v in sorted(buckets):
+        pairs = buckets[v]
+        a, b = pairs[0]
+        k = tuple(y - x for x, y in zip(a, b))
+        equations[k] = Equation(k=k, pairs=tuple(pairs), rhs=1 if v == 0 else 0)
+    index_set = tuple(equations)
     return ReducedSystem(
         support=support,
         matrix=dil,

@@ -217,7 +217,8 @@ def to_one_d(filt: Filter) -> TransferReport:
     return _checked_report(report)
 
 
-def from_one_d(filt: Filter, target_matrix: DilationMatrix) -> TransferReport:
+def from_one_d(filt: Filter, target_matrix: DilationMatrix,
+               source_system: ReducedSystem | None = None) -> TransferReport:
     """Transfer a one-dimensional filter onto an arbitrary expansive dyadic
     target matrix.
 
@@ -225,7 +226,9 @@ def from_one_d(filt: Filter, target_matrix: DilationMatrix) -> TransferReport:
     smallest admissible window exponent N; those integers are consecutive
     values of the flattening, so every one decodes to a point of the
     target's support window.  Supports and generators are returned in
-    standard target coordinates.
+    standard target coordinates.  ``source_system``, when given, must be the
+    filter's own reduced system (as built by ``to_one_d``); it saves a
+    rebuild.
     """
     if filt.dim != 1:
         raise NotOneDimensionalError(f"filter is {filt.dim}-dimensional")
@@ -256,7 +259,7 @@ def from_one_d(filt: Filter, target_matrix: DilationMatrix) -> TransferReport:
         coeffs={support_map[p]: v for p, v in filt.coeffs.items()},
     )
 
-    sys_a = filt.system()
+    sys_a = source_system if source_system is not None else filt.system()
     sys_b = target.system()
     index_map = {}
     for k in sys_a.index_set:
@@ -284,7 +287,7 @@ def transfer(filt: Filter, target_matrix: DilationMatrix) -> TransferReport:
     report is a self-contained certificate of the isomorphism.
     """
     stage1 = to_one_d(filt)
-    stage2 = from_one_d(stage1.target_filter, target_matrix)
+    stage2 = from_one_d(stage1.target_filter, target_matrix, stage1.target_system)
     support_map = {p: stage2.iso.support_map[m] for p, m in stage1.iso.support_map.items()}
     index_map = {k: stage2.iso.index_map[l] for k, l in stage1.iso.index_map.items()}
     report = TransferReport(

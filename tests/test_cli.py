@@ -198,3 +198,61 @@ def test_overflowing_result_is_not_written_as_nan(workdir, capsys):
     assert code == 2
     assert out == ""
     assert "not finite" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["encode", "eval", "--d", "2", "--N", "0", "--point", "1,2"], "--N must be >= 1"),
+    (["quincunx", "pattern", "--width", "0"], "--width must be >= 1"),
+    (["cascade", "{db4}", "--levels", "-2"], "--levels must be nonnegative"),
+    (["cascade", "{db4}", "--levels", "2", "--tol", "-1"], "--tol must be a nonnegative number"),
+    (["verify", "{db4}", "--tolerance", "-1"], "--tolerance must be a positive number"),
+    (["verify", "{db4}", "--tolerance", "0"], "--tolerance must be a positive number"),
+    (["verify", "{db4}", "--tolerance", "nan"], "--tolerance must be a positive number"),
+], ids=["encode-N-0", "quincunx-width-0", "cascade-levels-negative", "cascade-tol-negative",
+        "verify-tolerance-negative", "verify-tolerance-zero", "verify-tolerance-nan"])
+def test_out_of_range_option_is_input_error(workdir, capsys, argv, message):
+    argv = [a.format(db4=workdir / "db4.json") for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "No such file"),
+    ('{"tolerance": "x"}', "tolerance must be a positive number"),
+    ('{"tolerance": NaN}', "tolerance must be a positive number"),
+    ('{"cell_budget": 1.5}', "cell_budget must be a positive integer"),
+    ('{"output_dir": 3}', "output_dir must be a string"),
+    ("5", "config must be a JSON object"),
+    ("[1]", "config must be a JSON object"),
+    ('"x"', "config must be a JSON object"),
+], ids=["missing", "tolerance-string", "tolerance-nan", "budget-float", "output-dir-number",
+        "number", "array", "string"])
+def test_bad_config_file_is_input_error(workdir, capsys, text, message):
+    config = workdir / "config.json"
+    if text is not None:
+        config.write_text(text)
+    code, out, err = run(capsys, "--config", str(config), "bundled", "haar1d")
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_undecodable_file_is_input_error(workdir, capsys):
+    (workdir / "binary.json").write_bytes(b"\xff\xfe\x00")
+    code, _, err = run(capsys, "verify", str(workdir / "binary.json"))
+    assert code == 2
+    assert "decode" in err
+    code, _, err = run(capsys, "--config", str(workdir / "binary.json"), "bundled", "haar1d")
+    assert code == 2
+    assert "decode" in err
+
+
+def test_output_is_compact_canonical_json(workdir, capsys):
+    code, out, _ = run(capsys, "reduce", str(workdir / "db4.json"))
+    assert code == 0
+    text = out.rstrip("\n")
+    assert "\n" not in text and ": " not in text and ", " not in text
+    assert canonical_dumps(json.loads(text)) == text
+    assert list(json.loads(text)) == sorted(json.loads(text))

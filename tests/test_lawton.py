@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from latwav.encode import EncodingParams, enumerate_windows, radix_encode
@@ -20,6 +21,7 @@ from latwav.lawton import (
     generated_equation,
     restrict_index_set,
 )
+from util import lattice_chart, random_dyadic_matrices, reference_build_reduced_system
 
 
 def brute_force_generators(support: SupportSet, dil: DilationMatrix):
@@ -229,3 +231,37 @@ def test_support_order_is_flattening_order():
     system = build_reduced_system(support, dil)
     adapted_order = [to_adapted(dil, p) for p in system.support_order]
     assert adapted_order == list(win.support_points)
+
+
+def assert_same_system(got, want):
+    assert got.index_set == want.index_set
+    assert list(got.equations) == list(want.equations)
+    for k in want.index_set:
+        assert got.equations[k].pairs == want.equations[k].pairs, k
+        assert got.equations[k].rhs == want.equations[k].rhs, k
+    assert got.support_order == want.support_order
+    assert got.window_exponent == want.window_exponent
+    assert got == want
+
+
+def test_one_pass_build_matches_reference_build():
+    """Differential test against the former two-stage build: the same index
+    set, equation order, pair order, support order and window exponent, on
+    random lattices in d = 1-4 and the bundled matrices, with random supports
+    that are dense or sparse and translated anywhere (negative coordinates
+    included)."""
+    rng = np.random.default_rng(31)
+    lattices = [lattice_chart(m) for d, count in ((1, 60), (2, 100), (3, 100), (4, 60))
+                for m in random_dyadic_matrices(rng, d, count)]
+    lattices += [dil for dil in (dilation_1d(), quincunx_matrix(), antidiagonal_matrix(),
+                                 companion_3d_matrix()) for _ in range(10)]
+    for dil in lattices:
+        size = int(rng.integers(1, 41))
+        span = int(rng.integers(1, 4)) if rng.random() < 0.5 else int(rng.integers(4, 40))
+        offset = rng.integers(-60, 61, size=dil.dim)
+        pts = {tuple(int(x) for x in rng.integers(0, span + 1, size=dil.dim) + offset)
+               for _ in range(size)}
+        support = SupportSet.from_points(pts)
+        assert_same_system(build_reduced_system(support, dil),
+                           reference_build_reduced_system(support, dil))
+    assert len(lattices) == 360

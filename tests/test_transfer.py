@@ -1,5 +1,6 @@
 """Transfer construction, witnesses, and round trips."""
 
+import importlib
 import math
 import random
 
@@ -323,3 +324,35 @@ def test_transfer_preserves_residuals_for_arbitrary_coefficients():
                 assert tgt.sum_residual == src.sum_residual
                 for k, value in src.per_index.items():
                     assert tgt.per_index[rep.iso.index_map[k]] == value
+
+
+def test_transfer_builds_each_system_once(monkeypatch):
+    """Source, 1-D and target systems are built once each; the 1-D system
+    from the first stage is reused by the second.  The two stage witnesses
+    and the composed one are all checked."""
+    # the package re-exports the function transfer under the module's name
+    transfer_mod = importlib.import_module("latwav.transfer")
+    calls = {"build": 0, "verify": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(transfer_mod, "build_reduced_system",
+                        counting("build", transfer_mod.build_reduced_system))
+    monkeypatch.setattr(transfer_mod, "verify_isomorphism",
+                        counting("verify", transfer_mod.verify_isomorphism))
+    report = transfer(quincunx_haar(), companion_3d_matrix())
+    assert calls == {"build": 3, "verify": 3}
+    assert report.stages[1].source_system is report.stages[0].target_system
+    assert verify_isomorphism(report.source_system, report.target_system, report.iso)
+
+
+def test_from_one_d_reuses_a_given_source_system():
+    filt = daubechies4_1d()
+    system = filt.system()
+    report = from_one_d(filt, quincunx_matrix(), system)
+    assert report.source_system is system
+    assert report == from_one_d(filt, quincunx_matrix())

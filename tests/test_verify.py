@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 
 from latwav.filters import (
     antidiagonal_matrix,
@@ -15,6 +16,7 @@ from latwav.filters import (
 )
 from latwav.transfer import Filter, transfer
 from latwav.verify import SQRT2, _dual_coset_shift, lawton_residuals, qmf_check
+from util import lattice_chart, random_dyadic_matrices, reference_qmf_check
 
 BUNDLED = (haar_1d, daubechies4_1d, quincunx_haar, quincunx_daubechies4)
 
@@ -55,6 +57,25 @@ def test_qmf_haar_with_pi_shift():
 def test_qmf_bundled_filters():
     for make in BUNDLED:
         assert qmf_check(make()) < 1e-10
+
+
+def test_qmf_real_phases_match_reference_bitwise():
+    """The real phase product gives the same deviation, bit for bit, as the
+    former complex product: on the bundled filters and on random real and
+    complex filters over random lattices in d = 1-3, L up to 256."""
+    for make in BUNDLED:
+        filt = make()
+        assert qmf_check(filt) == reference_qmf_check(filt)
+        assert qmf_check(filt, samples=64, seed=5) == reference_qmf_check(filt, 64, 5)
+    rng = np.random.default_rng(8)
+    for d in (1, 2, 3):
+        for size, m in zip((1, 3, 17, 64, 256), random_dyadic_matrices(rng, d, 5)):
+            pts = {tuple(int(x) for x in rng.integers(-20, 21, size=d)) for _ in range(size)}
+            values = rng.normal(size=len(pts))
+            if size % 2:
+                values = values + 1j * rng.normal(size=len(pts))
+            filt = Filter.from_coeffs(lattice_chart(m), dict(zip(sorted(pts), values.tolist())))
+            assert qmf_check(filt) == reference_qmf_check(filt), (d, size, m.rows)
 
 
 def test_qmf_detects_perturbation():

@@ -1,10 +1,26 @@
 """Shared helpers for the test suite."""
 
+import math
 from itertools import product
 
 import numpy as np
 
-from latwav.intlat import IntMatrix
+from latwav.encode import EncodingParams, radix_encode
+from latwav.intlat import (
+    DilationMatrix,
+    IntMatrix,
+    LatticePoint,
+    coset_representative,
+    smith_normal_form,
+)
+from latwav.lawton import (
+    Equation,
+    ReducedSystem,
+    SupportSet,
+    _adapted_frame,
+    _ordered_points,
+)
+from latwav.verify import SQRT2, _dual_coset_shift
 
 
 def random_dyadic_matrices(rng, dim: int, count: int) -> list[IntMatrix]:
@@ -83,3 +99,82 @@ def float_is_expansive(A: IntMatrix) -> bool | None:
     if min_mod < 1.0 - EXPANSIVE_TOL:
         return False
     return None
+
+
+def lattice_chart(m: IntMatrix) -> DilationMatrix:
+    """A DilationMatrix for any determinant +/-2 matrix, expansive or not.
+
+    Reduced systems and the QMF coset shift depend only on the lattice A*Z^d
+    and its adapted chart, so differential tests can draw from all random
+    dyadic matrices instead of the few that are expansive.
+    """
+    snf = smith_normal_form(m)
+    return DilationMatrix(
+        A=m,
+        snf=snf,
+        adapted_basis=snf.U,
+        adapted_basis_inv=snf.U.unimodular_inverse(),
+        coset_rep=coset_representative(snf),
+    )
+
+
+# Reduced-system oracle: the library's former build, which collects the
+# canonical generators from all L^2 adapted differences and then rescans the
+# support once per generator for its pairs.
+def _pairs_for(support: SupportSet, order, k: LatticePoint):
+    shifted = [tuple(a + b for a, b in zip(n, k)) for n in order]
+    return tuple((n, m) for n, m in zip(order, shifted) if m in support.points)
+
+
+def reference_build_reduced_system(support: SupportSet, dil: DilationMatrix) -> ReducedSystem:
+    adapted, c_min, n_exp = _adapted_frame(support, dil)
+    order = _ordered_points(support, adapted, c_min)
+    params = EncodingParams(support.dim, n_exp)
+
+    candidates: dict[LatticePoint, int] = {}
+    for a in support.points:
+        ca = adapted[a]
+        for b in support.points:
+            cb = adapted[b]
+            ck = tuple(x - y for x, y in zip(cb, ca))
+            if ck[-1] % 2 != 0:
+                continue
+            value = radix_encode(params, ck)
+            if value < 0:
+                continue
+            k = tuple(x - y for x, y in zip(b, a))
+            candidates[k] = value
+
+    index_set = tuple(sorted(candidates, key=candidates.__getitem__))
+    equations = {}
+    for k in index_set:
+        pairs = _pairs_for(support, order, k)
+        rhs = 1 if all(c == 0 for c in k) else 0
+        equations[k] = Equation(k=k, pairs=pairs, rhs=rhs)
+    return ReducedSystem(
+        support=support,
+        matrix=dil,
+        index_set=index_set,
+        equations=equations,
+        window_exponent=n_exp,
+        support_order=order,
+    )
+
+
+def reference_qmf_check(filt, samples: int = 1024, seed: int = 0) -> float:
+    """The library's former QMF check, which forms the phases from the
+    complex product (-1j * points) @ n_mat.T."""
+    pts = sorted(filt.coeffs)
+    n_mat = np.array(pts, dtype=float)
+    values = np.array([filt.coeffs[p] for p in pts], dtype=complex)
+    zeta = _dual_coset_shift(filt)
+
+    rng = np.random.default_rng(seed)
+    xi = rng.uniform(-math.pi, math.pi, size=(samples, filt.dim))
+
+    def m0(points: np.ndarray) -> np.ndarray:
+        phases = np.exp(-1j * points @ n_mat.T)
+        return phases @ values / SQRT2
+
+    dev = np.abs(m0(xi)) ** 2 + np.abs(m0(xi + zeta)) ** 2 - 1.0
+    return float(np.max(np.abs(dev)))
