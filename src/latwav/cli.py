@@ -107,7 +107,7 @@ def _cmd_basis(args, config: Config) -> int:
 
 def _cmd_reduce(args, config: Config) -> int:
     filt = jsonio.filter_from_json(jsonio.load_json(args.filter), args.filter)
-    _emit(jsonio.system_to_json(filt.system()))
+    _emit(jsonio.system_to_json(filt.system))
     return 0
 
 

@@ -21,14 +21,13 @@ class Config:
     tolerance: float = 1e-10
     cascade_level_cap: int = 12
     cell_budget: int = DEFAULT_CELL_BUDGET
-    enumeration_budget: int = 1 << 20
     output_dir: str = "."
 
     def __post_init__(self):
         tol = self.tolerance
         if not (_is_int(tol) or isinstance(tol, float)) or not math.isfinite(tol) or tol <= 0:
             raise InputFormatError(f"tolerance must be a positive number, got {tol!r}")
-        for name in ("cascade_level_cap", "cell_budget", "enumeration_budget"):
+        for name in ("cascade_level_cap", "cell_budget"):
             value = getattr(self, name)
             if not _is_int(value) or value <= 0:
                 raise InputFormatError(f"{name} must be a positive integer, got {value!r}")

@@ -166,20 +166,6 @@ def enumerate_windows(params: EncodingParams,
                        index_points=tuple(index))
 
 
-def support_decode_table(params: EncodingParams,
-                         budget: int = DEFAULT_ENUMERATION_BUDGET) -> dict[int, LatticePoint]:
-    """Inverse of encode_support as a lookup table."""
-    win = enumerate_windows(params, budget)
-    return {encode_support(params, n): n for n in win.support_points}
-
-
-def index_decode_table(params: EncodingParams,
-                       budget: int = DEFAULT_ENUMERATION_BUDGET) -> dict[int, LatticePoint]:
-    """Inverse of encode_index as a lookup table."""
-    win = enumerate_windows(params, budget)
-    return {encode_index(params, k): k for k in win.index_points}
-
-
 def decode_support(params: EncodingParams, value: int) -> LatticePoint | None:
     """Inverse of encode_support, computed by radix decomposition.
 

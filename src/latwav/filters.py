@@ -6,7 +6,7 @@ import math
 from functools import cache
 
 from .intlat import DilationMatrix
-from .transfer import Filter, from_one_d, one_d_matrix
+from .transfer import Filter, dilation_1d, from_one_d
 
 # 1/sqrt(2) so that sqrt(2) * h == 1.0 exactly in doubles; this keeps the
 # Haar cascade an exact fixed point.
@@ -29,11 +29,6 @@ def antidiagonal_matrix() -> DilationMatrix:
 def companion_3d_matrix() -> DilationMatrix:
     """3x3 companion matrix of x^3 + 2: all eigenvalue moduli 2^(1/3)."""
     return DilationMatrix.from_matrix([[0, 0, -2], [1, 0, 0], [0, 1, 0]])
-
-
-def dilation_1d() -> DilationMatrix:
-    """The 1x1 dilation [2]."""
-    return one_d_matrix()
 
 
 @cache

@@ -55,9 +55,6 @@ class IntMatrix:
     def dim(self) -> int:
         return len(self.rows)
 
-    def entry(self, i: int, j: int) -> int:
-        return self.rows[i][j]
-
     def transpose(self) -> "IntMatrix":
         return IntMatrix(tuple(zip(*self.rows)))
 
@@ -305,11 +302,6 @@ def coset_representative(snf: SnfFactorization) -> LatticePoint:
     return tuple(snf.U.rows[i][d - 1] for i in range(d))
 
 
-def to_adapted_chart(u_inverse: IntMatrix, p: LatticePoint) -> LatticePoint:
-    """Coordinates of p in the basis given by the columns of U."""
-    return u_inverse.vec(p)
-
-
 def in_dilated_lattice_exact(A: IntMatrix, u_inverse: IntMatrix,
                              p: LatticePoint) -> bool:
     """Membership p in A*Z^d, decided by two independent exact routes.
@@ -323,7 +315,7 @@ def in_dilated_lattice_exact(A: IntMatrix, u_inverse: IntMatrix,
     det_a = A.det()
     num = A.adjugate().vec(p)
     route1 = all(x % det_a == 0 for x in num)
-    route2 = to_adapted_chart(u_inverse, p)[-1] % 2 == 0
+    route2 = u_inverse.vec(p)[-1] % 2 == 0
     if route1 != route2:
         raise AssertionError(f"lattice membership routes disagree at {p}")
     return route1

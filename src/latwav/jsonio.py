@@ -144,15 +144,11 @@ def filter_from_json(data, where: str = "filter") -> Filter:
 def system_to_json(system: ReducedSystem) -> dict:
     return {
         "matrix": matrix_to_json(system.matrix.A),
-        "support": [list(p) for p in system.support_order],
-        "index_set": [list(k) for k in system.index_set],
+        "support": system.support_order,
+        "index_set": system.index_set,
         "equations": [
-            {
-                "k": list(k),
-                "pairs": [[list(a), list(b)] for a, b in system.equations[k].pairs],
-                "rhs": system.equations[k].rhs,
-            }
-            for k in system.index_set
+            {"k": eq.k, "pairs": eq.pairs, "rhs": eq.rhs}
+            for eq in (system.equations[k] for k in system.index_set)
         ],
         "window_exponent": system.window_exponent,
     }
@@ -161,26 +157,21 @@ def system_to_json(system: ReducedSystem) -> dict:
 def residual_report_to_json(report: ResidualReport) -> dict:
     return {
         "per_index": [
-            {"k": list(k), "residual": report.per_index[k]}
-            for k in report.system.index_set
+            {"k": k, "residual": residual} for k, residual in report.per_index.items()
         ],
         "sum_residual": report.sum_residual,
         "max_residual": report.max_residual,
     }
 
 
-def _pair_list(mapping) -> list:
-    return [[list(a), list(b)] for a, b in sorted(mapping.items())]
-
-
 def transfer_report_to_json(report: TransferReport, with_stages: bool = True) -> dict:
     data = {
         "source_filter": filter_to_json(report.source_filter),
         "target_filter": filter_to_json(report.target_filter),
-        "shift": list(report.shift),
+        "shift": report.shift,
         "window_exponent": report.window_exponent,
-        "support_map": _pair_list(report.iso.support_map),
-        "index_map": _pair_list(report.iso.index_map),
+        "support_map": sorted(report.iso.support_map.items()),
+        "index_map": sorted(report.iso.index_map.items()),
     }
     if with_stages and report.stages:
         data["stages"] = [transfer_report_to_json(s, with_stages=False) for s in report.stages]

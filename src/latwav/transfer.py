@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cache, cached_property
 from numbers import Complex
 
 from .encode import (
@@ -24,8 +25,8 @@ from .encode import (
     window_exponent_for_extent,
 )
 from .errors import DomainMismatchError, NotOneDimensionalError
-from .intlat import DilationMatrix, IntMatrix, LatticePoint, as_point, from_adapted, to_adapted
-from .lawton import ReducedSystem, SupportSet, build_reduced_system
+from .intlat import DilationMatrix, LatticePoint, as_point, from_adapted, to_adapted
+from .lawton import ReducedSystem, SupportSet, _adapted_frame, build_reduced_system
 
 Coefficient = complex | float
 
@@ -35,7 +36,8 @@ class Filter:
     """Finitely supported coefficients over a dilation matrix.
 
     Coefficients are keyed by standard-coordinate lattice points; exact zeros
-    are never stored (the support is by definition the nonzero set).
+    are never stored (the support is by definition the nonzero set).  The
+    coefficient dict is not to be mutated: ``system`` is cached.
     """
 
     matrix: DilationMatrix
@@ -70,7 +72,10 @@ class Filter:
     def support(self) -> SupportSet:
         return SupportSet.from_points(self.coeffs)
 
+    @cached_property
     def system(self) -> ReducedSystem:
+        """The reduced system of the support, built on first use and shared
+        by every later caller (residuals, cascade, transfer)."""
         return build_reduced_system(self.support(), self.matrix)
 
 
@@ -153,21 +158,39 @@ def verify_isomorphism(sys_a: ReducedSystem, sys_b: ReducedSystem, iso: IsoMap) 
     return True
 
 
-_ONE_D = None
-
-
-def one_d_matrix() -> DilationMatrix:
+@cache
+def dilation_1d() -> DilationMatrix:
     """The 1x1 dilation [2] (shared instance)."""
-    global _ONE_D
-    if _ONE_D is None:
-        _ONE_D = DilationMatrix.from_matrix(IntMatrix.from_rows([[2]]))
-    return _ONE_D
+    return DilationMatrix.from_matrix([[2]])
 
 
 def _checked_report(report: TransferReport) -> TransferReport:
     if not verify_isomorphism(report.source_system, report.target_system, report.iso):
         raise AssertionError("constructed transfer failed its own isomorphism check")
     return report
+
+
+def _carry(filt: Filter, matrix: DilationMatrix, support_map, index_of,
+           shift: LatticePoint, n_exp: int) -> TransferReport:
+    """Carry ``filt`` onto ``matrix``: support points move through
+    ``support_map``, each generator k of the source system to ``index_of(k)``.
+    The report is witness-checked before it is returned."""
+    target = Filter(
+        matrix=matrix,
+        coeffs={support_map[p]: v for p, v in filt.coeffs.items()},
+    )
+    sys_a = filt.system
+    sys_b = target.system
+    index_map = {k: index_of(k) for k in sys_a.index_set}
+    return _checked_report(TransferReport(
+        source_filter=filt,
+        target_filter=target,
+        source_system=sys_a,
+        target_system=sys_b,
+        iso=IsoMap(support_map=support_map, index_map=index_map),
+        shift=shift,
+        window_exponent=n_exp,
+    ))
 
 
 def to_one_d(filt: Filter) -> TransferReport:
@@ -178,47 +201,18 @@ def to_one_d(filt: Filter) -> TransferReport:
     shift is the removed translation expressed in standard coordinates.
     """
     dil = filt.matrix
-    d = dil.dim
-    adapted = {p: to_adapted(dil, p) for p in filt.coeffs}
-    c_min = tuple(min(c[j] for c in adapted.values()) for j in range(d))
-    shift = from_adapted(dil, c_min)
-    extent = max(
-        (c[j] - c_min[j] for c in adapted.values() for j in range(d)), default=0
-    )
-    n_exp = window_exponent_for_extent(extent)
-    params = EncodingParams(d, n_exp)
-
-    def flat(p: LatticePoint) -> int:
-        z = tuple(a - b for a, b in zip(adapted[p], c_min))
-        return encode_support(params, z)
-
-    support_map = {p: (flat(p),) for p in filt.coeffs}
-    target = Filter(
-        matrix=one_d_matrix(),
-        coeffs={support_map[p]: v for p, v in filt.coeffs.items()},
-    )
-
-    sys_a = filt.system()
-    sys_b = target.system()
-    index_map = {}
-    for k in sys_a.index_set:
-        ck = to_adapted(dil, k)
-        index_map[k] = (encode_index(params, ck),)
-
-    report = TransferReport(
-        source_filter=filt,
-        target_filter=target,
-        source_system=sys_a,
-        target_system=sys_b,
-        iso=IsoMap(support_map=support_map, index_map=index_map),
-        shift=shift,
-        window_exponent=n_exp,
-    )
-    return _checked_report(report)
+    adapted, c_min, n_exp = _adapted_frame(filt.support(), dil)
+    params = EncodingParams(dil.dim, n_exp)
+    support_map = {
+        p: (encode_support(params, tuple(a - b for a, b in zip(adapted[p], c_min))),)
+        for p in filt.coeffs
+    }
+    return _carry(filt, dilation_1d(), support_map,
+                  lambda k: (encode_index(params, to_adapted(dil, k)),),
+                  from_adapted(dil, c_min), n_exp)
 
 
-def from_one_d(filt: Filter, target_matrix: DilationMatrix,
-               source_system: ReducedSystem | None = None) -> TransferReport:
+def from_one_d(filt: Filter, target_matrix: DilationMatrix) -> TransferReport:
     """Transfer a one-dimensional filter onto an arbitrary expansive dyadic
     target matrix.
 
@@ -226,9 +220,7 @@ def from_one_d(filt: Filter, target_matrix: DilationMatrix,
     smallest admissible window exponent N; those integers are consecutive
     values of the flattening, so every one decodes to a point of the
     target's support window.  Supports and generators are returned in
-    standard target coordinates.  ``source_system``, when given, must be the
-    filter's own reduced system (as built by ``to_one_d``); it saves a
-    rebuild.
+    standard target coordinates.
     """
     if filt.dim != 1:
         raise NotOneDimensionalError(f"filter is {filt.dim}-dimensional")
@@ -253,31 +245,14 @@ def from_one_d(filt: Filter, target_matrix: DilationMatrix,
             raise AssertionError(f"support value {m} escaped the target window")
         return from_adapted(target_matrix, c)
 
-    support_map = {p: pullback(p[0]) for p in filt.coeffs}
-    target = Filter(
-        matrix=target_matrix,
-        coeffs={support_map[p]: v for p, v in filt.coeffs.items()},
-    )
-
-    sys_a = source_system if source_system is not None else filt.system()
-    sys_b = target.system()
-    index_map = {}
-    for k in sys_a.index_set:
+    def generator(k: LatticePoint) -> LatticePoint:
         c = decode_index(params, k[0])
         if c is None:
             raise AssertionError(f"generator {k} escaped the target index window")
-        index_map[k] = from_adapted(target_matrix, c)
+        return from_adapted(target_matrix, c)
 
-    report = TransferReport(
-        source_filter=filt,
-        target_filter=target,
-        source_system=sys_a,
-        target_system=sys_b,
-        iso=IsoMap(support_map=support_map, index_map=index_map),
-        shift=shift,
-        window_exponent=n_exp,
-    )
-    return _checked_report(report)
+    support_map = {p: pullback(p[0]) for p in filt.coeffs}
+    return _carry(filt, target_matrix, support_map, generator, shift, n_exp)
 
 
 def transfer(filt: Filter, target_matrix: DilationMatrix) -> TransferReport:
@@ -287,7 +262,7 @@ def transfer(filt: Filter, target_matrix: DilationMatrix) -> TransferReport:
     report is a self-contained certificate of the isomorphism.
     """
     stage1 = to_one_d(filt)
-    stage2 = from_one_d(stage1.target_filter, target_matrix, stage1.target_system)
+    stage2 = from_one_d(stage1.target_filter, target_matrix)
     support_map = {p: stage2.iso.support_map[m] for p, m in stage1.iso.support_map.items()}
     index_map = {k: stage2.iso.index_map[l] for k, l in stage1.iso.index_map.items()}
     report = TransferReport(

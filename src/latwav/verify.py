@@ -30,15 +30,14 @@ class ResidualReport:
         return self.max_residual <= tolerance
 
 
-def lawton_residuals(filt: Filter, system: ReducedSystem | None = None) -> ResidualReport:
+def lawton_residuals(filt: Filter) -> ResidualReport:
     """Evaluate every equation of the filter's reduced system.
 
     Sums run in the system's canonical support order, which transfers map
     onto each other; a transferred filter therefore reproduces the exact
     floating-point residual values of its source.
     """
-    if system is None:
-        system = filt.system()
+    system = filt.system
     coeffs = filt.coeffs
     per_index: dict[LatticePoint, float] = {}
     for k in system.index_set:

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: pipelines, artifacts, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -227,8 +228,9 @@ def test_out_of_range_option_is_input_error(workdir, capsys, argv, message):
     ("5", "config must be a JSON object"),
     ("[1]", "config must be a JSON object"),
     ('"x"', "config must be a JSON object"),
+    ('{"enumeration_budget": 5}', "unknown config keys"),
 ], ids=["missing", "tolerance-string", "tolerance-nan", "budget-float", "output-dir-number",
-        "number", "array", "string"])
+        "number", "array", "string", "enumeration-budget"])
 def test_bad_config_file_is_input_error(workdir, capsys, text, message):
     config = workdir / "config.json"
     if text is not None:
@@ -256,3 +258,97 @@ def test_output_is_compact_canonical_json(workdir, capsys):
     assert "\n" not in text and ": " not in text and ", " not in text
     assert canonical_dumps(json.loads(text)) == text
     assert list(json.loads(text)) == sorted(json.loads(text))
+
+
+GOLDEN_MATRICES = {
+    "dilation2": '{"dim":1,"rows":[[2]]}',
+    "quincunx": '{"dim":2,"rows":[[1,1],[-1,1]]}',
+    "antidiagonal": '{"dim":2,"rows":[[0,2],[1,0]]}',
+    "companion3d": '{"dim":3,"rows":[[0,0,-2],[1,0,0],[0,1,0]]}',
+}
+GOLDEN_FILTERS = ("db4", "haar1d", "quincunx_db4", "quincunx_haar")
+# SHA-256 of each call's stdout (or artifact); see _golden_outputs.
+GOLDEN_DIGESTS = {
+    "bundled db4": "247a8e179dd2acafde281c40717decef628c7a8723c6a64eedbb539489ec0419",
+    "reduce db4": "8b2f6851d63a1961cfc72a94b3d40732a096963f249eb06a3233ed017753f7d7",
+    "verify db4": "0a98f5aa9508342f42ba51b1fdaa88a834a16959e864754833509d5bb4b1ebde",
+    "bundled haar1d": "5a0532dc36d3ec685a971839f5c1525f4d01dab3180b425ac8af7c8d20142713",
+    "reduce haar1d": "97d6459d3914f4dee10235a17331c1490e03c8923d13b25c3437915ba52ed4aa",
+    "verify haar1d": "d486a04bfa1baa9a9a2571da886be09d31c6cc7bb691462d818665f08a2b56f6",
+    "bundled quincunx_db4": "a41b248252cfa9768072d4bc66960036fdfa3e2f8be5f6c632ca01c9fe31bc87",
+    "reduce quincunx_db4": "1277409d51205bd4dac96c7591c34a253186c135df8ea6b337ac05b0a6e093cc",
+    "verify quincunx_db4": "2ba4303d0b2a0b96fad51f98846e93a112c45c577dbe743dd2a1f401c2467d9a",
+    "bundled quincunx_haar": "13ec272d974c0b2478121c7f8dd4f79a25c70a3fee293d77bcdea53437e9ea9c",
+    "reduce quincunx_haar": "fcad0a5d4ad9cb329cb17d0a378f2315bebd2869c13c903d92a8aa893b2644b5",
+    "verify quincunx_haar": "685d8e9317287ea4b23604e4e9b1306ced45c330db237b3122d18b819e44b758",
+    "transfer db4 dilation2": "838fe0e1f927d47f2e9c80ed04505bc8802cd6ebf9a110c941f512dcd4223015",
+    "transfer db4 quincunx": "fe13bf95b8aab6e9e260ce91861f5b9e0b845178a33b5d3ef8b01f2bb0172822",
+    "transfer db4 antidiagonal": "4a2b0934529fc065737f3fcf9c780b7d60f82ae97747336fbf3c414e7c209445",
+    "transfer db4 companion3d": "b63a8902ca9fe0d0bed6e52121ffa27fb951865e3dfa614636885645631bdad7",
+    "transfer quincunx_db4 dilation2": "6e0da3134eaa3677b1015e7f6e4cdcb079e6da6312cfd5f0160fafb72d80b6de",
+    "transfer quincunx_db4 quincunx": "aa4bc0c10d78214c73eb87a9fc8fc1893ae5c3a994c2edb96095e1a3dbe2d858",
+    "transfer quincunx_db4 antidiagonal": "4e6092cec9f804569185d790ae0ce6580bf70f67448b6b5ccf77a5e46a718ef9",
+    "transfer quincunx_db4 companion3d": "bd841a58f4d03fdd01e70bf8102262db64d3ee32ace341e5cd5ff678335de355",
+    "snf quincunx": "2aeba79ea085fdc3a3a93997c43c2f98c4c9c6b30282fd27d52b3264e7089ed3",
+    "basis quincunx": "2573a15c11e6501f84bc1d030191bc0dc87ec0b0c788b278fb32a0f88602a1bf",
+    "snf companion3d": "99221f79a6a280d3a1cd1e64597f95d2b733a290bad646ecd4da62cf00b975b7",
+    "basis companion3d": "13794bf3c7aa286e492de0416481107e1c674cd00f03bf5d4da109703a512a29",
+    "encode eval": "84750618c056d111ce7ff7c678ad9095cdec77a4f7d7a9a0e4ec1f962d555e8a",
+    "cascade db4": "b43417ecbdd72a4f025ab77bd01422fa783af6ec2cfcd6fb525cd6b7c4dfdb29",
+    "cascade db4.grid.csv": "a1c4bbfd360742a99d1e7460350dcecdaa4f5ddd4af5930edfe8a675843eadb2",
+    "cascade db4.grid.json": "9c1d236ca4afa1b400241f82acc1a46725ebc119aa7992ccb23a40a2df6764eb",
+    "cascade db4.convergence.csv": "e0855634508e52be0a8c8d25503df4c4ec6a8a8c0522bf125b6ac5e4c4da8807",
+    "cascade db4.phi.csv": "953f395c35df351c8a05aed87dcdae43bd2e01ce396ec6bbcec8ac0a79ccf409",
+}
+
+
+def _golden_outputs(tmp_path, capsys) -> dict[str, bytes]:
+    """Stdout of a fixed set of CLI calls, and the artifacts of one cascade.
+
+    ``verify`` keeps only its residual fields: ``qmf_deviation`` is sampled
+    through numpy and its last bits depend on the BLAS kernel.  The cascade
+    summary drops ``output_dir``, which names the temporary directory.
+    """
+    outputs = {}
+
+    def call(name, *argv):
+        code = main([str(a) for a in argv])
+        text = capsys.readouterr().out
+        assert code == 0, name
+        outputs[name] = text.encode()
+        return text
+
+    for name, text in GOLDEN_MATRICES.items():
+        (tmp_path / f"{name}.json").write_text(text)
+    for name in GOLDEN_FILTERS:
+        (tmp_path / f"{name}.json").write_text(call(f"bundled {name}", "bundled", name))
+        call(f"reduce {name}", "reduce", tmp_path / f"{name}.json")
+        data = json.loads(call(f"verify {name}", "verify", tmp_path / f"{name}.json"))
+        pinned = {k: data[k] for k in ("per_index", "sum_residual", "max_residual")}
+        outputs[f"verify {name}"] = json.dumps(pinned, sort_keys=True).encode()
+    for name in ("db4", "quincunx_db4"):
+        for target in GOLDEN_MATRICES:
+            call(f"transfer {name} {target}", "transfer", tmp_path / f"{name}.json",
+                 "--target", tmp_path / f"{target}.json")
+    for target in ("quincunx", "companion3d"):
+        for command in ("snf", "basis"):
+            call(f"{command} {target}", command, tmp_path / f"{target}.json")
+    call("encode eval", "encode", "eval", "--d", "3", "--N", "2", "--point", "1,-2,2")
+
+    summary = json.loads(call("cascade db4", "cascade", tmp_path / "db4.json", "--levels", "6"))
+    del summary["output_dir"]
+    outputs["cascade db4"] = json.dumps(summary, sort_keys=True).encode()
+    for suffix in ("grid.csv", "grid.json", "convergence.csv", "phi.csv"):
+        outputs[f"cascade db4.{suffix}"] = (tmp_path / "out" / f"db4.{suffix}").read_bytes()
+    return outputs
+
+
+def test_cli_output_matches_golden_digests(tmp_path, capsys, monkeypatch):
+    """CLI output stays byte-identical across refactors: the digests were
+    recorded before the reduced system became a cached property of Filter."""
+    monkeypatch.setenv("LATWAV_OUTPUT_DIR", str(tmp_path / "out"))
+    digests = {
+        name: hashlib.sha256(data).hexdigest()
+        for name, data in _golden_outputs(tmp_path, capsys).items()
+    }
+    assert digests == GOLDEN_DIGESTS

@@ -17,12 +17,11 @@ from latwav.encode import (
     flatten_point,
     in_index_window,
     in_support_window,
-    index_decode_table,
     radix_encode,
-    support_decode_table,
     window_exponent_for_extent,
 )
 from latwav.errors import DimensionTooSmallError, OutOfDomainError, WindowTooLargeError
+from util import index_decode_table, support_decode_table
 
 
 def centered_window(d, n_exp):

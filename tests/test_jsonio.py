@@ -88,7 +88,7 @@ def test_snf_and_basis_reports():
 
 
 def test_system_report_shape():
-    data = system_to_json(quincunx_haar().system())
+    data = system_to_json(quincunx_haar().system)
     assert set(data) >= {"matrix", "support", "index_set", "equations"}
     eq0 = data["equations"][0]
     assert set(eq0) == {"k", "pairs", "rhs"}

@@ -329,7 +329,8 @@ def test_transfer_preserves_residuals_for_arbitrary_coefficients():
 def test_transfer_builds_each_system_once(monkeypatch):
     """Source, 1-D and target systems are built once each; the 1-D system
     from the first stage is reused by the second.  The two stage witnesses
-    and the composed one are all checked."""
+    and the composed one are all checked.  A fresh filter is used because
+    the bundled singletons keep the systems earlier tests built for them."""
     # the package re-exports the function transfer under the module's name
     transfer_mod = importlib.import_module("latwav.transfer")
     calls = {"build": 0, "verify": 0}
@@ -344,15 +345,21 @@ def test_transfer_builds_each_system_once(monkeypatch):
                         counting("build", transfer_mod.build_reduced_system))
     monkeypatch.setattr(transfer_mod, "verify_isomorphism",
                         counting("verify", transfer_mod.verify_isomorphism))
-    report = transfer(quincunx_haar(), companion_3d_matrix())
+    filt = Filter.from_coeffs(quincunx_matrix(), quincunx_haar().coeffs)
+    report = transfer(filt, companion_3d_matrix())
     assert calls == {"build": 3, "verify": 3}
     assert report.stages[1].source_system is report.stages[0].target_system
     assert verify_isomorphism(report.source_system, report.target_system, report.iso)
 
+    # again on the same filter: only the new 1-D and target filters build
+    calls.update(build=0, verify=0)
+    assert transfer(filt, companion_3d_matrix()) == report
+    assert calls == {"build": 2, "verify": 3}
 
-def test_from_one_d_reuses_a_given_source_system():
-    filt = daubechies4_1d()
-    system = filt.system()
-    report = from_one_d(filt, quincunx_matrix(), system)
-    assert report.source_system is system
-    assert report == from_one_d(filt, quincunx_matrix())
+
+def test_reports_share_the_filter_system():
+    filt = Filter.from_coeffs(dilation_1d(), daubechies4_1d().coeffs)
+    report = from_one_d(filt, quincunx_matrix())
+    assert report.source_system is filt.system
+    assert report.target_system is report.target_filter.system
+    assert transfer(filt, quincunx_matrix()).source_system is filt.system

@@ -118,11 +118,9 @@ def test_transfer_preserves_residuals_bitwise():
                 assert tgt_report.per_index[report.iso.index_map[k]] == value
 
 
-def test_residuals_on_provided_system():
-    filt = haar_1d()
-    system = filt.system()
-    report = lawton_residuals(filt, system)
-    assert report.system is system
+def test_residuals_use_the_filter_system():
+    filt = Filter.from_coeffs(dilation_1d(), haar_1d().coeffs)
+    assert lawton_residuals(filt).system is filt.system
 
 
 def test_complex_filter_residuals():

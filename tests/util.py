@@ -5,7 +5,13 @@ from itertools import product
 
 import numpy as np
 
-from latwav.encode import EncodingParams, radix_encode
+from latwav.encode import (
+    EncodingParams,
+    encode_index,
+    encode_support,
+    enumerate_windows,
+    radix_encode,
+)
 from latwav.intlat import (
     DilationMatrix,
     IntMatrix,
@@ -178,3 +184,17 @@ def reference_qmf_check(filt, samples: int = 1024, seed: int = 0) -> float:
 
     dev = np.abs(m0(xi)) ** 2 + np.abs(m0(xi + zeta)) ** 2 - 1.0
     return float(np.max(np.abs(dev)))
+
+
+def support_decode_table(params: EncodingParams) -> dict[int, LatticePoint]:
+    """Inverse of encode_support as a lookup table over the enumerated window:
+    the reference for the radix decoder decode_support."""
+    win = enumerate_windows(params)
+    return {encode_support(params, n): n for n in win.support_points}
+
+
+def index_decode_table(params: EncodingParams) -> dict[int, LatticePoint]:
+    """Inverse of encode_index as a lookup table over the enumerated window:
+    the reference for the radix decoder decode_index."""
+    win = enumerate_windows(params)
+    return {encode_index(params, k): k for k in win.index_points}
