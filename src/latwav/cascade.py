@@ -9,7 +9,9 @@ sqrt(2) * sum_n s_n * old(j - A^K n).
 Cell indices grow like A^K and are kept as exact Python integers.  Because
 the level-(K+1) cells are not nested in the level-K cells for a skew matrix,
 the cross-level L2 difference resamples the coarser grid at the centers of
-the finer cells; it is a convergence diagnostic, not a norm identity.
+the finer cells; it is a convergence diagnostic, not a norm identity.  The
+fine cells whose centers fall in coarse cell i are exactly A i + S for one
+two-element digit set S, a complete residue system for Z^d / A Z^d.
 """
 
 from __future__ import annotations
@@ -68,64 +70,50 @@ def cascade_step(grid: CascadeGrid, filt: Filter,
             prev = new_cells.get(target)
             contrib = weight * value
             new_cells[target] = contrib if prev is None else prev + contrib
-    if len(new_cells) > cell_budget:
-        raise LevelBudgetExceededError(
-            f"level {grid.level + 1} needs {len(new_cells)} cells, budget is {cell_budget}"
-        )
+        if len(new_cells) > cell_budget:  # the count only grows: raise early
+            raise LevelBudgetExceededError(
+                f"level {grid.level + 1} exceeds the cell budget {cell_budget}"
+            )
     return CascadeGrid(level=grid.level + 1, matrix=grid.matrix, cells=new_cells)
 
 
-def _parent_cell(adj_rows, det2: int, j: LatticePoint) -> LatticePoint:
-    # Level-K cell containing the center of level-(K+1) cell j:
-    # floor(A^-1 (j + 1/2)) computed as floor(adj(A) (2j+1) / (2 det)).
-    doubled = tuple(2 * c + 1 for c in j)
-    return tuple(
-        sum(a * b for a, b in zip(row, doubled)) // det2 for row in adj_rows
-    )
-
-
-def _parent_maps(matrix: DilationMatrix):
+def _centre_digits(matrix: DilationMatrix) -> tuple[LatticePoint, ...]:
+    """S = {j : floor(A^-1 (j + 1/2)) = 0}, the fine cells whose centers lie
+    in coarse cell 0, found in the integer bounding box of A [0,1]^d by the
+    exact test 0 <= sign * adj(A) (2j + 1) < 2 |det A| on every row."""
     det = matrix.A.det()
     sign = 1 if det > 0 else -1
-    adj_rows = tuple(
-        tuple(sign * x for x in row) for row in matrix.A.adjugate().rows
+    adj_rows = [[sign * x for x in row] for row in matrix.A.adjugate().rows]
+    det2 = 2 * abs(det)
+    images = [matrix.A.vec(corner) for corner in product((0, 1), repeat=matrix.dim)]
+    box = [range(min(coord) - 1, max(coord) + 2) for coord in zip(*images)]
+    return tuple(
+        j for j in product(*box)
+        if all(0 <= sum(a * (2 * c + 1) for a, c in zip(row, j)) < det2
+               for row in adj_rows)
     )
-    return adj_rows, 2 * abs(det)
 
 
 def level_difference(coarse: CascadeGrid, fine: CascadeGrid) -> float:
     """Sampled L2 distance between consecutive levels.
 
     The coarse function is evaluated at fine-cell centers; the sum runs over
-    every fine cell where either function is nonzero.
+    every fine cell where either function is nonzero.  Coarse cell i covers
+    the centers of the fine cells A i + S, so the samples are built directly.
     """
     if fine.level != coarse.level + 1:
         raise ValueError("grids must be consecutive levels")
-    matrix = fine.matrix
-    adj_rows, det2 = _parent_maps(matrix)
-    d = matrix.dim
-
-    compare = set(fine.cells)
-    # Fine cells whose center lands in a populated coarse cell: scan the
-    # integer bounding box of each coarse cell's image parallelepiped.
-    a_rows = matrix.A.rows
-    corners = list(product((0, 1), repeat=d))
-    for i in coarse.cells:
-        images = [
-            tuple(sum(r * (ci + cc) for r, ci, cc in zip(row, i, corner)) for row in a_rows)
-            for corner in corners
-        ]
-        lo = [min(im[t] for im in images) - 1 for t in range(d)]
-        hi = [max(im[t] for im in images) + 1 for t in range(d)]
-        for j in product(*(range(l, h + 1) for l, h in zip(lo, hi))):
-            if _parent_cell(adj_rows, det2, j) == i:
-                compare.add(j)
+    A = fine.matrix.A
+    digits = _centre_digits(fine.matrix)
+    sampled: dict[LatticePoint, Coefficient] = {}
+    for i, value in coarse.cells.items():
+        base = A.vec(i)
+        for s in digits:
+            sampled[tuple(b + c for b, c in zip(base, s))] = value
 
     acc = 0.0
-    for j in sorted(compare):
-        vf = fine.cells.get(j, 0.0)
-        vc = coarse.cells.get(_parent_cell(adj_rows, det2, j), 0.0)
-        acc += abs(vf - vc) ** 2
+    for j in sorted(sampled.keys() | fine.cells.keys()):
+        acc += abs(fine.cells.get(j, 0.0) - sampled.get(j, 0.0)) ** 2
     return math.sqrt(acc * fine.cell_volume)
 
 
@@ -169,11 +157,12 @@ def translate_gram(grid: CascadeGrid,
     """
     a_pow = grid.matrix.A.power(grid.level)
     vol = grid.cell_volume
+    items = sorted(grid.cells.items())
     out: dict[LatticePoint, Coefficient] = {}
     for m in window:
         offset = a_pow.vec(tuple(m))
         acc = 0.0
-        for j, value in sorted(grid.cells.items()):
+        for j, value in items:
             other = grid.cells.get(tuple(c - o for c, o in zip(j, offset)))
             if other is not None:
                 acc = acc + value * other.conjugate()

@@ -173,6 +173,9 @@ def _cmd_cascade(args, config: Config) -> int:
 
 def _cmd_quincunx(args, config: Config) -> int:
     _require(args.width >= 1, f"--width must be >= 1, got {args.width}")
+    _require((2 * args.width + 1) ** 2 <= config.cell_budget,
+             f"--width {args.width} needs {(2 * args.width + 1) ** 2} coefficients, "
+             f"cell budget is {config.cell_budget}")
     report = support_pattern(args.width)
     out = _out_dir(config)
     lines = ["m,n,s"]
@@ -199,7 +202,6 @@ def _cmd_encode(args, config: Config) -> int:
         in_support_window,
         radix_encode,
     )
-    from .errors import OutOfDomainError
 
     try:
         point = tuple(int(c) for c in args.point.replace(" ", "").split(","))
@@ -208,6 +210,12 @@ def _cmd_encode(args, config: Config) -> int:
     if len(point) != args.d:
         raise InputFormatError(f"--point has {len(point)} coordinates, --d is {args.d}")
     _require(args.N >= 1, f"--N must be >= 1, got {args.N}")
+    # A bit bound on the window 2^N and the point's codes, checked before any is formed.
+    bits = max(max(abs(c) for c in point).bit_length() + 2 * (args.d - 1) * args.N + 4,
+               args.N + 1)
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    _require(bits * math.log10(2) <= limit,
+             f"--N {args.N} needs integers of up to {bits} bits; at most {limit} digits print")
     params = EncodingParams(args.d, args.N)
     data = {
         "point": list(point),
@@ -217,14 +225,8 @@ def _cmd_encode(args, config: Config) -> int:
     }
     if args.d >= 2:
         data["flatten_value"] = flatten_point(params, point)
-    try:
-        data["support_code"] = encode_support(params, point)
-    except OutOfDomainError:
-        data["support_code"] = None
-    try:
-        data["index_code"] = encode_index(params, point)
-    except OutOfDomainError:
-        data["index_code"] = None
+    data["support_code"] = encode_support(params, point) if data["in_support_window"] else None
+    data["index_code"] = encode_index(params, point) if data["in_index_window"] else None
     _emit(data)
     return 0
 

@@ -97,17 +97,17 @@ def in_index_window(params: EncodingParams, k: LatticePoint) -> bool:
     return radix_encode(params, k) >= 0
 
 
-def _require(ok: bool, what: str, p: LatticePoint, bound: str) -> None:
-    if not ok:
-        raise OutOfDomainError(f"{p} is outside the {what} window: {bound}")
+def _outside(what: str, p: LatticePoint, bound: str) -> OutOfDomainError:
+    return OutOfDomainError(f"{p} is outside the {what} window: {bound}")
 
 
 def encode_support(params: EncodingParams, n: LatticePoint) -> int:
     """Flattening restricted to the support window (checked)."""
     check_dim(n, params.dim)
+    w = params.window
     for j, c in enumerate(n):
-        _require(0 <= c < params.window, "support", n,
-                 f"coordinate {j + 1} = {c} not in [0, {params.window - 1}]")
+        if not 0 <= c < w:
+            raise _outside("support", n, f"coordinate {j + 1} = {c} not in [0, {w - 1}]")
     if params.dim == 1:
         return n[0]
     return flatten_point(params, n)
@@ -118,10 +118,12 @@ def encode_index(params: EncodingParams, k: LatticePoint) -> int:
     check_dim(k, params.dim)
     w = params.window
     for j, c in enumerate(k):
-        _require(abs(c) < w, "index", k,
-                 f"coordinate {j + 1} = {c} not in [{1 - w}, {w - 1}]")
-    _require(k[-1] % 2 == 0, "index", k, f"last coordinate {k[-1]} is odd")
-    _require(radix_encode(params, k) >= 0, "index", k, "radix value is negative")
+        if abs(c) >= w:
+            raise _outside("index", k, f"coordinate {j + 1} = {c} not in [{1 - w}, {w - 1}]")
+    if k[-1] % 2 != 0:
+        raise _outside("index", k, f"last coordinate {k[-1]} is odd")
+    if radix_encode(params, k) < 0:
+        raise _outside("index", k, "radix value is negative")
     if params.dim == 1:
         return k[0]
     return flatten_point(params, k)

@@ -26,7 +26,14 @@ from .encode import (
 )
 from .errors import DomainMismatchError, NotOneDimensionalError
 from .intlat import DilationMatrix, LatticePoint, as_point, from_adapted, to_adapted
-from .lawton import ReducedSystem, SupportSet, _adapted_frame, build_reduced_system
+from .lawton import (
+    Equation,
+    ReducedSystem,
+    SupportSet,
+    _adapted_frame,
+    build_reduced_system,
+    equations_equal_up_to_conjugation,
+)
 
 Coefficient = complex | float
 
@@ -148,12 +155,9 @@ def verify_isomorphism(sys_a: ReducedSystem, sys_b: ReducedSystem, iso: IsoMap) 
         return False
 
     for k, eq in sys_a.equations.items():
-        target_eq = sys_b.equations[eta[k]]
-        if eq.rhs != target_eq.rhs:
-            return False
-        mapped = frozenset((theta[n], theta[m]) for n, m in eq.pairs)
-        tgt = target_eq.pair_set()
-        if mapped != tgt and mapped != frozenset((b, a) for a, b in tgt):
+        mapped = Equation(k=eta[k], pairs=tuple((theta[n], theta[m]) for n, m in eq.pairs),
+                          rhs=eq.rhs)
+        if not equations_equal_up_to_conjugation(mapped, sys_b.equations[eta[k]]):
             return False
     return True
 

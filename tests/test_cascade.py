@@ -10,6 +10,7 @@ from latwav.cascade import (
     cascade_step,
     initial_grid,
     level_difference,
+    _centre_digits,
     run_cascade,
     support_bounding_box,
     translate_gram,
@@ -23,7 +24,9 @@ from latwav.filters import (
     quincunx_haar,
     quincunx_matrix,
 )
-from latwav.transfer import Filter
+from latwav.intlat import DilationMatrix, IntMatrix, in_dilated_lattice
+from latwav.transfer import Filter, transfer
+from util import companion, reference_level_difference, reference_translate_gram
 
 BUNDLED = (haar_1d, daubechies4_1d, quincunx_haar, quincunx_daubechies4)
 
@@ -125,6 +128,16 @@ def test_level_difference_requires_consecutive_levels():
 def test_cell_budget_enforced():
     with pytest.raises(LevelBudgetExceededError):
         run_cascade(daubechies4_1d(), max_level=8, cell_budget=100)
+    # Boundary: the largest level's cell count passes, one less raises.
+    filt = daubechies4_1d()
+    grid = initial_grid(filt.matrix)
+    largest = 0
+    for _ in range(8):
+        grid = cascade_step(grid, filt)
+        largest = max(largest, len(grid.cells))
+    run_cascade(filt, max_level=8, cell_budget=largest)
+    with pytest.raises(LevelBudgetExceededError, match=f"level 8 exceeds the cell budget {largest - 1}"):
+        run_cascade(filt, max_level=8, cell_budget=largest - 1)
 
 
 def test_matrix_mismatch_rejected():
@@ -168,3 +181,59 @@ def test_support_bounding_box_haar():
     # attractor of {0,1} under /2 is [0, 1]; box pads by 1
     assert abs(lo[0] + 1.0) < 1e-6
     assert abs(hi[0] - 2.0) < 1e-6
+
+
+def _shear(dim: int, row: int, col: int, t: int) -> IntMatrix:
+    return IntMatrix.from_rows(
+        [[int(i == j) + (t if (i, j) == (row, col) else 0) for j in range(dim)]
+         for i in range(dim)]
+    )
+
+
+def _conjugate(m: IntMatrix, u: IntMatrix) -> IntMatrix:
+    return u.mul(m).mul(u.unimodular_inverse())
+
+
+def _differential_filters():
+    """(filter, levels) pairs with small matrix entries: the oracle's box
+    scan grows with the entries of A."""
+    for make in BUNDLED:
+        yield make(), 8
+    matrices = [IntMatrix.from_rows([[2]]), IntMatrix.from_rows([[-2]])]
+    for c in (2, -2):
+        base = companion((1, 0, c))
+        s01, s10 = _shear(2, 0, 1, 1), _shear(2, 1, 0, -1)
+        for u in (IntMatrix.identity(2), s01, s10, s01.mul(s10)):
+            matrices.append(_conjugate(base, u))
+        base = companion((1, 0, 0, c))
+        for u in (IntMatrix.identity(3), _shear(3, 0, 2, 1), _shear(3, 2, 1, -1)):
+            matrices.append(_conjugate(base, u))
+    rnd = random.Random(8)
+    db4 = daubechies4_1d()
+    for m in matrices:
+        filt = transfer(db4, DilationMatrix.from_matrix(m)).target_filter
+        levels = {1: 8, 2: 6, 3: 4}[m.dim]
+        yield filt, levels
+        taps = {n: complex(rnd.uniform(-1, 1), rnd.uniform(-1, 1)) for n in filt.coeffs}
+        yield Filter.from_coeffs(filt.matrix, taps), levels
+    for c in (2, -2):
+        dil = DilationMatrix.from_matrix(companion((1, 0, 0, 0, c)))
+        yield transfer(db4, dil).target_filter, 4
+
+
+def test_level_difference_matches_reference():
+    """The closed-form samples A i + S reproduce the former bounding-box scan
+    bit for bit, and translate_gram its former per-shift sort."""
+    for filt, levels in _differential_filters():
+        digits = _centre_digits(filt.matrix)
+        assert len(digits) == 2
+        assert sorted(in_dilated_lattice(filt.matrix, s) for s in digits) == [False, True]
+        grid = initial_grid(filt.matrix)
+        for _ in range(levels):
+            nxt = cascade_step(grid, filt)
+            got = level_difference(grid, nxt)
+            want = reference_level_difference(grid, nxt)
+            assert got == want and repr(got) == repr(want)
+            grid = nxt
+        window = [(0,) * filt.dim, filt.matrix.coset_rep, filt.matrix.A.rows[0]]
+        assert translate_gram(grid, window) == reference_translate_gram(grid, window)

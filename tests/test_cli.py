@@ -209,14 +209,36 @@ def test_overflowing_result_is_not_written_as_nan(workdir, capsys):
     (["verify", "{db4}", "--tolerance", "-1"], "--tolerance must be a positive number"),
     (["verify", "{db4}", "--tolerance", "0"], "--tolerance must be a positive number"),
     (["verify", "{db4}", "--tolerance", "nan"], "--tolerance must be a positive number"),
+    (["encode", "eval", "--d", "3", "--N", "100000", "--point", "1,-2,2"], "digits print"),
+    (["encode", "eval", "--d", "3", "--N", "1000000000000", "--point", "1,-2,2"], "digits print"),
+    (["encode", "eval", "--d", "1", "--N", "100000", "--point=-2"], "digits print"),
+    (["quincunx", "pattern", "--width", "100000"], "cell budget is 5000000"),
 ], ids=["encode-N-0", "quincunx-width-0", "cascade-levels-negative", "cascade-tol-negative",
-        "verify-tolerance-negative", "verify-tolerance-zero", "verify-tolerance-nan"])
+        "verify-tolerance-negative", "verify-tolerance-zero", "verify-tolerance-nan",
+        "encode-N-1e5", "encode-N-1e12", "encode-N-1e5-1d", "quincunx-width-1e5"])
 def test_out_of_range_option_is_input_error(workdir, capsys, argv, message):
     argv = [a.format(db4=workdir / "db4.json") for a in argv]
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert message in err
+
+
+def test_encode_eval_prints_codes_near_the_digit_limit(capsys):
+    """--N 3000 in 3-D forms integers of about 3,600 digits, under the limit."""
+    code, out, _ = run(capsys, "encode", "eval", "--d", "3", "--N", "3000", "--point", "1,-2,2")
+    assert code == 0
+    assert json.loads(out)["radix_value"] == 1 - 2 * 4 ** 3000 + 2 * 4 ** 6000
+
+
+def test_quincunx_width_at_the_cell_budget(workdir, capsys):
+    config = workdir / "config.json"
+    config.write_text('{"cell_budget": 49}')
+    code, _, _ = run(capsys, "--config", str(config), "quincunx", "pattern", "--width", "3")
+    assert code == 0
+    code, _, err = run(capsys, "--config", str(config), "quincunx", "pattern", "--width", "4")
+    assert code == 2
+    assert "cell budget is 49" in err
 
 
 @pytest.mark.parametrize("text, message", [
@@ -299,11 +321,17 @@ GOLDEN_DIGESTS = {
     "cascade db4.grid.json": "9c1d236ca4afa1b400241f82acc1a46725ebc119aa7992ccb23a40a2df6764eb",
     "cascade db4.convergence.csv": "e0855634508e52be0a8c8d25503df4c4ec6a8a8c0522bf125b6ac5e4c4da8807",
     "cascade db4.phi.csv": "953f395c35df351c8a05aed87dcdae43bd2e01ce396ec6bbcec8ac0a79ccf409",
+    "cascade quincunx_db4": "ad94dcd7a039500bf8d85ba14bd6828a064146d0f90bf1d96bac0c21c9e289b7",
+    "cascade quincunx_db4.grid.csv": "d94e6bc605c525d9a6ef24e29b262e3899cd37a08bd39fc223b1ac072ae9269a",
+    "cascade quincunx_db4.convergence.csv": "18a977428e3c201f3c61f06179621ab25fdf846ed4431414f2cc11015a06a634",
+    "cascade quincunx_haar": "eba2b270311f10608382ea8265c49d41f57e3aa2332b70c1a7a199d3fcb819f9",
+    "cascade quincunx_haar.grid.csv": "42928b688ba9081a6ab8c7f588ee35c886b4b5f5197b6b3694e1f573201c5875",
+    "cascade quincunx_haar.convergence.csv": "e5afb816667a6fb1055b931b202f883ccc274b626e0e19643fd72a496745c6c5",
 }
 
 
 def _golden_outputs(tmp_path, capsys) -> dict[str, bytes]:
-    """Stdout of a fixed set of CLI calls, and the artifacts of one cascade.
+    """Stdout of a fixed set of CLI calls, and the artifacts of three cascades.
 
     ``verify`` keeps only its residual fields: ``qmf_deviation`` is sampled
     through numpy and its last bits depend on the BLAS kernel.  The cascade
@@ -335,17 +363,27 @@ def _golden_outputs(tmp_path, capsys) -> dict[str, bytes]:
             call(f"{command} {target}", command, tmp_path / f"{target}.json")
     call("encode eval", "encode", "eval", "--d", "3", "--N", "2", "--point", "1,-2,2")
 
-    summary = json.loads(call("cascade db4", "cascade", tmp_path / "db4.json", "--levels", "6"))
-    del summary["output_dir"]
-    outputs["cascade db4"] = json.dumps(summary, sort_keys=True).encode()
-    for suffix in ("grid.csv", "grid.json", "convergence.csv", "phi.csv"):
-        outputs[f"cascade db4.{suffix}"] = (tmp_path / "out" / f"db4.{suffix}").read_bytes()
+    cascades = {
+        "db4": ("6", ("grid.csv", "grid.json", "convergence.csv", "phi.csv")),
+        "quincunx_db4": ("8", ("grid.csv", "convergence.csv")),
+        "quincunx_haar": ("8", ("grid.csv", "convergence.csv")),
+    }
+    for name, (levels, suffixes) in cascades.items():
+        summary = json.loads(call(f"cascade {name}", "cascade", tmp_path / f"{name}.json",
+                                  "--levels", levels))
+        del summary["output_dir"]
+        outputs[f"cascade {name}"] = json.dumps(summary, sort_keys=True).encode()
+        for suffix in suffixes:
+            outputs[f"cascade {name}.{suffix}"] = (
+                tmp_path / "out" / f"{name}.{suffix}").read_bytes()
     return outputs
 
 
 def test_cli_output_matches_golden_digests(tmp_path, capsys, monkeypatch):
     """CLI output stays byte-identical across refactors: the digests were
-    recorded before the reduced system became a cached property of Filter."""
+    recorded before the reduced system became a cached property of Filter,
+    and the quincunx cascades before level_difference sampled through the
+    closed-form digit set."""
     monkeypatch.setenv("LATWAV_OUTPUT_DIR", str(tmp_path / "out"))
     digests = {
         name: hashlib.sha256(data).hexdigest()

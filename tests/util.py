@@ -5,6 +5,7 @@ from itertools import product
 
 import numpy as np
 
+from latwav.cascade import CascadeGrid
 from latwav.encode import (
     EncodingParams,
     encode_index,
@@ -198,3 +199,59 @@ def index_decode_table(params: EncodingParams) -> dict[int, LatticePoint]:
     the reference for the radix decoder decode_index."""
     win = enumerate_windows(params)
     return {encode_index(params, k): k for k in win.index_points}
+
+
+# Cascade oracles: the library's former level difference, which scans the
+# integer bounding box of every coarse cell's image for the fine cells whose
+# centres it holds and solves floor(A^-1 (j + 1/2)) for each fine cell, and
+# the former translate Gram, which sorts the cells once per shift.
+def _parent_cell(adj_rows, det2: int, j: LatticePoint) -> LatticePoint:
+    doubled = tuple(2 * c + 1 for c in j)
+    return tuple(
+        sum(a * b for a, b in zip(row, doubled)) // det2 for row in adj_rows
+    )
+
+
+def reference_level_difference(coarse: CascadeGrid, fine: CascadeGrid) -> float:
+    matrix = fine.matrix
+    det = matrix.A.det()
+    sign = 1 if det > 0 else -1
+    adj_rows = tuple(tuple(sign * x for x in row) for row in matrix.A.adjugate().rows)
+    det2 = 2 * abs(det)
+    d = matrix.dim
+
+    compare = set(fine.cells)
+    a_rows = matrix.A.rows
+    corners = list(product((0, 1), repeat=d))
+    for i in coarse.cells:
+        images = [
+            tuple(sum(r * (ci + cc) for r, ci, cc in zip(row, i, corner)) for row in a_rows)
+            for corner in corners
+        ]
+        lo = [min(im[t] for im in images) - 1 for t in range(d)]
+        hi = [max(im[t] for im in images) + 1 for t in range(d)]
+        for j in product(*(range(l, h + 1) for l, h in zip(lo, hi))):
+            if _parent_cell(adj_rows, det2, j) == i:
+                compare.add(j)
+
+    acc = 0.0
+    for j in sorted(compare):
+        vf = fine.cells.get(j, 0.0)
+        vc = coarse.cells.get(_parent_cell(adj_rows, det2, j), 0.0)
+        acc += abs(vf - vc) ** 2
+    return math.sqrt(acc * fine.cell_volume)
+
+
+def reference_translate_gram(grid: CascadeGrid, window) -> dict:
+    a_pow = grid.matrix.A.power(grid.level)
+    vol = grid.cell_volume
+    out = {}
+    for m in window:
+        offset = a_pow.vec(tuple(m))
+        acc = 0.0
+        for j, value in sorted(grid.cells.items()):
+            other = grid.cells.get(tuple(c - o for c, o in zip(j, offset)))
+            if other is not None:
+                acc = acc + value * other.conjugate()
+        out[tuple(m)] = acc * vol
+    return out
