@@ -170,15 +170,18 @@ def translate_gram(grid: CascadeGrid,
     return out
 
 
-def support_bounding_box(filt: Filter, tol: float = 1e-9,
-                         max_iter: int = 500) -> tuple[tuple[float, ...], tuple[float, ...]]:
+_BOX_TOL = 1e-9
+_BOX_MAX_ITER = 500
+
+
+def support_bounding_box(filt: Filter) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Axis-aligned box certified to contain the limit function's support.
 
     The support of the limit is the attractor sum_{j>=1} A^-j * support, so
     its bounding box is the sum of the per-term interval boxes of
     A^-j * hull(support).  Terms are accumulated until they stabilize below
-    ``tol`` (they shrink geometrically since A is expansive); the result is
-    padded by one unit on each side.  Interval iteration of the fixed-point
+    ``_BOX_TOL`` (they shrink geometrically since A is expansive); the result
+    is padded by one unit on each side.  Interval iteration of the fixed-point
     map itself is not used: taking a bounding box at every step inflates the
     image of a skew matrix and need not converge.
     """
@@ -192,7 +195,7 @@ def support_bounding_box(filt: Filter, tol: float = 1e-9,
     lo = [0.0] * d
     hi = [0.0] * d
     power = [[float(i == j) for j in range(d)] for i in range(d)]
-    for _ in range(max_iter):
+    for _ in range(_BOX_MAX_ITER):
         power = [
             [sum(ainv[i][t] * power[t][j] for t in range(d)) for j in range(d)]
             for i in range(d)
@@ -204,6 +207,6 @@ def support_bounding_box(filt: Filter, tol: float = 1e-9,
             lo[i] += a
             hi[i] += b
             term = max(term, abs(a), abs(b))
-        if term < tol:
+        if term < _BOX_TOL:
             break
     return tuple(x - 1.0 for x in lo), tuple(x + 1.0 for x in hi)

@@ -15,7 +15,7 @@ from . import cascade as cascade_mod
 from . import filters as filters_mod
 from . import jsonio
 from .config import Config
-from .errors import InputFormatError, LatwavError
+from .errors import InputFormatError, IsomorphismError, LatwavError
 from .intlat import smith_normal_form
 from .quincunx import support_pattern
 from .transfer import transfer
@@ -258,6 +258,9 @@ def main(argv=None) -> int:
     except InputFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except IsomorphismError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except LatwavError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -245,15 +245,3 @@ def window_exponent_for_extent(extent: int) -> int:
         raise ValueError("extent must be nonnegative")
     return max(1, int(extent).bit_length())
 
-
-def flatten_order_key(p: LatticePoint):
-    """Sort key reproducing the flattening order without fixing N.
-
-    For window points the order induced by flatten_point does not depend on
-    the window exponent: it compares floor(y/2) first, then the radix order
-    of x (rightmost differing coordinate decides), then the parity of y.
-    """
-    if len(p) == 1:
-        return (p[0],)
-    x, y = p[:-1], p[-1]
-    return (y // 2, tuple(reversed(x)), y & 1)

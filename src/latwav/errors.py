@@ -41,6 +41,10 @@ class DomainMismatchError(LatwavError):
     """Isomorphism witness domains do not match the system."""
 
 
+class IsomorphismError(LatwavError):
+    """A transfer's witness does not carry the source system onto the target."""
+
+
 class NotOneDimensionalError(LatwavError):
     """A one-dimensional filter was required."""
 

@@ -11,6 +11,7 @@ import math
 from pathlib import Path
 
 from .cascade import CascadeGrid
+from .config import _is_int
 from .errors import InputFormatError, LatwavError
 from .intlat import DilationMatrix, IntMatrix, SnfFactorization
 from .lawton import ReducedSystem
@@ -40,13 +41,15 @@ def matrix_from_json(data, where: str = "matrix") -> IntMatrix:
             raise InputFormatError(f"{where}: missing field '{key}'")
     rows = data["rows"]
     dim = data["dim"]
+    if not _is_int(dim):
+        raise InputFormatError(f"{where}: 'dim' = {dim!r} is not an integer")
     if not isinstance(rows, list) or len(rows) != dim:
         raise InputFormatError(f"{where}: 'rows' must be a list of {dim} rows")
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != dim:
             raise InputFormatError(f"{where}: row {i} must have {dim} entries")
         for j, x in enumerate(row):
-            if not isinstance(x, int) or isinstance(x, bool):
+            if not _is_int(x):
                 raise InputFormatError(f"{where}: entry ({i},{j}) = {x!r} is not an integer")
     return IntMatrix.from_rows(rows)
 
@@ -108,6 +111,8 @@ def filter_from_json(data, where: str = "filter") -> Filter:
         if key not in data:
             raise InputFormatError(f"{where}: missing field '{key}'")
     dil = dilation_from_json(data["matrix"], f"{where}.matrix")
+    if not _is_int(data["dim"]):
+        raise InputFormatError(f"{where}: 'dim' = {data['dim']!r} is not an integer")
     if data["dim"] != dil.dim:
         raise InputFormatError(
             f"{where}: dim = {data['dim']} but matrix is {dil.dim}x{dil.dim}"
@@ -120,9 +125,7 @@ def filter_from_json(data, where: str = "filter") -> Filter:
         if not isinstance(e, dict) or "n" not in e or "re" not in e:
             raise InputFormatError(f"{where}: coeffs[{idx}] needs fields 'n' and 're'")
         n = e["n"]
-        if not isinstance(n, list) or len(n) != dil.dim or not all(
-            isinstance(c, int) and not isinstance(c, bool) for c in n
-        ):
+        if not isinstance(n, list) or len(n) != dil.dim or not all(map(_is_int, n)):
             raise InputFormatError(
                 f"{where}: coeffs[{idx}].n = {n!r} is not a length-{dil.dim} integer point"
             )
@@ -164,7 +167,7 @@ def residual_report_to_json(report: ResidualReport) -> dict:
     }
 
 
-def transfer_report_to_json(report: TransferReport, with_stages: bool = True) -> dict:
+def transfer_report_to_json(report: TransferReport) -> dict:
     data = {
         "source_filter": filter_to_json(report.source_filter),
         "target_filter": filter_to_json(report.target_filter),
@@ -173,8 +176,8 @@ def transfer_report_to_json(report: TransferReport, with_stages: bool = True) ->
         "support_map": sorted(report.iso.support_map.items()),
         "index_map": sorted(report.iso.index_map.items()),
     }
-    if with_stages and report.stages:
-        data["stages"] = [transfer_report_to_json(s, with_stages=False) for s in report.stages]
+    if report.stages:
+        data["stages"] = [transfer_report_to_json(s) for s in report.stages]
     return data
 
 

@@ -11,22 +11,17 @@ the canonical index set keeps the representative whose adapted-chart radix
 value is nonnegative; that convention makes index sets of window supports
 coincide with the encoding module's index windows without translation.
 
-Everything is in standard coordinates; the adapted chart is used internally
-for sign canonicalization and for the deterministic summation order (pairs
-are ordered by the flattening order of the shift-normalized adapted support,
-which is exactly the order their images get in a one-dimensional transfer).
+Everything is in standard coordinates.  Internally one chart decides the
+canonical signs and the deterministic summation order: the 1-D code of each
+point (the flattening of its shift-normalized adapted coordinates), which is
+exactly the point's image in a one-dimensional transfer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .encode import (
-    EncodingParams,
-    flatten_order_key,
-    radix_encode,
-    window_exponent_for_extent,
-)
+from .encode import EncodingParams, encode_support, window_exponent_for_extent
 from .errors import DimensionMismatchError, NotInLatticeError, NotSubsetError
 from .intlat import DilationMatrix, LatticePoint, as_point, in_dilated_lattice, to_adapted
 
@@ -87,29 +82,21 @@ class ReducedSystem:
     support_order: tuple[LatticePoint, ...]
 
 
-def _adapted_frame(support: SupportSet, dil: DilationMatrix):
-    """Adapted coordinates, their coordinatewise minimum, and the window
-    exponent of the support differences."""
+def _chart(support: SupportSet, dil: DilationMatrix):
+    """The 1-D code of every support point, with the adapted minimum c_min
+    and window exponent N it is taken at: ``codes[p]`` is the support-window
+    flattening of to_adapted(p) - c_min.  The codes order the support; they
+    are also the points' images on [2] in a one-dimensional transfer."""
     adapted = {p: to_adapted(dil, p) for p in support.points}
-    coords = list(adapted.values())
-    c_min = tuple(min(c[j] for c in coords) for j in range(support.dim))
-    extent = max(
-        (c[j] - c_min[j] for c in coords for j in range(support.dim)), default=0
-    )
-    return adapted, c_min, window_exponent_for_extent(extent)
-
-
-def _ordered_points(support: SupportSet, adapted, c_min) -> tuple[LatticePoint, ...]:
-    def key(p):
-        z = tuple(a - b for a, b in zip(adapted[p], c_min))
-        return flatten_order_key(z)
-
-    return tuple(sorted(support.points, key=key))
-
-
-def _pairs_for(support: SupportSet, order, k: LatticePoint):
-    shifted = [tuple(a + b for a, b in zip(n, k)) for n in order]
-    return tuple((n, m) for n, m in zip(order, shifted) if m in support.points)
+    c_min = tuple(map(min, zip(*adapted.values())))
+    extent = max(c - m for point in adapted.values() for c, m in zip(point, c_min))
+    n_exp = window_exponent_for_extent(extent)
+    params = EncodingParams(support.dim, n_exp)
+    codes = {
+        p: encode_support(params, tuple(a - b for a, b in zip(c, c_min)))
+        for p, c in adapted.items()
+    }
+    return codes, c_min, n_exp
 
 
 def generated_equation(support: SupportSet, dil: DilationMatrix,
@@ -120,9 +107,9 @@ def generated_equation(support: SupportSet, dil: DilationMatrix,
         raise DimensionMismatchError("support, matrix and generator dimensions differ")
     if not in_dilated_lattice(dil, k):
         raise NotInLatticeError(f"generator {k} is not in A*Z^d")
-    adapted, c_min, _ = _adapted_frame(support, dil)
-    order = _ordered_points(support, adapted, c_min)
-    pairs = _pairs_for(support, order, k)
+    codes = _chart(support, dil)[0]
+    pairs = tuple((n, m) for n in sorted(support.points, key=codes.__getitem__)
+                  if (m := tuple(a + b for a, b in zip(n, k))) in support.points)
     if not pairs:
         return None
     rhs = 1 if all(c == 0 for c in k) else 0
@@ -144,30 +131,29 @@ def build_reduced_system(support: SupportSet, dil: DilationMatrix) -> ReducedSys
     the one with nonnegative radix value in the adapted chart, listed in
     increasing radix order (so the zero generator always comes first).
 
-    One pass over ordered pairs builds everything.  The radix value is
-    linear and injective on the centered window, which holds every adapted
-    difference, so v = radix(c_b) - radix(c_a) identifies the generator
-    k = b - a and its sign is the canonical-sign test.  Only pairs whose last
-    adapted coordinates share a parity differ by an element of A*Z^d.
-    Iterating a in support order adds at most one pair per generator for
-    each a, so every bucket lists its pairs (n, n + k) in support order.
+    One pass over ordered pairs builds everything, in the 1-D chart.  Only
+    pairs whose codes share a parity (last adapted coordinate) differ by an
+    element of A*Z^d.  For such a, b the code difference is
+    v = (dy/2)*stride + 2*radix(dx) with |2*radix(dx)| < stride/2, so v is
+    injective in k = b - a, and its sign and order are those of radix(k):
+    dy first, then x from right to left.  v >= 0 is thus the canonical-sign
+    test and sorting by v lists the index set in radix order.  Iterating a
+    in support order adds at most one pair per generator for each a, so
+    every bucket lists its pairs (n, n + k) in support order.
     """
     if support.dim != dil.dim:
         raise DimensionMismatchError("support and matrix dimensions differ")
-    adapted, c_min, n_exp = _adapted_frame(support, dil)
-    order = _ordered_points(support, adapted, c_min)
-    params = EncodingParams(support.dim, n_exp)
-
-    radix = {p: radix_encode(params, adapted[p]) for p in order}
+    codes, _, n_exp = _chart(support, dil)
+    order = tuple(sorted(support.points, key=codes.__getitem__))
     classes: tuple[list, list] = ([], [])
     for p in order:
-        classes[adapted[p][-1] % 2].append((radix[p], p))
+        classes[codes[p] & 1].append((codes[p], p))
 
     buckets: dict[int, list] = {}
     for a in order:
-        ra = radix[a]
-        for rb, b in classes[adapted[a][-1] % 2]:
-            v = rb - ra
+        ca = codes[a]
+        for cb, b in classes[ca & 1]:
+            v = cb - ca
             if v >= 0:
                 bucket = buckets.get(v)
                 if bucket is None:

@@ -27,6 +27,10 @@ from .errors import DimensionMismatchError
 from .lawton import SupportSet
 
 SQRT2 = math.sqrt(2.0)
+# Odd-sum points must carry magnitude above NONZERO_THRESHOLD; even-sum points
+# other than the origin must vanish below ZERO_THRESHOLD.
+ZERO_THRESHOLD = 1e-9
+NONZERO_THRESHOLD = 1e-2
 
 
 def _cosine_line_integral(p: int) -> float:
@@ -60,23 +64,15 @@ class SupportPatternReport:
     values: dict[tuple[int, int], float]
     min_odd_magnitude: float
     max_even_magnitude: float
-    odd_all_above: bool
-    even_all_below: bool
-    zero_threshold: float
-    nonzero_threshold: float
 
     @property
     def pattern_holds(self) -> bool:
-        return self.odd_all_above and self.even_all_below
+        return (self.min_odd_magnitude > NONZERO_THRESHOLD
+                and self.max_even_magnitude < ZERO_THRESHOLD)
 
 
-def support_pattern(half_width: int, zero_threshold: float = 1e-9,
-                    nonzero_threshold: float = 1e-2) -> SupportPatternReport:
-    """Evaluate the window and check the parity support pattern.
-
-    Odd-sum points must carry magnitude above ``nonzero_threshold``; even-sum
-    points other than the origin must vanish below ``zero_threshold``.
-    """
+def support_pattern(half_width: int) -> SupportPatternReport:
+    """Evaluate the window and check the parity support pattern."""
     if half_width < 1:
         raise ValueError("half width must be >= 1")
     values: dict[tuple[int, int], float] = {}
@@ -95,10 +91,6 @@ def support_pattern(half_width: int, zero_threshold: float = 1e-9,
         values=values,
         min_odd_magnitude=min_odd,
         max_even_magnitude=max_even,
-        odd_all_above=min_odd > nonzero_threshold,
-        even_all_below=max_even < zero_threshold,
-        zero_threshold=zero_threshold,
-        nonzero_threshold=nonzero_threshold,
     )
 
 

@@ -6,7 +6,8 @@ arbitrary target matrix; ``transfer`` is their composition.  Every step
 returns a TransferReport whose witness maps are machine-checked by
 ``verify_isomorphism``: the target system literally is the source system with
 variables renamed through the support map and generators renamed through the
-index map, so solutions (and their residual values) carry over unchanged.
+index map it induces, so solutions (and their residual values) carry over
+unchanged.
 """
 
 from __future__ import annotations
@@ -16,21 +17,14 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from numbers import Complex
 
-from .encode import (
-    EncodingParams,
-    decode_index,
-    decode_support,
-    encode_index,
-    encode_support,
-    window_exponent_for_extent,
-)
-from .errors import DomainMismatchError, NotOneDimensionalError
-from .intlat import DilationMatrix, LatticePoint, as_point, from_adapted, to_adapted
+from .encode import EncodingParams, decode_support, window_exponent_for_extent
+from .errors import DomainMismatchError, IsomorphismError, NotOneDimensionalError
+from .intlat import DilationMatrix, LatticePoint, as_point, from_adapted
 from .lawton import (
     Equation,
     ReducedSystem,
     SupportSet,
-    _adapted_frame,
+    _chart,
     build_reduced_system,
     equations_equal_up_to_conjugation,
 )
@@ -130,6 +124,32 @@ def shift_normalize(filt: Filter) -> tuple[Filter, LatticePoint]:
     return Filter(matrix=filt.matrix, coeffs=moved), n0
 
 
+def _witness_fault(sys_a: ReducedSystem, sys_b: ReducedSystem, iso: IsoMap) -> str | None:
+    """The first way (support_map, index_map) fails to carry sys_a onto
+    sys_b, as text, or None when it is an isomorphism.  Raises if the
+    witness domains do not even match sys_a."""
+    theta, eta = iso.support_map, iso.index_map
+    if set(theta) != set(sys_a.support.points):
+        raise DomainMismatchError("support map domain does not match the source support")
+    if set(eta) != set(sys_a.index_set):
+        raise DomainMismatchError("index map domain does not match the source index set")
+
+    image = set(theta.values())
+    if image != set(sys_b.support.points) or len(image) != len(theta):
+        return "support map is not a bijection onto the target support"
+    for k, eq in sys_a.equations.items():
+        target = sys_b.equations.get(eta[k])
+        mapped = Equation(k=eta[k], pairs=tuple((theta[n], theta[m]) for n, m in eq.pairs),
+                          rhs=eq.rhs)
+        if target is None or not equations_equal_up_to_conjugation(mapped, target):
+            return (f"generator {k} does not map: its equation under the support map "
+                    f"is not the target equation of {eta[k]}")
+    image = set(eta.values())
+    if image != set(sys_b.index_set) or len(image) != len(eta):
+        return "index map is not a bijection onto the target index set"
+    return None
+
+
 def verify_isomorphism(sys_a: ReducedSystem, sys_b: ReducedSystem, iso: IsoMap) -> bool:
     """Check that (support_map, index_map) carries sys_a onto sys_b.
 
@@ -138,28 +158,7 @@ def verify_isomorphism(sys_a: ReducedSystem, sys_b: ReducedSystem, iso: IsoMap) 
     generator (pair sets compared up to transposition, right-hand sides
     equal).  Raises if the witness domains do not even match sys_a.
     """
-    theta = iso.support_map
-    eta = iso.index_map
-    if set(theta) != set(sys_a.support.points):
-        raise DomainMismatchError("support map domain does not match the source support")
-    if set(eta) != set(sys_a.index_set):
-        raise DomainMismatchError("index map domain does not match the source index set")
-
-    if set(theta.values()) != set(sys_b.support.points):
-        return False
-    if len(set(theta.values())) != len(theta):
-        return False
-    if set(eta.values()) != set(sys_b.index_set):
-        return False
-    if len(set(eta.values())) != len(eta):
-        return False
-
-    for k, eq in sys_a.equations.items():
-        mapped = Equation(k=eta[k], pairs=tuple((theta[n], theta[m]) for n, m in eq.pairs),
-                          rhs=eq.rhs)
-        if not equations_equal_up_to_conjugation(mapped, sys_b.equations[eta[k]]):
-            return False
-    return True
+    return _witness_fault(sys_a, sys_b, iso) is None
 
 
 @cache
@@ -169,29 +168,38 @@ def dilation_1d() -> DilationMatrix:
 
 
 def _checked_report(report: TransferReport) -> TransferReport:
-    if not verify_isomorphism(report.source_system, report.target_system, report.iso):
-        raise AssertionError("constructed transfer failed its own isomorphism check")
+    witness = (report.source_system, report.target_system, report.iso)
+    if not verify_isomorphism(*witness):
+        raise IsomorphismError(f"transfer witness fails: {_witness_fault(*witness)}")
     return report
 
 
-def _carry(filt: Filter, matrix: DilationMatrix, support_map, index_of,
+def _index_map(system: ReducedSystem, support_map) -> dict[LatticePoint, LatticePoint]:
+    """Each generator k goes to theta(a + k) - theta(a) on the first pair of
+    its equation.  Every stage's support map is a window flattening (or its
+    inverse) composed with linear charts, and the flattening is additive,
+    so this is the generator's own encoding; the witness check confirms it."""
+    firsts = ((k, system.equations[k].pairs[0]) for k in system.index_set)
+    return {k: tuple(y - x for x, y in zip(support_map[a], support_map[b]))
+            for k, (a, b) in firsts}
+
+
+def _carry(filt: Filter, matrix: DilationMatrix, support_map,
            shift: LatticePoint, n_exp: int) -> TransferReport:
-    """Carry ``filt`` onto ``matrix``: support points move through
-    ``support_map``, each generator k of the source system to ``index_of(k)``.
-    The report is witness-checked before it is returned."""
+    """Carry ``filt`` onto ``matrix``, its support points moving through
+    ``support_map`` and its generators with them.  The report is
+    witness-checked before it is returned."""
     target = Filter(
         matrix=matrix,
         coeffs={support_map[p]: v for p, v in filt.coeffs.items()},
     )
     sys_a = filt.system
-    sys_b = target.system
-    index_map = {k: index_of(k) for k in sys_a.index_set}
     return _checked_report(TransferReport(
         source_filter=filt,
         target_filter=target,
         source_system=sys_a,
-        target_system=sys_b,
-        iso=IsoMap(support_map=support_map, index_map=index_map),
+        target_system=target.system,
+        iso=IsoMap(support_map=support_map, index_map=_index_map(sys_a, support_map)),
         shift=shift,
         window_exponent=n_exp,
     ))
@@ -200,20 +208,14 @@ def _carry(filt: Filter, matrix: DilationMatrix, support_map, index_of,
 def to_one_d(filt: Filter) -> TransferReport:
     """Transfer a filter over any expansive dyadic matrix to dilation [2].
 
-    The support is taken to adapted coordinates, shift-normalized there, and
-    flattened through the smallest window that contains it.  The reported
-    shift is the removed translation expressed in standard coordinates.
+    Each support point goes to its 1-D code: its adapted coordinates,
+    shift-normalized, flattened through the smallest window that contains
+    them.  The reported shift is the removed translation expressed in
+    standard coordinates.
     """
-    dil = filt.matrix
-    adapted, c_min, n_exp = _adapted_frame(filt.support(), dil)
-    params = EncodingParams(dil.dim, n_exp)
-    support_map = {
-        p: (encode_support(params, tuple(a - b for a, b in zip(adapted[p], c_min))),)
-        for p in filt.coeffs
-    }
-    return _carry(filt, dilation_1d(), support_map,
-                  lambda k: (encode_index(params, to_adapted(dil, k)),),
-                  from_adapted(dil, c_min), n_exp)
+    codes, c_min, n_exp = _chart(filt.support(), filt.matrix)
+    support_map = {p: (codes[p],) for p in filt.coeffs}
+    return _carry(filt, dilation_1d(), support_map, from_adapted(filt.matrix, c_min), n_exp)
 
 
 def from_one_d(filt: Filter, target_matrix: DilationMatrix) -> TransferReport:
@@ -246,17 +248,11 @@ def from_one_d(filt: Filter, target_matrix: DilationMatrix) -> TransferReport:
     def pullback(m: int) -> LatticePoint:
         c = decode_support(params, m - shift[0])
         if c is None:
-            raise AssertionError(f"support value {m} escaped the target window")
-        return from_adapted(target_matrix, c)
-
-    def generator(k: LatticePoint) -> LatticePoint:
-        c = decode_index(params, k[0])
-        if c is None:
-            raise AssertionError(f"generator {k} escaped the target index window")
+            raise IsomorphismError(f"support value {m} escaped the target window")
         return from_adapted(target_matrix, c)
 
     support_map = {p: pullback(p[0]) for p in filt.coeffs}
-    return _carry(filt, target_matrix, support_map, generator, shift, n_exp)
+    return _carry(filt, target_matrix, support_map, shift, n_exp)
 
 
 def transfer(filt: Filter, target_matrix: DilationMatrix) -> TransferReport:
@@ -268,13 +264,13 @@ def transfer(filt: Filter, target_matrix: DilationMatrix) -> TransferReport:
     stage1 = to_one_d(filt)
     stage2 = from_one_d(stage1.target_filter, target_matrix)
     support_map = {p: stage2.iso.support_map[m] for p, m in stage1.iso.support_map.items()}
-    index_map = {k: stage2.iso.index_map[l] for k, l in stage1.iso.index_map.items()}
     report = TransferReport(
         source_filter=filt,
         target_filter=stage2.target_filter,
         source_system=stage1.source_system,
         target_system=stage2.target_system,
-        iso=IsoMap(support_map=support_map, index_map=index_map),
+        iso=IsoMap(support_map=support_map,
+                   index_map=_index_map(stage1.source_system, support_map)),
         shift=stage1.shift,
         window_exponent=stage1.window_exponent,
         stages=(stage1, stage2),

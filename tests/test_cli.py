@@ -142,6 +142,24 @@ def test_input_error_exit_codes(workdir, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("dim", ["true", "2.0", '"2"'], ids=["bool", "float", "string"])
+def test_non_integer_dim_is_input_error(workdir, capsys, dim):
+    """A dim must be a JSON integer in a matrix and in a filter (true == 1 and
+    2.0 == 2 in Python, so a plain comparison let them through)."""
+    rows = [[1, 1], [-1, 1]] if dim != "true" else [[2]]
+    (workdir / "m.json").write_text(f'{{"dim":{dim},"rows":{json.dumps(rows)}}}')
+    code, out, err = run(capsys, "snf", str(workdir / "m.json"))
+    assert (code, out) == (2, "")
+    assert "'dim'" in err and "not an integer" in err
+
+    data = json.loads((workdir / "haar1d.json").read_text())
+    text = canonical_dumps(data).replace('"dim":1', f'"dim":{dim}', 1)
+    (workdir / "f.json").write_text(text)
+    code, out, err = run(capsys, "reduce", str(workdir / "f.json"))
+    assert (code, out) == (2, "")
+    assert "not an integer" in err
+
+
 def test_config_file_and_output_dir(workdir, capsys, tmp_path, monkeypatch):
     out_dir = tmp_path / "artifacts"
     monkeypatch.delenv("LATWAV_OUTPUT_DIR")

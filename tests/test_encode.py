@@ -13,7 +13,6 @@ from latwav.encode import (
     encode_index,
     encode_support,
     enumerate_windows,
-    flatten_order_key,
     flatten_point,
     in_index_window,
     in_support_window,
@@ -21,7 +20,7 @@ from latwav.encode import (
     window_exponent_for_extent,
 )
 from latwav.errors import DimensionTooSmallError, OutOfDomainError, WindowTooLargeError
-from util import index_decode_table, support_decode_table
+from util import flatten_order_key, index_decode_table, support_decode_table
 
 
 def centered_window(d, n_exp):

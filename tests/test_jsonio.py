@@ -49,6 +49,10 @@ def test_matrix_validation_errors():
         matrix_from_json({"dim": 1, "rows": [[1.5]]})
     with pytest.raises(InputFormatError, match="eigenvalue"):
         dilation_from_json({"dim": 2, "rows": [[1, 1], [0, 2]]})
+    for dim in (True, 2.0, "2", None):
+        rows = [[2]] if dim is True else [[1, 1], [-1, 1]]
+        with pytest.raises(InputFormatError, match="'dim' = .* is not an integer"):
+            matrix_from_json({"dim": dim, "rows": rows})
 
 
 def test_filter_round_trip_real_and_complex():
@@ -75,6 +79,11 @@ def test_filter_validation():
     dup["coeffs"].append(dict(dup["coeffs"][0]))
     with pytest.raises(InputFormatError, match="duplicate"):
         filter_from_json(dup)
+    for dim in (True, 1.0):
+        flagged = json.loads(canonical_dumps(base))
+        flagged["dim"] = dim
+        with pytest.raises(InputFormatError, match="'dim' = .* is not an integer"):
+            filter_from_json(flagged)
 
 
 def test_snf_and_basis_reports():

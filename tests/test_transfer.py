@@ -3,11 +3,13 @@
 import importlib
 import math
 import random
+import re
 
 import pytest
 
 from latwav.encode import EncodingParams, encode_support, enumerate_windows
-from latwav.errors import DomainMismatchError, NotOneDimensionalError
+from latwav.cli import main
+from latwav.errors import DomainMismatchError, IsomorphismError, NotOneDimensionalError
 from latwav.filters import (
     antidiagonal_matrix,
     companion_3d_matrix,
@@ -18,6 +20,7 @@ from latwav.filters import (
     quincunx_matrix,
 )
 from latwav.intlat import DilationMatrix, from_adapted
+from latwav.jsonio import canonical_dumps, filter_to_json, matrix_to_json
 from latwav.lawton import SupportSet, build_reduced_system
 from latwav.transfer import (
     Filter,
@@ -139,6 +142,54 @@ def test_verify_isomorphism_mutation_battery():
     squash = dict(theta)
     squash[keys[0]] = squash[keys[1]]
     assert not verify_isomorphism(sys_a, sys_b, IsoMap(squash, eta))
+
+
+def test_witness_fault_says_where():
+    """The witness check names the map that is not a bijection, or the first
+    generator whose equation does not map."""
+    transfer_mod = importlib.import_module("latwav.transfer")
+    report = transfer(daubechies4_1d(), quincunx_matrix())
+    sys_a, sys_b, theta, eta = (report.source_system, report.target_system,
+                                report.iso.support_map, report.iso.index_map)
+    assert transfer_mod._witness_fault(sys_a, sys_b, report.iso) is None
+
+    stray = dict(theta)
+    stray[min(theta)] = (99, 99)
+    fault = transfer_mod._witness_fault(sys_a, sys_b, IsoMap(stray, eta))
+    assert fault == "support map is not a bijection onto the target support"
+
+    k = sys_a.index_set[-1]
+    for bad_value in (eta[sys_a.index_set[0]], (98, 98)):
+        bad = dict(eta)
+        bad[k] = bad_value
+        fault = transfer_mod._witness_fault(sys_a, sys_b, IsoMap(theta, bad))
+        assert fault.startswith(f"generator {k} does not map")
+
+
+def test_corrupted_index_map_fails_with_its_generator(monkeypatch, tmp_path, capsys):
+    """A transfer whose index map is wrong in one entry raises
+    IsomorphismError naming that generator; the CLI exits 1 with a message."""
+    transfer_mod = importlib.import_module("latwav.transfer")
+    derive = transfer_mod._index_map
+    k = (2,)
+
+    def corrupted(system, support_map):
+        index_map = derive(system, support_map)
+        if k in index_map:
+            index_map[k] = tuple(c + 2 for c in index_map[k])
+        return index_map
+
+    monkeypatch.setattr(transfer_mod, "_index_map", corrupted)
+    filt = Filter.from_coeffs(dilation_1d(), daubechies4_1d().coeffs)
+    with pytest.raises(IsomorphismError, match=re.escape(f"generator {k} does not map")):
+        transfer(filt, quincunx_matrix())
+
+    (tmp_path / "db4.json").write_text(canonical_dumps(filter_to_json(filt)))
+    (tmp_path / "q.json").write_text(canonical_dumps(matrix_to_json(quincunx_matrix().A)))
+    code = main(["transfer", str(tmp_path / "db4.json"), "--target", str(tmp_path / "q.json")])
+    out = capsys.readouterr()
+    assert (code, out.out) == (1, "")
+    assert f"generator {k} does not map" in out.err and "Traceback" not in out.err
 
 
 def test_to_one_d_quincunx_haar():

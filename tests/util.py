@@ -8,25 +8,23 @@ import numpy as np
 from latwav.cascade import CascadeGrid
 from latwav.encode import (
     EncodingParams,
+    decode_index,
     encode_index,
     encode_support,
     enumerate_windows,
     radix_encode,
+    window_exponent_for_extent,
 )
 from latwav.intlat import (
     DilationMatrix,
     IntMatrix,
     LatticePoint,
     coset_representative,
+    from_adapted,
     smith_normal_form,
+    to_adapted,
 )
-from latwav.lawton import (
-    Equation,
-    ReducedSystem,
-    SupportSet,
-    _adapted_frame,
-    _ordered_points,
-)
+from latwav.lawton import Equation, ReducedSystem, SupportSet
 from latwav.verify import SQRT2, _dual_coset_shift
 
 
@@ -127,7 +125,38 @@ def lattice_chart(m: IntMatrix) -> DilationMatrix:
 
 # Reduced-system oracle: the library's former build, which collects the
 # canonical generators from all L^2 adapted differences and then rescans the
-# support once per generator for its pairs.
+# support once per generator for its pairs.  Its support order is the former
+# N-free sort key, not the library's 1-D codes.
+def flatten_order_key(p: LatticePoint):
+    """Sort key reproducing the flattening order without fixing N.
+
+    For window points the order induced by flatten_point does not depend on
+    the window exponent: it compares floor(y/2) first, then the radix order
+    of x (rightmost differing coordinate decides), then the parity of y.
+    """
+    if len(p) == 1:
+        return (p[0],)
+    x, y = p[:-1], p[-1]
+    return (y // 2, tuple(reversed(x)), y & 1)
+
+
+def _adapted_frame(support: SupportSet, dil: DilationMatrix):
+    adapted = {p: to_adapted(dil, p) for p in support.points}
+    coords = list(adapted.values())
+    c_min = tuple(min(c[j] for c in coords) for j in range(support.dim))
+    extent = max(
+        (c[j] - c_min[j] for c in coords for j in range(support.dim)), default=0
+    )
+    return adapted, c_min, window_exponent_for_extent(extent)
+
+
+def _ordered_points(support: SupportSet, adapted, c_min) -> tuple[LatticePoint, ...]:
+    def key(p):
+        return flatten_order_key(tuple(a - b for a, b in zip(adapted[p], c_min)))
+
+    return tuple(sorted(support.points, key=key))
+
+
 def _pairs_for(support: SupportSet, order, k: LatticePoint):
     shifted = [tuple(a + b for a, b in zip(n, k)) for n in order]
     return tuple((n, m) for n, m in zip(order, shifted) if m in support.points)
@@ -166,6 +195,24 @@ def reference_build_reduced_system(support: SupportSet, dil: DilationMatrix) -> 
         window_exponent=n_exp,
         support_order=order,
     )
+
+
+def reference_index_map(report, to_line: bool = True) -> dict:
+    """The library's former index map of a transfer report: generators go
+    through encode_index of their adapted coordinates onto [2] (``to_line``)
+    or through decode_index from [2], at the report's window exponent; a
+    composed report composes the maps of its two stages."""
+    if report.stages:
+        first = reference_index_map(report.stages[0], to_line=True)
+        second = reference_index_map(report.stages[1], to_line=False)
+        return {k: second[l] for k, l in first.items()}
+    dil = (report.source_filter if to_line else report.target_filter).matrix
+    params = EncodingParams(dil.dim, report.window_exponent)
+    if to_line:
+        return {k: (encode_index(params, to_adapted(dil, k)),)
+                for k in report.source_system.index_set}
+    return {k: from_adapted(dil, decode_index(params, k[0]))
+            for k in report.source_system.index_set}
 
 
 def reference_qmf_check(filt, samples: int = 1024, seed: int = 0) -> float:
