@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .config import DEFAULT_CELL_BUDGET
 from .errors import LevelBudgetExceededError
@@ -29,8 +29,7 @@ from .transfer import Coefficient, Filter
 SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class CascadeGrid:
+class CascadeGrid(NamedTuple):
     """Sparse piecewise-constant approximation at refinement level ``level``."""
 
     level: int

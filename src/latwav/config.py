@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import InputFormatError
@@ -16,26 +14,44 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-@dataclass
 class Config:
-    tolerance: float = 1e-10
-    cascade_level_cap: int = 12
-    cell_budget: int = DEFAULT_CELL_BUDGET
-    output_dir: str = "."
+    """Limits and defaults; the fields are the ``__slots__``, validated at
+    construction and compared as a tuple."""
 
-    def __post_init__(self):
-        tol = self.tolerance
-        if not (_is_int(tol) or isinstance(tol, float)) or not math.isfinite(tol) or tol <= 0:
-            raise InputFormatError(f"tolerance must be a positive number, got {tol!r}")
-        for name in ("cascade_level_cap", "cell_budget"):
-            value = getattr(self, name)
+    __slots__ = ("tolerance", "cascade_level_cap", "cell_budget", "output_dir")
+
+    def __init__(self, tolerance: float = 1e-10, cascade_level_cap: int = 12,
+                 cell_budget: int = DEFAULT_CELL_BUDGET, output_dir: str = "."):
+        if not (_is_int(tolerance) or isinstance(tolerance, float)) \
+                or not math.isfinite(tolerance) or tolerance <= 0:
+            raise InputFormatError(f"tolerance must be a positive number, got {tolerance!r}")
+        for name, value in (("cascade_level_cap", cascade_level_cap),
+                            ("cell_budget", cell_budget)):
             if not _is_int(value) or value <= 0:
                 raise InputFormatError(f"{name} must be a positive integer, got {value!r}")
-        if not isinstance(self.output_dir, str):
-            raise InputFormatError(f"output_dir must be a string, got {self.output_dir!r}")
+        if not isinstance(output_dir, str):
+            raise InputFormatError(f"output_dir must be a string, got {output_dir!r}")
+        self.tolerance = tolerance
+        self.cascade_level_cap = cascade_level_cap
+        self.cell_budget = cell_budget
+        self.output_dir = output_dir
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values()))
+        return f"Config({fields})"
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Config":
+        import json
+
         try:
             data = json.loads(Path(path).read_text())
         except (OSError, UnicodeDecodeError) as exc:
@@ -44,8 +60,7 @@ class Config:
             raise InputFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
         if not isinstance(data, dict):
             raise InputFormatError(f"{path}: config must be a JSON object")
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        unknown = set(data) - set(cls.__slots__)
         if unknown:
             raise InputFormatError(f"{path}: unknown config keys {sorted(unknown)}")
         try:

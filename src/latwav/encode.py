@@ -22,27 +22,28 @@ encodings are the identity, so one-dimensional transfers reduce to shifts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import product
+from typing import NamedTuple
 
-from .errors import DimensionTooSmallError, OutOfDomainError, WindowTooLargeError
+from .errors import DimensionTooSmallError, OutOfDomainError
 from .intlat import LatticePoint, check_dim
 
-DEFAULT_ENUMERATION_BUDGET = 1 << 20
 
-
-@dataclass(frozen=True)
-class EncodingParams:
-    """Dimension and window exponent fixing one family of encodings."""
-
+class _EncodingParamsFields(NamedTuple):
     dim: int
     window_exponent: int
 
-    def __post_init__(self):
-        if self.dim < 1:
+
+class EncodingParams(_EncodingParamsFields):
+    """Dimension and window exponent fixing one family of encodings."""
+
+    __slots__ = ()
+
+    def __new__(cls, dim, window_exponent):
+        if dim < 1:
             raise DimensionTooSmallError("dimension must be >= 1")
-        if self.window_exponent < 1:
+        if window_exponent < 1:
             raise ValueError("window exponent must be >= 1")
+        return tuple.__new__(cls, (dim, window_exponent))
 
     @property
     def window(self) -> int:
@@ -137,35 +138,6 @@ def additivity_holds(params: EncodingParams, n: LatticePoint, k: LatticePoint) -
     if params.dim == 1:
         return total[0] == sup + idx
     return flatten_point(params, total) == sup + idx
-
-
-@dataclass(frozen=True)
-class IndexWindow:
-    """Materialized support window and index window for one parameter set."""
-
-    params: EncodingParams
-    support_points: tuple[LatticePoint, ...]
-    index_points: tuple[LatticePoint, ...]
-
-
-def enumerate_windows(params: EncodingParams,
-                      budget: int = DEFAULT_ENUMERATION_BUDGET) -> IndexWindow:
-    """Enumerate both windows; support ordered by encoding value, index by
-    radix value."""
-    d, w = params.dim, params.window
-    size = w ** d
-    if size > budget:
-        raise WindowTooLargeError(
-            f"support window has {size} points, budget is {budget}"
-        )
-    support = sorted(product(range(w), repeat=d),
-                     key=lambda n: encode_support(params, n))
-    index = sorted(
-        (k for k in product(range(1 - w, w), repeat=d) if in_index_window(params, k)),
-        key=lambda k: radix_encode(params, k),
-    )
-    return IndexWindow(params=params, support_points=tuple(support),
-                       index_points=tuple(index))
 
 
 def decode_support(params: EncodingParams, value: int) -> LatticePoint | None:

@@ -29,10 +29,6 @@ class OutOfDomainError(LatwavError):
     """An encoding was evaluated outside its declared window."""
 
 
-class WindowTooLargeError(LatwavError):
-    """Window enumeration would exceed the configured budget."""
-
-
 class DimensionTooSmallError(LatwavError):
     """The flattening map requires dimension >= 2."""
 

@@ -12,7 +12,7 @@ computation downstream relies on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DimensionMismatchError, NotDyadicError, NotExpansiveError
 
@@ -32,16 +32,20 @@ def check_dim(p: LatticePoint, dim: int) -> None:
         raise DimensionMismatchError(f"point {p} has dimension {len(p)}, expected {dim}")
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    """Immutable square integer matrix with exact arithmetic."""
-
+class _IntMatrixFields(NamedTuple):
     rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        d = len(self.rows)
-        if d == 0 or any(len(r) != d for r in self.rows):
+
+class IntMatrix(_IntMatrixFields):
+    """Immutable square integer matrix with exact arithmetic."""
+
+    __slots__ = ()
+
+    def __new__(cls, rows):
+        d = len(rows)
+        if d == 0 or any(len(r) != d for r in rows):
             raise DimensionMismatchError("matrix must be square and non-empty")
+        return tuple.__new__(cls, (rows,))
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
@@ -160,8 +164,7 @@ class IntMatrix:
         return tuple(coeffs)
 
 
-@dataclass(frozen=True)
-class SnfFactorization:
+class SnfFactorization(NamedTuple):
     """A = U * D * V with U, V unimodular and D = diag(1, ..., 1, 2)."""
 
     U: IntMatrix
@@ -321,8 +324,7 @@ def in_dilated_lattice_exact(A: IntMatrix, u_inverse: IntMatrix,
     return route1
 
 
-@dataclass(frozen=True)
-class DilationMatrix:
+class DilationMatrix(NamedTuple):
     """An expansive determinant +/-2 integer matrix with its chart data.
 
     `adapted_basis` is U from the Smith normal form; its columns form the

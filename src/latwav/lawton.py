@@ -19,19 +19,38 @@ exactly the point's image in a one-dimensional transfer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .encode import EncodingParams, encode_support, window_exponent_for_extent
 from .errors import DimensionMismatchError, NotInLatticeError, NotSubsetError
 from .intlat import DilationMatrix, LatticePoint, as_point, in_dilated_lattice, to_adapted
 
 
-@dataclass(frozen=True)
 class SupportSet:
-    """Finite non-empty set of lattice points of one dimension."""
+    """Finite non-empty set of lattice points of one dimension (immutable)."""
 
-    points: frozenset[LatticePoint]
-    dim: int
+    __slots__ = ("points", "dim")
+
+    def __init__(self, points: frozenset[LatticePoint], dim: int):
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "dim", dim)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.points, self.dim) == (other.points, other.dim)
+
+    def __hash__(self) -> int:
+        return hash((self.points, self.dim))
+
+    def __repr__(self) -> str:
+        return f"SupportSet(points={self.points!r}, dim={self.dim!r})"
+
+    def __reduce__(self):  # pickle and copy through __init__, not __setattr__
+        return SupportSet, (self.points, self.dim)
 
     @classmethod
     def from_points(cls, pts) -> "SupportSet":
@@ -53,8 +72,7 @@ class SupportSet:
         return self.points <= other.points
 
 
-@dataclass(frozen=True)
-class Equation:
+class Equation(NamedTuple):
     """One generated equation: ordered pairs (n, n+k) with both in the support."""
 
     k: LatticePoint
@@ -65,13 +83,14 @@ class Equation:
         return frozenset(self.pairs)
 
 
-@dataclass(frozen=True)
-class ReducedSystem:
+class ReducedSystem(NamedTuple):
     """A reduced Lawton system with its canonical index set.
 
     ``support_order`` fixes the deterministic summation order used by the
     residual evaluator; ``window_exponent`` is the smallest N whose centered
-    window contains all support differences in the adapted chart.
+    window contains all support differences in the adapted chart.  The
+    chart is kept: ``codes`` lists the 1-D code of each point in support
+    order, taken at the adapted minimum ``c_min`` (see ``_chart``).
     """
 
     support: SupportSet
@@ -80,6 +99,8 @@ class ReducedSystem:
     equations: dict[LatticePoint, Equation]
     window_exponent: int
     support_order: tuple[LatticePoint, ...]
+    codes: tuple[int, ...]
+    c_min: LatticePoint
 
 
 def _chart(support: SupportSet, dil: DilationMatrix):
@@ -143,7 +164,7 @@ def build_reduced_system(support: SupportSet, dil: DilationMatrix) -> ReducedSys
     """
     if support.dim != dil.dim:
         raise DimensionMismatchError("support and matrix dimensions differ")
-    codes, _, n_exp = _chart(support, dil)
+    codes, c_min, n_exp = _chart(support, dil)
     order = tuple(sorted(support.points, key=codes.__getitem__))
     classes: tuple[list, list] = ([], [])
     for p in order:
@@ -175,6 +196,8 @@ def build_reduced_system(support: SupportSet, dil: DilationMatrix) -> ReducedSys
         equations=equations,
         window_exponent=n_exp,
         support_order=order,
+        codes=tuple(codes[p] for p in order),
+        c_min=c_min,
     )
 
 

@@ -21,7 +21,7 @@ one-dimensional transfer).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DimensionMismatchError
 from .lawton import SupportSet
@@ -56,8 +56,7 @@ def shannon_coeff(m: int, n: int) -> float:
     return (SQRT2 / (4.0 * math.pi ** 2)) * 0.5 * c1 * c2
 
 
-@dataclass(frozen=True)
-class SupportPatternReport:
+class SupportPatternReport(NamedTuple):
     """Classification of the coefficient window [-W, W]^2."""
 
     half_width: int

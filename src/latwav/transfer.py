@@ -13,9 +13,9 @@ unchanged.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from functools import cache, cached_property
 from numbers import Complex
+from typing import NamedTuple
 
 from .encode import EncodingParams, decode_support, window_exponent_for_extent
 from .errors import DomainMismatchError, IsomorphismError, NotOneDimensionalError
@@ -24,7 +24,6 @@ from .lawton import (
     Equation,
     ReducedSystem,
     SupportSet,
-    _chart,
     build_reduced_system,
     equations_equal_up_to_conjugation,
 )
@@ -32,17 +31,29 @@ from .lawton import (
 Coefficient = complex | float
 
 
-@dataclass(frozen=True)
 class Filter:
     """Finitely supported coefficients over a dilation matrix.
 
     Coefficients are keyed by standard-coordinate lattice points; exact zeros
     are never stored (the support is by definition the nonzero set).  The
-    coefficient dict is not to be mutated: ``system`` is cached.
+    fields cannot be reassigned and the coefficient dict is not to be
+    mutated: ``system`` is cached.
     """
 
-    matrix: DilationMatrix
-    coeffs: dict[LatticePoint, Coefficient]
+    def __init__(self, matrix: DilationMatrix, coeffs: dict[LatticePoint, Coefficient]):
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.matrix, self.coeffs) == (other.matrix, other.coeffs)
+
+    def __repr__(self) -> str:
+        return f"Filter(matrix={self.matrix!r}, coeffs={self.coeffs!r})"
 
     @classmethod
     def from_coeffs(cls, matrix: DilationMatrix, coeffs) -> "Filter":
@@ -80,16 +91,14 @@ class Filter:
         return build_reduced_system(self.support(), self.matrix)
 
 
-@dataclass(frozen=True)
-class IsoMap:
+class IsoMap(NamedTuple):
     """Witness of a system isomorphism: bijections on supports and index sets."""
 
     support_map: dict[LatticePoint, LatticePoint]
     index_map: dict[LatticePoint, LatticePoint]
 
 
-@dataclass(frozen=True)
-class TransferReport:
+class TransferReport(NamedTuple):
     """Outcome of one transfer: systems, witness, and the transported filter.
 
     ``shift`` is the translation removed from the source support before
@@ -106,22 +115,6 @@ class TransferReport:
     shift: LatticePoint
     window_exponent: int
     stages: tuple["TransferReport", ...] = ()
-
-
-def shift_normalize(filt: Filter) -> tuple[Filter, LatticePoint]:
-    """Translate the support so every coordinate is nonnegative and touches 0.
-
-    Returns the shifted filter and the shift n0 (coordinatewise minimum of
-    the support); the new support is the old one minus n0.
-    """
-    pts = list(filt.coeffs)
-    n0 = tuple(min(p[j] for p in pts) for j in range(filt.dim))
-    if all(c == 0 for c in n0):
-        return filt, n0
-    moved = {
-        tuple(a - b for a, b in zip(p, n0)): v for p, v in filt.coeffs.items()
-    }
-    return Filter(matrix=filt.matrix, coeffs=moved), n0
 
 
 def _witness_fault(sys_a: ReducedSystem, sys_b: ReducedSystem, iso: IsoMap) -> str | None:
@@ -213,9 +206,10 @@ def to_one_d(filt: Filter) -> TransferReport:
     them.  The reported shift is the removed translation expressed in
     standard coordinates.
     """
-    codes, c_min, n_exp = _chart(filt.support(), filt.matrix)
-    support_map = {p: (codes[p],) for p in filt.coeffs}
-    return _carry(filt, dilation_1d(), support_map, from_adapted(filt.matrix, c_min), n_exp)
+    system = filt.system
+    support_map = {p: (c,) for p, c in zip(system.support_order, system.codes)}
+    return _carry(filt, dilation_1d(), support_map,
+                  from_adapted(filt.matrix, system.c_min), system.window_exponent)
 
 
 def from_one_d(filt: Filter, target_matrix: DilationMatrix) -> TransferReport:

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 from .intlat import LatticePoint, coset_representative, smith_normal_form
 from .lawton import ReducedSystem
@@ -13,8 +12,7 @@ from .transfer import Filter
 SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(NamedTuple):
     """Per-generator residuals plus the linear normalization residual.
 
     ``max_residual`` is the maximum over all per-index residuals and
@@ -63,8 +61,9 @@ def _dual_coset_shift(filt: Filter):
     """The frequency shift 2*pi*(A^T)^-1*q with q outside A^T*Z^d, as an array.
 
     q is the coset representative obtained from the Smith normal form of the
-    transpose; the solve is exact (adjugate over determinant) before the
-    final float conversion.
+    transpose; the solve is exact (adjugate over determinant) up to the
+    integer true division, which rounds each quotient correctly.  The
+    denominator is made positive first, so a zero quotient is +0.0.
     """
     import numpy as np
 
@@ -72,7 +71,9 @@ def _dual_coset_shift(filt: Filter):
     q = coset_representative(smith_normal_form(at))
     det = at.det()
     num = at.adjugate().vec(q)
-    return np.array([2.0 * math.pi * float(Fraction(x, det)) for x in num])
+    if det < 0:
+        det, num = -det, [-x for x in num]
+    return np.array([2.0 * math.pi * (x / det) for x in num])
 
 
 def qmf_check(filt: Filter, samples: int = 1024, seed: int = 0) -> float:

@@ -17,7 +17,6 @@ from latwav.encode import (
     additivity_holds,
     encode_index,
     encode_support,
-    enumerate_windows,
     flatten_point,
     radix_encode,
 )
@@ -36,7 +35,7 @@ from latwav.lawton import SupportSet, build_reduced_system
 from latwav.quincunx import shannon_coeff, support_pattern, sublattice_premise
 from latwav.transfer import from_one_d, to_one_d, transfer, verify_isomorphism
 from latwav.verify import lawton_residuals, qmf_check
-from util import random_dyadic_matrices
+from util import enumerate_windows, random_dyadic_matrices
 
 BUNDLED = (haar_1d, daubechies4_1d, quincunx_haar, quincunx_daubechies4)
 

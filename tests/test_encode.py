@@ -12,15 +12,20 @@ from latwav.encode import (
     decode_support,
     encode_index,
     encode_support,
-    enumerate_windows,
     flatten_point,
     in_index_window,
     in_support_window,
     radix_encode,
     window_exponent_for_extent,
 )
-from latwav.errors import DimensionTooSmallError, OutOfDomainError, WindowTooLargeError
-from util import flatten_order_key, index_decode_table, support_decode_table
+from latwav.errors import DimensionTooSmallError, OutOfDomainError
+from util import (
+    WindowTooLargeError,
+    enumerate_windows,
+    flatten_order_key,
+    index_decode_table,
+    support_decode_table,
+)
 
 
 def centered_window(d, n_exp):

@@ -1,9 +1,11 @@
 """Import budget: the package and its CLI load neither numpy nor scipy.
 
 Only ``verify`` (its frequency-domain QMF check) imports numpy, and only
-when it runs; every other command needs the standard library alone.  The
-check runs in a fresh interpreter so the test suite's own imports do not
-hide an eager import.
+when it runs; every other command needs the standard library alone.  Nor
+do they load ``dataclasses`` (with ``inspect``) or ``fractions`` (with
+``decimal``): the records are tuples and plain classes, and the one exact
+quotient is an integer true division.  The check runs in a fresh
+interpreter so the test suite's own imports do not hide an eager import.
 """
 
 import os
@@ -20,7 +22,8 @@ import contextlib, io, sys
 from pathlib import Path
 
 def heavy():
-    return sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'})
+    unwanted = {'numpy', 'scipy', 'dataclasses', 'inspect', 'fractions', 'decimal'}
+    return sorted({m.split('.')[0] for m in sys.modules} & unwanted)
 
 import latwav, latwav.cli
 print(heavy())

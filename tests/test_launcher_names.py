@@ -23,11 +23,14 @@ SRC = Path(latwav.__file__).resolve().parents[1]
 LAUNCHER = SRC.parent / "perfbench" / "launcher.py"
 
 
-@pytest.mark.parametrize("argv", [
-    ["transfer", "db4.json", "--target", "q.json"],
-    ["verify", "db4.json"],
-], ids=["transfer", "verify"])
-def test_traced_launcher_resolves_every_name(tmp_path, argv):
+@pytest.mark.parametrize("argv, spanned", [
+    (["transfer", "db4.json", "--target", "q.json"], "transfer.transfer"),
+    (["verify", "db4.json"], "verify.lawton_residuals"),
+    (["reduce", "db4.json"], "lawton.build_reduced_system"),
+    (["cascade", "db4.json", "--levels", "4"], "cascade.cascade_step"),
+    (["snf", "q.json"], "intlat.smith_normal_form"),
+], ids=["transfer", "verify", "reduce", "cascade", "snf"])
+def test_traced_launcher_resolves_every_name(tmp_path, argv, spanned):
     (tmp_path / "db4.json").write_text(canonical_dumps(filter_to_json(daubechies4_1d())))
     (tmp_path / "q.json").write_text('{"dim": 2, "rows": [[1, 1], [-1, 1]]}')
     env = dict(os.environ, PYTHONPATH=str(SRC), LATWAV_OUTPUT_DIR=str(tmp_path))
@@ -38,4 +41,7 @@ def test_traced_launcher_resolves_every_name(tmp_path, argv):
     assert proc.returncode == 0, proc.stderr
     trace = json.loads((tmp_path / "trace.json").read_text())
     assert trace["absent"] == []
-    assert trace["spans"]
+    names = {span[0] for span in trace["spans"]}
+    assert {"cli.main", spanned} <= names
+    if argv[0] != "snf":  # the wrapped classmethod is called on the record class
+        assert "intlat.from_matrix" in names

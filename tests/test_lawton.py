@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from latwav.encode import EncodingParams, enumerate_windows, radix_encode
+from latwav.encode import EncodingParams, radix_encode
 from latwav.errors import NotInLatticeError, NotSubsetError
 from latwav.filters import (
     antidiagonal_matrix,
@@ -21,7 +21,12 @@ from latwav.lawton import (
     generated_equation,
     restrict_index_set,
 )
-from util import lattice_chart, random_dyadic_matrices, reference_build_reduced_system
+from util import (
+    enumerate_windows,
+    lattice_chart,
+    random_dyadic_matrices,
+    reference_build_reduced_system,
+)
 
 
 def brute_force_generators(support: SupportSet, dil: DilationMatrix):

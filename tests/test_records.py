@@ -1,0 +1,155 @@
+"""The records: construction checks, immutability, repr, and the exact
+quotient that replaced the ``Fraction`` route in the QMF check."""
+
+import copy
+import json
+import math
+import pickle
+import random
+
+import numpy as np
+import pytest
+
+import latwav.lawton
+from latwav.cascade import initial_grid
+from latwav.config import Config
+from latwav.encode import EncodingParams
+from latwav.errors import DimensionMismatchError, DimensionTooSmallError, InputFormatError
+from latwav.filters import BUNDLED_FILTERS, BUNDLED_MATRICES, daubechies4_1d, quincunx_matrix
+from latwav.intlat import DilationMatrix, IntMatrix
+from latwav.lawton import SupportSet
+from latwav.quincunx import support_pattern
+from latwav.transfer import Filter, to_one_d, transfer
+from latwav.verify import _dual_coset_shift, lawton_residuals
+from util import companion, lattice_chart, random_dyadic_matrices, reference_dual_coset_shift
+
+
+def _expansive_conjugate(rnd: random.Random, dim: int) -> DilationMatrix:
+    """U C U^-1 for the companion C of x^d +/- 2 and a random unimodular U."""
+    c = companion((1,) + (0,) * (dim - 1) + (rnd.choice((2, -2)),))
+    u = IntMatrix.identity(dim)
+    for _ in range(rnd.randint(0, 4) if dim > 1 else 0):
+        i, j = rnd.sample(range(dim), 2)
+        rows = [[int(r == s) for s in range(dim)] for r in range(dim)]
+        rows[i][j] = rnd.choice((-2, -1, 1, 2))
+        u = u.mul(IntMatrix.from_rows(rows))
+    return DilationMatrix.from_matrix(u.mul(c).mul(u.unimodular_inverse()))
+
+
+def _matrices():
+    rnd = random.Random(12)
+    rng = np.random.default_rng(12)
+    out = [make() for make in BUNDLED_MATRICES.values()]
+    for dim in range(1, 5):
+        out += [_expansive_conjugate(rnd, dim) for _ in range(10)]
+        out += [lattice_chart(m) for m in random_dyadic_matrices(rng, dim, 10)]
+    return out
+
+
+def test_dual_coset_shift_matches_the_fraction_route():
+    # Bit for bit, so a zero component keeps the sign Fraction gives it (+0.0).
+    filts = [Filter.from_coeffs(dil, {(0,) * dil.dim: 1.0}) for dil in _matrices()]
+    filts += [make() for make in BUNDLED_FILTERS.values()]
+    for filt in filts:
+        assert _dual_coset_shift(filt).tobytes() == reference_dual_coset_shift(filt).tobytes()
+
+
+def test_construction_checks_raise_the_same_errors(tmp_path):
+    with pytest.raises(DimensionTooSmallError):
+        EncodingParams(0, 1)
+    with pytest.raises(ValueError, match="window exponent"):
+        EncodingParams(1, 0)
+    with pytest.raises(DimensionMismatchError):
+        IntMatrix(())
+    with pytest.raises(DimensionMismatchError):
+        IntMatrix(((1, 2), (3,)))
+    with pytest.raises(DimensionMismatchError):
+        IntMatrix.from_rows([[1, 2]])
+    for bad in ({"tolerance": 0}, {"tolerance": "1"}, {"tolerance": math.nan},
+                {"tolerance": True}, {"cascade_level_cap": 0}, {"cascade_level_cap": 2.0},
+                {"cell_budget": True}, {"output_dir": 3}):
+        with pytest.raises(InputFormatError):
+            Config(**bad)
+    with pytest.raises(TypeError):
+        Config(bogus=1)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"bogus": 1}))
+    with pytest.raises(InputFormatError, match="unknown config keys"):
+        Config.from_file(path)
+    path.write_text(json.dumps({"cell_budget": 7, "tolerance": 0.5}))
+    assert Config.from_file(path) == Config(tolerance=0.5, cell_budget=7)
+
+
+def _records() -> dict:
+    """One instance of every immutable record, keyed by its first field."""
+    report = transfer(daubechies4_1d(), quincunx_matrix())
+    dil = report.target_filter.matrix
+    return {
+        "rows": dil.A,
+        "U": dil.snf,
+        "A": dil,
+        "dim": EncodingParams(2, 3),
+        "points": report.source_system.support,
+        "k": report.source_system.equations[(0,)],
+        "support": report.source_system,
+        "matrix": report.source_filter,
+        "support_map": report.iso,
+        "source_filter": report,
+        "system": lawton_residuals(report.source_filter),
+        "level": initial_grid(dil),
+        "half_width": support_pattern(1),
+    }
+
+
+RECORDS = _records()
+
+
+@pytest.mark.parametrize("field, record", RECORDS.items(), ids=list(RECORDS))
+def test_record_fields_cannot_be_assigned_and_repr_names_them(field, record):
+    name = type(record).__name__
+    assert repr(record).startswith(f"{name}({field}=")
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    assert pickle.loads(pickle.dumps(record)) == record
+    assert copy.deepcopy(record) == record
+
+
+def test_repr_and_equality():
+    assert repr(EncodingParams(2, 3)) == "EncodingParams(dim=2, window_exponent=3)"
+    assert repr(IntMatrix.from_rows([[2]])) == "IntMatrix(rows=((2,),))"
+    assert repr(SupportSet.from_points([(1,)])) == "SupportSet(points=frozenset({(1,)}), dim=1)"
+    assert repr(Config()) == ("Config(tolerance=1e-10, cascade_level_cap=12, "
+                              "cell_budget=5000000, output_dir='.')")
+    # The tuple records compare and hash as tuples, and iterate their fields.
+    assert EncodingParams(2, 3) == (2, 3) and hash(EncodingParams(2, 3)) == hash((2, 3))
+    assert tuple(IntMatrix.from_rows([[2]])) == (((2,),),)
+    # The plain classes compare by class and fields.
+    assert SupportSet.from_points([(0,), (1,)]) == SupportSet(frozenset({(0,), (1,)}), 1)
+    assert SupportSet.from_points([(0,)]) != (frozenset({(0,)}), 1)
+    assert len({SupportSet.from_points([(0,)]), SupportSet.from_points([(0,)])}) == 1
+    a, b = daubechies4_1d(), Filter(daubechies4_1d().matrix, dict(daubechies4_1d().coeffs))
+    assert a == b and a != (a.matrix, a.coeffs)
+    assert b.system == a.system and a == b  # the cached system is not a field
+    with pytest.raises(TypeError):
+        hash(a)
+    config = Config()
+    config.cell_budget = 3
+    assert config != Config()
+
+
+def test_to_one_d_reads_the_chart_its_system_keeps(monkeypatch):
+    source = daubechies4_1d()
+    filt = Filter(quincunx_matrix(), dict(transfer(source, quincunx_matrix()).target_filter.coeffs))
+    calls = []
+    chart = latwav.lawton._chart
+
+    def counted(support, dil):
+        calls.append(dil.dim)
+        return chart(support, dil)
+
+    monkeypatch.setattr(latwav.lawton, "_chart", counted)
+    report = to_one_d(filt)
+    assert calls == [2, 1]  # the two systems' builds, nothing more
+    system = report.source_system
+    assert report.iso.support_map == {p: (c,) for p, c in zip(system.support_order, system.codes)}
+    assert report.window_exponent == system.window_exponent

@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from latwav.encode import EncodingParams, encode_support, enumerate_windows
+from latwav.encode import EncodingParams, encode_support
 from latwav.cli import main
 from latwav.errors import DomainMismatchError, IsomorphismError, NotOneDimensionalError
 from latwav.filters import (
@@ -26,12 +26,12 @@ from latwav.transfer import (
     Filter,
     IsoMap,
     from_one_d,
-    shift_normalize,
     to_one_d,
     transfer,
     verify_isomorphism,
 )
 from latwav.verify import lawton_residuals
+from util import enumerate_windows, shift_normalize
 
 
 def test_filter_drops_exact_zeros_with_warning():

@@ -1,7 +1,9 @@
 """Shared helpers for the test suite."""
 
 import math
+from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -11,10 +13,11 @@ from latwav.encode import (
     decode_index,
     encode_index,
     encode_support,
-    enumerate_windows,
+    in_index_window,
     radix_encode,
     window_exponent_for_extent,
 )
+from latwav.errors import LatwavError
 from latwav.intlat import (
     DilationMatrix,
     IntMatrix,
@@ -25,7 +28,60 @@ from latwav.intlat import (
     to_adapted,
 )
 from latwav.lawton import Equation, ReducedSystem, SupportSet
+from latwav.transfer import Filter
 from latwav.verify import SQRT2, _dual_coset_shift
+
+# Window enumeration: every point of the support window and of the index
+# window, materialized for exhaustive tests of the encodings.
+DEFAULT_ENUMERATION_BUDGET = 1 << 20
+
+
+class WindowTooLargeError(LatwavError):
+    """Window enumeration would exceed the configured budget."""
+
+
+class IndexWindow(NamedTuple):
+    """Materialized support window and index window for one parameter set."""
+
+    params: EncodingParams
+    support_points: tuple[LatticePoint, ...]
+    index_points: tuple[LatticePoint, ...]
+
+
+def enumerate_windows(params: EncodingParams,
+                      budget: int = DEFAULT_ENUMERATION_BUDGET) -> IndexWindow:
+    """Enumerate both windows; support ordered by encoding value, index by
+    radix value."""
+    d, w = params.dim, params.window
+    size = w ** d
+    if size > budget:
+        raise WindowTooLargeError(
+            f"support window has {size} points, budget is {budget}"
+        )
+    support = sorted(product(range(w), repeat=d),
+                     key=lambda n: encode_support(params, n))
+    index = sorted(
+        (k for k in product(range(1 - w, w), repeat=d) if in_index_window(params, k)),
+        key=lambda k: radix_encode(params, k),
+    )
+    return IndexWindow(params=params, support_points=tuple(support),
+                       index_points=tuple(index))
+
+
+def shift_normalize(filt: Filter) -> tuple[Filter, LatticePoint]:
+    """Translate the support so every coordinate is nonnegative and touches 0.
+
+    Returns the shifted filter and the shift n0 (coordinatewise minimum of
+    the support); the new support is the old one minus n0.
+    """
+    pts = list(filt.coeffs)
+    n0 = tuple(min(p[j] for p in pts) for j in range(filt.dim))
+    if all(c == 0 for c in n0):
+        return filt, n0
+    moved = {
+        tuple(a - b for a, b in zip(p, n0)): v for p, v in filt.coeffs.items()
+    }
+    return Filter(matrix=filt.matrix, coeffs=moved), n0
 
 
 def random_dyadic_matrices(rng, dim: int, count: int) -> list[IntMatrix]:
@@ -194,6 +250,9 @@ def reference_build_reduced_system(support: SupportSet, dil: DilationMatrix) -> 
         equations=equations,
         window_exponent=n_exp,
         support_order=order,
+        codes=tuple(encode_support(params, tuple(a - b for a, b in zip(adapted[p], c_min)))
+                    for p in order),
+        c_min=c_min,
     )
 
 
@@ -213,6 +272,16 @@ def reference_index_map(report, to_line: bool = True) -> dict:
                 for k in report.source_system.index_set}
     return {k: from_adapted(dil, decode_index(params, k[0]))
             for k in report.source_system.index_set}
+
+
+def reference_dual_coset_shift(filt) -> np.ndarray:
+    """The library's former dual coset shift, which converts each exact
+    quotient through ``float(Fraction(x, det))``."""
+    at = filt.matrix.A.transpose()
+    q = coset_representative(smith_normal_form(at))
+    det = at.det()
+    num = at.adjugate().vec(q)
+    return np.array([2.0 * math.pi * float(Fraction(x, det)) for x in num])
 
 
 def reference_qmf_check(filt, samples: int = 1024, seed: int = 0) -> float:
