@@ -25,6 +25,7 @@ from .config import DEFAULT_CELL_BUDGET
 from .errors import LevelBudgetExceededError
 from .intlat import DilationMatrix, LatticePoint
 from .transfer import Coefficient, Filter
+from .verify import lawton_residuals
 
 SQRT2 = math.sqrt(2.0)
 
@@ -127,8 +128,6 @@ def run_cascade(filt: Filter, max_level: int = 12, tol: float = 0.0,
     the filter does not solve its system: the iteration is then not known to
     converge.
     """
-    from .verify import lawton_residuals  # local import; verify imports transfer
-
     report = lawton_residuals(filt)
     if report.max_residual > residual_warn_tolerance:
         warnings.warn(

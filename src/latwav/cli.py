@@ -78,9 +78,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _out_dir(config: Config) -> Path:
+    """The output directory, created if missing; called before any compute,
+    so an unusable directory is an input error, not a lost run."""
     override = os.environ.get("LATWAV_OUTPUT_DIR")
     path = Path(override) if override else Path(config.output_dir)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputFormatError(f"output directory {str(path)!r} cannot be created: "
+                               f"{exc.strerror}") from exc
+    _require(os.access(path, os.W_OK | os.X_OK),
+             f"output directory {str(path)!r} is not writable")
     return path
 
 
@@ -146,11 +154,11 @@ def _cmd_cascade(args, config: Config) -> int:
              f"--tol must be a nonnegative number, got {args.tol!r}")
     _require(levels <= config.cascade_level_cap,
              f"--levels {levels} exceeds the configured cap {config.cascade_level_cap}")
+    out = _out_dir(config)
     grid, diffs = cascade_mod.run_cascade(
         filt, max_level=levels, tol=args.tol, cell_budget=config.cell_budget,
         residual_warn_tolerance=config.tolerance,
     )
-    out = _out_dir(config)
     stem = Path(args.filter).stem
     (out / f"{stem}.grid.csv").write_text(jsonio.grid_to_csv(grid))
     (out / f"{stem}.grid.json").write_text(
@@ -176,8 +184,8 @@ def _cmd_quincunx(args, config: Config) -> int:
     _require((2 * args.width + 1) ** 2 <= config.cell_budget,
              f"--width {args.width} needs {(2 * args.width + 1) ** 2} coefficients, "
              f"cell budget is {config.cell_budget}")
-    report = support_pattern(args.width)
     out = _out_dir(config)
+    report = support_pattern(args.width)
     lines = ["m,n,s"]
     for (m, n) in sorted(report.values):
         lines.append(f"{m},{n},{report.values[(m, n)]!r}")

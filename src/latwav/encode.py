@@ -15,9 +15,10 @@ For a window exponent N >= 1:
   support window [0, 2^N)^d and to the index window (even last coordinate,
   nonnegative radix value), with domain checks.
 
-Dimension 1 degenerates to the identity on Z: the support window is
-[0, 2^N), the index window the nonnegative even integers below 2^N, and all
-encodings are the identity, so one-dimensional transfers reduce to shifts.
+Dimension 1 runs through the same formula: the row stride is 2 there, so
+the flattening is the identity on Z, the support window is [0, 2^N), the
+index window the nonnegative even integers below 2^N, and one-dimensional
+transfers reduce to shifts.  ``flatten_point`` itself still requires d >= 2.
 """
 
 from __future__ import annotations
@@ -58,10 +59,9 @@ class EncodingParams(_EncodingParamsFields):
 
     @property
     def row_stride(self) -> int:
-        """Exact stride 2^((2d-3)N+2) separating even-coordinate rows (d >= 2)."""
-        if self.dim < 2:
-            raise DimensionTooSmallError("row stride is defined for dimension >= 2")
-        return 1 << ((2 * self.dim - 3) * self.window_exponent + 2)
+        """Exact stride 2^((2d-3)N+2) separating even-coordinate rows; 2 at
+        d = 1, where it makes the flattening the identity on Z."""
+        return 1 << max(1, (2 * self.dim - 3) * self.window_exponent + 2)
 
 
 def radix_encode(params: EncodingParams, n: LatticePoint) -> int:
@@ -70,74 +70,80 @@ def radix_encode(params: EncodingParams, n: LatticePoint) -> int:
     return sum(c * w for c, w in zip(n, params.base_weights))
 
 
+def _flatten(params: EncodingParams, p: LatticePoint) -> int:
+    """floor(y/2)*stride + 2*radix_encode(x) + (y odd) for p = (x, y), in
+    every dimension; the identity at d = 1."""
+    x, y = p[:-1], p[-1]
+    sigma = sum(c * w for c, w in zip(x, params.base_weights))
+    return (y // 2) * params.row_stride + 2 * sigma + (y & 1)
+
+
 def flatten_point(params: EncodingParams, p: LatticePoint) -> int:
     """Flatten p = (x, y) to an integer; requires dimension >= 2."""
     if params.dim < 2:
         raise DimensionTooSmallError("flattening requires dimension >= 2")
     check_dim(p, params.dim)
-    x, y = p[:-1], p[-1]
-    sub = EncodingParams(params.dim - 1, params.window_exponent)
-    return (y // 2) * params.row_stride + 2 * radix_encode(sub, x) + (y & 1)
+    return _flatten(params, p)
+
+
+def _support_fault(params: EncodingParams, n: LatticePoint) -> str | None:
+    """Why n is outside the support window [0, 2^N)^d, or None if inside."""
+    check_dim(n, params.dim)
+    w = params.window
+    for j, c in enumerate(n):
+        if not 0 <= c < w:
+            return f"coordinate {j + 1} = {c} not in [0, {w - 1}]"
+    return None
+
+
+def _index_fault(params: EncodingParams, k: LatticePoint) -> str | None:
+    """Why k is outside the index window (centered, even last coordinate,
+    nonnegative radix value), or None if inside."""
+    check_dim(k, params.dim)
+    w = params.window
+    for j, c in enumerate(k):
+        if abs(c) >= w:
+            return f"coordinate {j + 1} = {c} not in [{1 - w}, {w - 1}]"
+    if k[-1] % 2 != 0:
+        return f"last coordinate {k[-1]} is odd"
+    if radix_encode(params, k) < 0:
+        return "radix value is negative"
+    return None
+
+
+def _checked(what: str, p: LatticePoint, fault: str | None) -> None:
+    if fault is not None:
+        raise OutOfDomainError(f"{p} is outside the {what} window: {fault}")
 
 
 def in_support_window(params: EncodingParams, n: LatticePoint) -> bool:
     """Membership in [0, 2^N)^d."""
-    check_dim(n, params.dim)
-    return all(0 <= c < params.window for c in n)
+    return _support_fault(params, n) is None
 
 
 def in_index_window(params: EncodingParams, k: LatticePoint) -> bool:
     """Membership in the index window: centered, even last coordinate,
     nonnegative radix value."""
-    check_dim(k, params.dim)
-    w = params.window
-    if any(abs(c) >= w for c in k):
-        return False
-    if k[-1] % 2 != 0:
-        return False
-    return radix_encode(params, k) >= 0
-
-
-def _outside(what: str, p: LatticePoint, bound: str) -> OutOfDomainError:
-    return OutOfDomainError(f"{p} is outside the {what} window: {bound}")
+    return _index_fault(params, k) is None
 
 
 def encode_support(params: EncodingParams, n: LatticePoint) -> int:
     """Flattening restricted to the support window (checked)."""
-    check_dim(n, params.dim)
-    w = params.window
-    for j, c in enumerate(n):
-        if not 0 <= c < w:
-            raise _outside("support", n, f"coordinate {j + 1} = {c} not in [0, {w - 1}]")
-    if params.dim == 1:
-        return n[0]
-    return flatten_point(params, n)
+    _checked("support", n, _support_fault(params, n))
+    return _flatten(params, n)
 
 
 def encode_index(params: EncodingParams, k: LatticePoint) -> int:
     """Flattening restricted to the index window (checked)."""
-    check_dim(k, params.dim)
-    w = params.window
-    for j, c in enumerate(k):
-        if abs(c) >= w:
-            raise _outside("index", k, f"coordinate {j + 1} = {c} not in [{1 - w}, {w - 1}]")
-    if k[-1] % 2 != 0:
-        raise _outside("index", k, f"last coordinate {k[-1]} is odd")
-    if radix_encode(params, k) < 0:
-        raise _outside("index", k, "radix value is negative")
-    if params.dim == 1:
-        return k[0]
-    return flatten_point(params, k)
+    _checked("index", k, _index_fault(params, k))
+    return _flatten(params, k)
 
 
 def additivity_holds(params: EncodingParams, n: LatticePoint, k: LatticePoint) -> bool:
     """Whether flatten(n + k) == encode_support(n) + encode_index(k)."""
     sup = encode_support(params, n)
     idx = encode_index(params, k)
-    total = tuple(a + b for a, b in zip(n, k))
-    if params.dim == 1:
-        return total[0] == sup + idx
-    return flatten_point(params, total) == sup + idx
+    return _flatten(params, tuple(a + b for a, b in zip(n, k))) == sup + idx
 
 
 def decode_support(params: EncodingParams, value: int) -> LatticePoint | None:
@@ -150,8 +156,6 @@ def decode_support(params: EncodingParams, value: int) -> LatticePoint | None:
     """
     d, n_exp = params.dim, params.window_exponent
     w = 1 << n_exp
-    if d == 1:
-        return (value,) if 0 <= value < w else None
     if value < 0:
         return None
     y_half, rest = divmod(value, params.row_stride)
@@ -181,8 +185,6 @@ def decode_index(params: EncodingParams, value: int) -> LatticePoint | None:
     """
     d, n_exp = params.dim, params.window_exponent
     w = 1 << n_exp
-    if d == 1:
-        return (value,) if 0 <= value < w and value % 2 == 0 else None
     if value < 0 or value & 1:
         return None
     stride = params.row_stride

@@ -12,6 +12,7 @@ computation downstream relies on.
 from __future__ import annotations
 
 import math
+import operator
 from typing import NamedTuple
 
 from .errors import DimensionMismatchError, NotDyadicError, NotExpansiveError
@@ -68,7 +69,7 @@ class IntMatrix(_IntMatrixFields):
         cols = other.transpose().rows
         return IntMatrix(
             tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
+                tuple(sum(map(operator.mul, row, col)) for col in cols)
                 for row in self.rows
             )
         )
@@ -76,7 +77,7 @@ class IntMatrix(_IntMatrixFields):
     def vec(self, p: LatticePoint) -> LatticePoint:
         """Matrix-vector product over the integers."""
         check_dim(p, self.dim)
-        return tuple(sum(a * b for a, b in zip(row, p)) for row in self.rows)
+        return tuple(sum(map(operator.mul, row, p)) for row in self.rows)
 
     def power(self, k: int) -> "IntMatrix":
         if k < 0:
@@ -111,57 +112,45 @@ class IntMatrix(_IntMatrixFields):
             prev = a[k][k]
         return sign * a[n - 1][n - 1]
 
-    def minor(self, i: int, j: int) -> "IntMatrix":
-        rows = tuple(
-            tuple(v for c, v in enumerate(row) if c != j)
-            for r, row in enumerate(self.rows)
-            if r != i
-        )
-        return IntMatrix(rows)
-
     def adjugate(self) -> "IntMatrix":
-        """adj(M) with M * adj(M) = det(M) * I, exact."""
-        n = self.dim
-        if n == 1:
-            return IntMatrix(((1,),))
-        cof = [
-            [(-1) ** (i + j) * self.minor(i, j).det() for j in range(n)]
-            for i in range(n)
-        ]
-        return IntMatrix(tuple(zip(*cof)))  # transpose of cofactors
+        """adj(M) with M * adj(M) = det(M) * I, exact.
+
+        By Cayley-Hamilton, A * M_d = -c_d * I for the last matrix M_d of the
+        charpoly recursion, and c_d = (-1)^d det A, so adj(A) = (-1)^(d-1) M_d.
+        """
+        sign = -1 if self.dim % 2 == 0 else 1
+        return IntMatrix(tuple(tuple(sign * x for x in row) for row in self._leverrier()[1]))
 
     def unimodular_inverse(self) -> "IntMatrix":
-        """Exact integer inverse; requires det = +/-1."""
+        """Exact integer inverse det * adj; requires det = +/-1."""
         d = self.det()
         if d not in (1, -1):
             raise ValueError(f"matrix with det {d} has no integer inverse")
-        adj = self.adjugate()
-        if d == 1:
-            return adj
-        return IntMatrix(tuple(tuple(-x for x in row) for row in adj.rows))
+        return IntMatrix(tuple(tuple(d * x for x in row) for row in self.adjugate().rows))
 
     def charpoly(self) -> tuple[int, ...]:
-        """Monic characteristic polynomial coefficients, highest degree first.
+        """Monic characteristic polynomial coefficients, highest degree first."""
+        return self._leverrier()[0]
 
-        Faddeev-LeVerrier; every division is exact over the integers.
-        """
+    def _leverrier(self) -> tuple[tuple[int, ...], list[list[int]]]:
+        """Faddeev-LeVerrier: M_1 = I, c_k = -tr(A M_k) / k and
+        M_(k+1) = A M_k + c_k I.  Returns (1, c_1, ..., c_d) and the rows of
+        M_d; every division is exact over the integers."""
         n = self.dim
         coeffs = [1]
-        m = IntMatrix.identity(n)
+        m = [list(row) for row in IntMatrix.identity(n).rows]
         for k in range(1, n + 1):
-            m = self.mul(m)
-            tr = sum(m.rows[i][i] for i in range(n))
+            am = [[sum(map(operator.mul, row, col)) for col in zip(*m)] for row in self.rows]
+            tr = sum(am[i][i] for i in range(n))
             if tr % k != 0:
                 raise AssertionError("trace recursion lost exactness")
             c = -tr // k
             coeffs.append(c)
-            m = IntMatrix(
-                tuple(
-                    tuple(m.rows[i][j] + (c if i == j else 0) for j in range(n))
-                    for i in range(n)
-                )
-            )
-        return tuple(coeffs)
+            if k < n:
+                for i in range(n):
+                    am[i][i] += c
+                m = am
+        return tuple(coeffs), m
 
 
 class SnfFactorization(NamedTuple):
@@ -203,6 +192,23 @@ def is_expansive(A: IntMatrix) -> bool:
     return True
 
 
+def _pivot_rows(x: list[list[int]], y: list[list[int]], s: int, p: int, c: int) -> None:
+    """Row steps on x: move row p to row s, make x[s][c] positive and reduce
+    every x[i][c] below it (i > s) by a floor quotient.  Each step E on x is
+    mirrored as E^-T on y, which keeps y^T * x unchanged."""
+    x[s], x[p] = x[p], x[s]
+    y[s], y[p] = y[p], y[s]
+    if x[s][c] < 0:
+        x[s] = [-e for e in x[s]]
+        y[s] = [-e for e in y[s]]
+    pivot = x[s][c]
+    for i in range(s + 1, len(x)):
+        q = x[i][c] // pivot
+        if q:
+            x[i] = [e - q * f for e, f in zip(x[i], x[s])]
+            y[s] = [e + q * f for e, f in zip(y[s], y[i])]
+
+
 def smith_normal_form(A: IntMatrix) -> SnfFactorization:
     """Smith normal form A = U*D*V for a determinant +/-2 integer matrix.
 
@@ -216,83 +222,39 @@ def smith_normal_form(A: IntMatrix) -> SnfFactorization:
         raise NotDyadicError(f"determinant is {det_a}, expected +/-2")
     d = A.dim
     a = [list(row) for row in A.rows]
-    u = [list(row) for row in IntMatrix.identity(d).rows]
+    ut = [list(row) for row in IntMatrix.identity(d).rows]
     v = [list(row) for row in IntMatrix.identity(d).rows]
 
-    # Invariant maintained throughout: A_original = u * a * v.
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        for r in range(d):  # columns i,j of u
-            u[r][i], u[r][j] = u[r][j], u[r][i]
-
-    def swap_cols(i, j):
-        for r in range(d):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        v[i], v[j] = v[j], v[i]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        for r in range(d):
-            u[r][i] = -u[r][i]
-
-    def row_sub(i, s, q):
-        # a.row[i] -= q * a.row[s];  u.col[s] += q * u.col[i]
-        a[i] = [x - q * y for x, y in zip(a[i], a[s])]
-        for r in range(d):
-            u[r][s] += q * u[r][i]
-
-    def col_sub(j, s, q):
-        # a.col[j] -= q * a.col[s];  v.row[s] += q * v.row[j]
-        for r in range(d):
-            a[r][j] -= q * a[r][s]
-        v[s] = [x + q * y for x, y in zip(v[s], v[j])]
-
+    # Invariant: A = ut^T * a * v.  Row steps on a are mirrored on ut; a
+    # column step on a is a row step on a^T, mirrored on v.  The row steps
+    # read the pivot in column pj before the column swap brings it to s:
+    # row and column steps act on opposite sides of a, and neither reads
+    # what the other writes, so their order leaves U, D and V as they are.
+    # Each finished pivot is positive, and later steps never touch it.
     for s in range(d):
         while True:
-            best = None
-            for i in range(s, d):
-                for j in range(s, d):
-                    val = abs(a[i][j])
-                    if val and (best is None or val < best[0]):
-                        best = (val, i, j)
+            best = min(((abs(a[i][j]), i, j) for i in range(s, d) for j in range(s, d)
+                        if a[i][j]), default=None)
             if best is None:
                 raise AssertionError("singular block in a nonsingular matrix")
             _, pi, pj = best
-            if pi != s:
-                swap_rows(s, pi)
-            if pj != s:
-                swap_cols(s, pj)
-            if a[s][s] < 0:
-                negate_row(s)
-            pivot = a[s][s]
-            for i in range(s + 1, d):
-                if a[i][s]:
-                    q = a[i][s] // pivot
-                    if q:
-                        row_sub(i, s, q)
-            for j in range(s + 1, d):
-                if a[s][j]:
-                    q = a[s][j] // pivot
-                    if q:
-                        col_sub(j, s, q)
-            if all(a[i][s] == 0 for i in range(s + 1, d)) and all(
-                a[s][j] == 0 for j in range(s + 1, d)
-            ):
+            _pivot_rows(a, ut, s, pi, pj)
+            at = [list(col) for col in zip(*a)]
+            _pivot_rows(at, v, s, pj, s)
+            a = [list(row) for row in zip(*at)]
+            if not any(a[i][s] or at[i][s] for i in range(s + 1, d)):
                 break
 
-    for s in range(d):
-        if a[s][s] < 0:
-            negate_row(s)
     diag = [a[s][s] for s in range(d)]
     if sorted(diag) != [1] * (d - 1) + [2]:
         raise AssertionError(f"unexpected invariant factors {diag}")
     t = diag.index(2)
-    if t != d - 1:
-        swap_rows(t, d - 1)
-        swap_cols(t, d - 1)
+    for m in (ut, v):
+        m[t], m[-1] = m[-1], m[t]
+    a[t][t], a[-1][-1] = a[-1][-1], a[t][t]
 
     snf = SnfFactorization(
-        U=IntMatrix.from_rows(u), D=IntMatrix.from_rows(a), V=IntMatrix.from_rows(v)
+        U=IntMatrix(tuple(zip(*ut))), D=IntMatrix.from_rows(a), V=IntMatrix.from_rows(v)
     )
     if snf.product() != A:
         raise AssertionError("SNF postcondition U*D*V == A failed")

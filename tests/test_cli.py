@@ -182,6 +182,35 @@ def test_config_file_and_output_dir(workdir, capsys, tmp_path, monkeypatch):
     assert "unknown" in err
 
 
+def _fail_if_called(*args, **kwargs):
+    raise AssertionError("computed before the output directory was checked")
+
+
+@pytest.mark.parametrize("how", ["env-is-a-file", "config-under-a-file"])
+def test_unusable_output_dir_is_input_error_before_any_compute(workdir, capsys, monkeypatch,
+                                                               how):
+    afile = workdir / "afile"
+    afile.write_text("not a directory")
+    argv = []
+    if how == "env-is-a-file":
+        monkeypatch.setenv("LATWAV_OUTPUT_DIR", str(afile))
+    else:
+        monkeypatch.delenv("LATWAV_OUTPUT_DIR")
+        config = workdir / "config.json"
+        config.write_text(canonical_dumps({"output_dir": str(afile / "sub")}))
+        argv = ["--config", str(config)]
+    monkeypatch.setattr("latwav.cli.cascade_mod.run_cascade", _fail_if_called)
+    monkeypatch.setattr("latwav.cli.support_pattern", _fail_if_called)
+    for command in (["cascade", str(workdir / "db4.json"), "--levels", "2"],
+                    ["quincunx", "pattern", "--width", "2"]):
+        code, out, err = run(capsys, *argv, *command)
+        assert code == 2, err
+        assert out == ""
+        assert err.startswith("error: output directory") and "cannot be created" in err
+        assert "Traceback" not in err
+    assert afile.read_text() == "not a directory"
+
+
 def test_cascade_level_cap(workdir, capsys):
     code, _, err = run(capsys, "cascade", str(workdir / "haar1d.json"), "--levels", "30")
     assert code == 2

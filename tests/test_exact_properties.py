@@ -1,0 +1,115 @@
+"""Property tests of the exact layers: the Smith normal form's invariants on
+random determinant +/-2 matrices in d = 1-5, and decode after encode as the
+identity on the support and index windows in d = 1-4 with N up to 12."""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from latwav.encode import (  # noqa: E402
+    EncodingParams,
+    decode_index,
+    decode_support,
+    encode_index,
+    encode_support,
+    in_index_window,
+    in_support_window,
+    radix_encode,
+)
+from latwav.intlat import IntMatrix, coset_representative, smith_normal_form  # noqa: E402
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
+
+
+@st.composite
+def det_two_matrices(draw) -> IntMatrix:
+    """P * diag(1, ..., 1, +/-2) * Q, where P and Q are products of random
+    elementary row additions, swaps and negations."""
+    d = draw(st.integers(1, 5))
+
+    def unimodular() -> IntMatrix:
+        rows = [[int(i == j) for j in range(d)] for i in range(d)]
+        for _ in range(draw(st.integers(0, 3 * d))):
+            i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+            q = draw(st.integers(-4, 4))
+            if i != j and q:
+                rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
+            elif i != j:
+                rows[i], rows[j] = rows[j], rows[i]
+            else:
+                rows[i] = [-x for x in rows[i]]
+        return IntMatrix.from_rows(rows)
+
+    last = draw(st.sampled_from((2, -2)))
+    diag = IntMatrix.from_rows(
+        [[(last if i == d - 1 else 1) if i == j else 0 for j in range(d)] for i in range(d)]
+    )
+    return unimodular().mul(diag).mul(unimodular())
+
+
+@PROPERTY
+@given(det_two_matrices())
+def test_snf_invariants(m):
+    snf = smith_normal_form(m)
+    d = m.dim
+    assert snf.U.det() in (1, -1)
+    assert snf.V.det() in (1, -1)
+    assert snf.D.rows == tuple(
+        tuple((2 if i == d - 1 else 1) if i == j else 0 for j in range(d)) for i in range(d)
+    )
+    assert snf.U.mul(snf.D).mul(snf.V) == m
+    # U*e_d is outside A*Z^d: A x = U e_d has no integer solution x.
+    det = m.det()
+    rep = coset_representative(snf)
+    assert rep == tuple(row[-1] for row in snf.U.rows)
+    assert any(x % det for x in m.adjugate().vec(rep))
+
+
+@st.composite
+def params(draw) -> EncodingParams:
+    return EncodingParams(draw(st.integers(1, 4)), draw(st.integers(1, 12)))
+
+
+@st.composite
+def support_points(draw, p: EncodingParams):
+    return tuple(draw(st.integers(0, p.window - 1)) for _ in range(p.dim))
+
+
+@st.composite
+def index_points(draw, p: EncodingParams):
+    """Centered coordinates with an even last one; the reflection k -> -k
+    flips the radix value's sign, so one of k, -k has a nonnegative value."""
+    w = p.window
+    x = tuple(draw(st.integers(1 - w, w - 1)) for _ in range(p.dim - 1))
+    k = x + (2 * draw(st.integers(-((w - 1) // 2), (w - 1) // 2)),)
+    return k if radix_encode(p, k) >= 0 else tuple(-c for c in k)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_decode_inverts_encode_on_both_windows(data):
+    p = data.draw(params())
+    n = data.draw(support_points(p))
+    k = data.draw(index_points(p))
+    assert in_index_window(p, k)
+    assert decode_support(p, encode_support(p, n)) == n
+    assert decode_index(p, encode_index(p, k)) == k
+
+
+@PROPERTY
+@given(data=st.data())
+def test_decode_is_none_off_the_image(data):
+    """A decoded point is a window point whose code is the value, so a value
+    off the window's image decodes to None; values are drawn next to codes
+    and next to the row strides, where off-image values sit."""
+    p = data.draw(params())
+    near = st.sampled_from((0, 1, p.row_stride - 1, p.row_stride, p.row_stride + 1))
+    for code in (encode_support(p, data.draw(support_points(p))),
+                 encode_index(p, data.draw(index_points(p)))):
+        value = code + data.draw(st.sampled_from((1, -1))) * data.draw(near) \
+            + data.draw(st.integers(-2, 2))
+        n = decode_support(p, value)
+        assert n is None or (in_support_window(p, n) and encode_support(p, n) == value)
+        k = decode_index(p, value)
+        assert k is None or (in_index_window(p, k) and encode_index(p, k) == value)

@@ -17,11 +17,12 @@ from latwav.encode import (
     radix_encode,
     window_exponent_for_extent,
 )
-from latwav.errors import LatwavError
+from latwav.errors import LatwavError, NotDyadicError
 from latwav.intlat import (
     DilationMatrix,
     IntMatrix,
     LatticePoint,
+    SnfFactorization,
     coset_representative,
     from_adapted,
     smith_normal_form,
@@ -118,6 +119,139 @@ def companion(poly) -> IntMatrix:
     return IntMatrix.from_rows(
         [[1 if j == i - 1 else 0 for j in range(n - 1)] + [-poly[n - i]] for i in range(n)]
     )
+
+
+# Exact linear algebra oracles: the library's former adjugate, which expands
+# d^2 cofactor determinants, its former charpoly, which ran the
+# Faddeev-LeVerrier recursion alone, and its former Smith normal form, which
+# mirrored each elementary step on U or V through five helper closures.
+def _reference_minor(m: IntMatrix, i: int, j: int) -> IntMatrix:
+    rows = tuple(
+        tuple(v for c, v in enumerate(row) if c != j)
+        for r, row in enumerate(m.rows)
+        if r != i
+    )
+    return IntMatrix(rows)
+
+
+def reference_adjugate(m: IntMatrix) -> IntMatrix:
+    n = m.dim
+    if n == 1:
+        return IntMatrix(((1,),))
+    cof = [
+        [(-1) ** (i + j) * _reference_minor(m, i, j).det() for j in range(n)]
+        for i in range(n)
+    ]
+    return IntMatrix(tuple(zip(*cof)))  # transpose of cofactors
+
+
+def reference_charpoly(m: IntMatrix) -> tuple[int, ...]:
+    n = m.dim
+    coeffs = [1]
+    acc = IntMatrix.identity(n)
+    for k in range(1, n + 1):
+        acc = m.mul(acc)
+        tr = sum(acc.rows[i][i] for i in range(n))
+        if tr % k != 0:
+            raise AssertionError("trace recursion lost exactness")
+        c = -tr // k
+        coeffs.append(c)
+        acc = IntMatrix(
+            tuple(
+                tuple(acc.rows[i][j] + (c if i == j else 0) for j in range(n))
+                for i in range(n)
+            )
+        )
+    return tuple(coeffs)
+
+
+def reference_smith_normal_form(A: IntMatrix) -> SnfFactorization:
+    det_a = A.det()
+    if abs(det_a) != 2:
+        raise NotDyadicError(f"determinant is {det_a}, expected +/-2")
+    d = A.dim
+    a = [list(row) for row in A.rows]
+    u = [list(row) for row in IntMatrix.identity(d).rows]
+    v = [list(row) for row in IntMatrix.identity(d).rows]
+
+    # Invariant maintained throughout: A_original = u * a * v.
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        for r in range(d):  # columns i,j of u
+            u[r][i], u[r][j] = u[r][j], u[r][i]
+
+    def swap_cols(i, j):
+        for r in range(d):
+            a[r][i], a[r][j] = a[r][j], a[r][i]
+        v[i], v[j] = v[j], v[i]
+
+    def negate_row(i):
+        a[i] = [-x for x in a[i]]
+        for r in range(d):
+            u[r][i] = -u[r][i]
+
+    def row_sub(i, s, q):
+        # a.row[i] -= q * a.row[s];  u.col[s] += q * u.col[i]
+        a[i] = [x - q * y for x, y in zip(a[i], a[s])]
+        for r in range(d):
+            u[r][s] += q * u[r][i]
+
+    def col_sub(j, s, q):
+        # a.col[j] -= q * a.col[s];  v.row[s] += q * v.row[j]
+        for r in range(d):
+            a[r][j] -= q * a[r][s]
+        v[s] = [x + q * y for x, y in zip(v[s], v[j])]
+
+    for s in range(d):
+        while True:
+            best = None
+            for i in range(s, d):
+                for j in range(s, d):
+                    val = abs(a[i][j])
+                    if val and (best is None or val < best[0]):
+                        best = (val, i, j)
+            if best is None:
+                raise AssertionError("singular block in a nonsingular matrix")
+            _, pi, pj = best
+            if pi != s:
+                swap_rows(s, pi)
+            if pj != s:
+                swap_cols(s, pj)
+            if a[s][s] < 0:
+                negate_row(s)
+            pivot = a[s][s]
+            for i in range(s + 1, d):
+                if a[i][s]:
+                    q = a[i][s] // pivot
+                    if q:
+                        row_sub(i, s, q)
+            for j in range(s + 1, d):
+                if a[s][j]:
+                    q = a[s][j] // pivot
+                    if q:
+                        col_sub(j, s, q)
+            if all(a[i][s] == 0 for i in range(s + 1, d)) and all(
+                a[s][j] == 0 for j in range(s + 1, d)
+            ):
+                break
+
+    for s in range(d):
+        if a[s][s] < 0:
+            negate_row(s)
+    diag = [a[s][s] for s in range(d)]
+    if sorted(diag) != [1] * (d - 1) + [2]:
+        raise AssertionError(f"unexpected invariant factors {diag}")
+    t = diag.index(2)
+    if t != d - 1:
+        swap_rows(t, d - 1)
+        swap_cols(t, d - 1)
+
+    snf = SnfFactorization(
+        U=IntMatrix.from_rows(u), D=IntMatrix.from_rows(a), V=IntMatrix.from_rows(v)
+    )
+    if snf.product() != A:
+        raise AssertionError("SNF postcondition U*D*V == A failed")
+    return snf
 
 
 # Float expansiveness oracle: the library's former decision procedure.
