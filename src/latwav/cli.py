@@ -125,7 +125,11 @@ def _cmd_verify(args, config: Config) -> int:
     _require(math.isfinite(tolerance) and tolerance > 0,
              f"--tolerance must be a positive number, got {tolerance!r}")
     report = lawton_residuals(filt)
-    deviation = qmf_check(filt, samples=QMF_SAMPLES, seed=QMF_SEED)
+    try:
+        deviation = qmf_check(filt, samples=QMF_SAMPLES, seed=QMF_SEED)
+    except OverflowError as exc:
+        raise InputFormatError(f"{args.filter}: a coefficient position is beyond double "
+                               f"range, so its frequency response cannot be sampled") from exc
     data = jsonio.residual_report_to_json(report)
     data.update({
         "qmf_deviation": deviation,
@@ -159,16 +163,24 @@ def _cmd_cascade(args, config: Config) -> int:
         filt, max_level=levels, tol=args.tol, cell_budget=config.cell_budget,
         residual_warn_tolerance=config.tolerance,
     )
+    # Rendered in full before any is written, so a cell that cannot be
+    # written leaves no partial artifacts.
+    try:
+        artifacts = {
+            "grid.csv": jsonio.grid_to_csv(grid),
+            "grid.json": jsonio.canonical_dumps(jsonio.grid_sidecar_json(grid)),
+            "convergence.csv": "level,l2_difference\n"
+            + "".join(f"{i + 1},{d!r}\n" for i, d in enumerate(diffs)),
+        }
+        if filt.dim == 1:
+            artifacts["phi.csv"] = jsonio.grid_centers_1d_csv(grid)
+    except OverflowError as exc:
+        raise InputFormatError(f"a cell centre is beyond double range: {exc}") from exc
+    except ValueError as exc:
+        raise InputFormatError(f"a cell position is too long to print: {exc}") from exc
     stem = Path(args.filter).stem
-    (out / f"{stem}.grid.csv").write_text(jsonio.grid_to_csv(grid))
-    (out / f"{stem}.grid.json").write_text(
-        jsonio.canonical_dumps(jsonio.grid_sidecar_json(grid))
-    )
-    conv_lines = ["level,l2_difference"]
-    conv_lines += [f"{i + 1},{d!r}" for i, d in enumerate(diffs)]
-    (out / f"{stem}.convergence.csv").write_text("\n".join(conv_lines) + "\n")
-    if filt.dim == 1:
-        (out / f"{stem}.phi.csv").write_text(jsonio.grid_centers_1d_csv(grid))
+    for name, text in artifacts.items():
+        (out / f"{stem}.{name}").write_text(text)
     _emit({
         "level": grid.level,
         "cells": len(grid.cells),

@@ -50,14 +50,9 @@ class Config:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Config":
-        import json
+        from .jsonio import load_json
 
-        try:
-            data = json.loads(Path(path).read_text())
-        except (OSError, UnicodeDecodeError) as exc:
-            raise InputFormatError(f"{path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise InputFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+        data = load_json(path)
         if not isinstance(data, dict):
             raise InputFormatError(f"{path}: config must be a JSON object")
         unknown = set(data) - set(cls.__slots__)

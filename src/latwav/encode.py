@@ -52,29 +52,31 @@ class EncodingParams(_EncodingParamsFields):
         return 1 << self.window_exponent
 
     @property
-    def base_weights(self) -> tuple[int, ...]:
-        """Exact weights 4^((j-1)N), j = 1..dim."""
-        n = self.window_exponent
-        return tuple(1 << (2 * n * j) for j in range(self.dim))
-
-    @property
     def row_stride(self) -> int:
         """Exact stride 2^((2d-3)N+2) separating even-coordinate rows; 2 at
         d = 1, where it makes the flattening the identity on Z."""
         return 1 << max(1, (2 * self.dim - 3) * self.window_exponent + 2)
 
 
+def _radix(n_exp: int, x: LatticePoint) -> int:
+    """sum(x_j * 4^((j-1)N)) by Horner steps of 2N bits."""
+    v = 0
+    for c in reversed(x):
+        v = (v << 2 * n_exp) + c
+    return v
+
+
 def radix_encode(params: EncodingParams, n: LatticePoint) -> int:
     """Base-4^N positional value of n; total on Z^d, injective on the window."""
     check_dim(n, params.dim)
-    return sum(c * w for c, w in zip(n, params.base_weights))
+    return _radix(params.window_exponent, n)
 
 
 def _flatten(params: EncodingParams, p: LatticePoint) -> int:
     """floor(y/2)*stride + 2*radix_encode(x) + (y odd) for p = (x, y), in
     every dimension; the identity at d = 1."""
-    x, y = p[:-1], p[-1]
-    sigma = sum(c * w for c, w in zip(x, params.base_weights))
+    y = p[-1]
+    sigma = _radix(params.window_exponent, p[:-1])
     return (y // 2) * params.row_stride + 2 * sigma + (y & 1)
 
 
@@ -146,71 +148,46 @@ def additivity_holds(params: EncodingParams, n: LatticePoint, k: LatticePoint) -
     return _flatten(params, tuple(a + b for a, b in zip(n, k))) == sup + idx
 
 
-def decode_support(params: EncodingParams, value: int) -> LatticePoint | None:
-    """Inverse of encode_support, computed by radix decomposition.
+def _digits(params: EncodingParams, sigma: int, half: int) -> LatticePoint | None:
+    """The d - 1 base-4^N digits of sigma, each taken in [-half, base - half);
+    None unless all lie in (-2^N, 2^N) and nothing is left over."""
+    n_exp = params.window_exponent
+    w, base = 1 << n_exp, 1 << 2 * n_exp
+    digits = []
+    for _ in range(params.dim - 1):
+        sigma, digit = divmod(sigma + half, base)
+        digit -= half
+        if not -w < digit < w:
+            return None
+        digits.append(digit)
+    return tuple(digits) if sigma == 0 else None
 
-    On the support window the flattening is floor(y/2)*stride + 2*sigma + (y
-    odd) with 0 <= 2*sigma + 1 < stride and sigma a plain base-4^N number
-    with digits below 2^N, so the value splits uniquely.  Returns None when
-    the value is not the code of any window point.
-    """
-    d, n_exp = params.dim, params.window_exponent
-    w = 1 << n_exp
+
+def decode_support(params: EncodingParams, value: int) -> LatticePoint | None:
+    """Inverse of encode_support: value = floor(y/2)*stride + 2*sigma + (y odd)
+    with 0 <= 2*sigma + 1 < stride and plain base-4^N digits in sigma splits
+    uniquely.  Returns None when value is not the code of a window point."""
     if value < 0:
         return None
     y_half, rest = divmod(value, params.row_stride)
-    parity = rest & 1
-    sigma = rest >> 1
-    digits = []
-    for _ in range(d - 1):
-        sigma, digit = divmod(sigma, 1 << (2 * n_exp))
-        if digit >= w:
-            return None
-        digits.append(digit)
-    if sigma:
-        return None
-    y = 2 * y_half + parity
-    if not 0 <= y < w:
-        return None
-    return tuple(digits) + (y,)
+    x = _digits(params, rest >> 1, 0)
+    y = 2 * y_half + (rest & 1)
+    return x + (y,) if x is not None and 0 <= y < params.window else None
 
 
 def decode_index(params: EncodingParams, value: int) -> LatticePoint | None:
-    """Inverse of encode_index, computed by signed radix decomposition.
-
-    The leading part 2*sigma of an index-window code can be negative, so the
-    split of value = j*stride + 2*sigma is ambiguous by one stride; both
-    candidates are tried and at most one decodes to window digits (the
-    flattening is injective there).
-    """
-    d, n_exp = params.dim, params.window_exponent
-    w = 1 << n_exp
+    """Inverse of encode_index: on the index window |2*sigma| < stride/2, so
+    value = j*stride + 2*sigma splits uniquely with a balanced remainder, and
+    sigma into balanced digits.  Returns None when value is not such a code."""
     if value < 0 or value & 1:
         return None
     stride = params.row_stride
-    base = 1 << (2 * n_exp)
-
-    def signed_digits(sigma: int) -> LatticePoint | None:
-        digits = []
-        for _ in range(d - 1):
-            sigma, digit = divmod(sigma, base)
-            if digit >= base - (w - 1):
-                digit -= base
-                sigma += 1
-            elif digit > w - 1:
-                return None
-            digits.append(digit)
-        return tuple(digits) if sigma == 0 else None
-
-    j0, rest = divmod(value, stride)
-    for j, twice_sigma in ((j0, rest), (j0 + 1, rest - stride)):
-        x = signed_digits(twice_sigma >> 1) if twice_sigma % 2 == 0 else None
-        if x is None:
-            continue
-        k = x + (2 * j,)
-        if in_index_window(params, k):
-            return k
-    return None
+    j, rest = divmod(value + stride // 2, stride)
+    x = _digits(params, (rest - stride // 2) >> 1, params.window ** 2 // 2)
+    if x is None:
+        return None
+    k = x + (2 * j,)
+    return k if in_index_window(params, k) else None
 
 
 def window_exponent_for_extent(extent: int) -> int:

@@ -26,6 +26,8 @@ def canonical_dumps(obj) -> str:
     try:
         return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
     except ValueError as exc:
+        if "integer string conversion" in str(exc):
+            raise InputFormatError(f"result holds an integer too long to print: {exc}") from exc
         raise InputFormatError(f"result is not finite: {exc}") from exc
 
 
@@ -83,7 +85,7 @@ def filter_to_json(filt: Filter) -> dict:
     coeffs = []
     for p in sorted(filt.coeffs):
         v = complex(filt.coeffs[p])
-        coeffs.append({"n": list(p), "re": v.real, "im": v.imag})
+        coeffs.append({"n": p, "re": v.real, "im": v.imag})
     return {
         "dim": filt.dim,
         "matrix": matrix_to_json(filt.matrix.A),
@@ -125,7 +127,7 @@ def filter_from_json(data, where: str = "filter") -> Filter:
         if not isinstance(e, dict) or "n" not in e or "re" not in e:
             raise InputFormatError(f"{where}: coeffs[{idx}] needs fields 'n' and 're'")
         n = e["n"]
-        if not isinstance(n, list) or len(n) != dil.dim or not all(map(_is_int, n)):
+        if not isinstance(n, (list, tuple)) or len(n) != dil.dim or not all(map(_is_int, n)):
             raise InputFormatError(
                 f"{where}: coeffs[{idx}].n = {n!r} is not a length-{dil.dim} integer point"
             )
@@ -226,3 +228,5 @@ def load_json(path: str | Path):
         raise InputFormatError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except (ValueError, RecursionError) as exc:  # an over-long integer literal or deep nesting
+        raise InputFormatError(f"{path}: JSON too large to read: {exc}") from exc

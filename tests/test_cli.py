@@ -248,6 +248,40 @@ def test_overflowing_result_is_not_written_as_nan(workdir, capsys):
     assert "not finite" in err
 
 
+def _two_tap(points) -> str:
+    d = len(points[0])
+    matrix = '{"dim":1,"rows":[[2]]}' if d == 1 else '{"dim":2,"rows":[[1,1],[-1,1]]}'
+    coeffs = ",".join('{"n":[%s],"re":0.7071067811865476}' % ",".join(p) for p in points)
+    return '{"dim":%d,"matrix":%s,"coeffs":[%s]}' % (d, matrix, coeffs)
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (["verify", "{f}"], _two_tap([("1" + "0" * 4999,), ("1",)]), "too large to read: Exceeds the limit"),
+    (["--config", "{f}", "bundled", "haar1d"], '{"cell_budget":1' + "0" * 4999 + "}",
+     "too large to read: Exceeds the limit"),
+    (["verify", "{f}"], _two_tap([("1" + "0" * 400,), ("1",)]), "beyond double range"),
+    (["verify", "{f}"], _two_tap([("1" + "0" * 2200, "0"), ("0", "1")]), "beyond double range"),
+    (["transfer", "{f}", "--target", "{quincunx}"], _two_tap([("0", "0"), ("1" + "0" * 2200, "1")]),
+     "integer too long to print"),
+    (["cascade", "{f}", "--levels", "2"], _two_tap([("1" + "0" * 400,), ("1",)]),
+     "beyond double range"),
+    (["cascade", "{f}", "--levels", "2"], _two_tap([("9" * 4300,), ("1",)]), "too long to print"),
+], ids=["verify-long-literal", "config-long-literal", "verify-1d-far", "verify-2d-far",
+        "transfer-long-result", "cascade-far-centre", "cascade-long-cell"])
+def test_integers_beyond_float_or_print_range_are_input_errors(workdir, capsys, argv, text,
+                                                               message):
+    """Integers too long to parse or print, or too large for a float, exit
+    2 with a message naming the cause; a cascade writes no artifacts."""
+    (workdir / "f.json").write_text(text)
+    before = sorted(workdir.iterdir())
+    paths = {"f": workdir / "f.json", "quincunx": workdir / "quincunx.json"}
+    code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and message in err
+    assert sorted(workdir.iterdir()) == before
+
+
 @pytest.mark.parametrize("argv, message", [
     (["encode", "eval", "--d", "2", "--N", "0", "--point", "1,2"], "--N must be >= 1"),
     (["quincunx", "pattern", "--width", "0"], "--width must be >= 1"),

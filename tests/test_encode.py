@@ -24,6 +24,9 @@ from util import (
     enumerate_windows,
     flatten_order_key,
     index_decode_table,
+    reference_decode_index,
+    reference_decode_support,
+    reference_radix_encode,
     support_decode_table,
 )
 
@@ -45,7 +48,6 @@ def test_radix_examples():
     assert radix_encode(p21, (1, 1)) == 5
     assert radix_encode(p21, (0, 0)) == 0
     assert radix_encode(p21, (-1, 1)) == 3
-    assert EncodingParams(3, 2).base_weights == (1, 16, 256)
 
 
 def test_radix_injective_and_sign_law_exhaustive():
@@ -228,6 +230,68 @@ def test_direct_decoders_large_window():
     assert decode_index(params, encode_index(params, k)) == k
     n = (4095, 0, 1, 4095)
     assert decode_support(params, encode_support(params, n)) == n
+
+
+def window_codes(params):
+    """Every code of the support window and of the index window, built from
+    the radix values of the first d - 1 coordinates and the last one."""
+    d, w, stride = params.dim, params.window, params.row_stride
+    top = 1 << 2 * params.window_exponent * (d - 1)  # radix weight of the last coordinate
+    sup = [radix_encode(params, x + (0,)) for x in product(range(w), repeat=d - 1)]
+    cen = [radix_encode(params, x + (0,)) for x in product(range(1 - w, w), repeat=d - 1)]
+    support = [(y // 2) * stride + 2 * s + (y & 1) for y in range(w) for s in sup]
+    index = [j * stride + 2 * s for j in range(-((w - 1) // 2), (w + 1) // 2)
+             for s in cen if 2 * j * top + s >= 0]
+    return support, index
+
+
+def test_decoders_match_former_decoders_on_full_windows():
+    """The balanced decoders agree with the former two-candidate decoders on
+    every code of both windows in d, N = 1-4; on windows of up to 2^12
+    support points, both decoders also agree next to each code."""
+    for d in range(1, 5):
+        for n_exp in range(1, 5):
+            params = EncodingParams(d, n_exp)
+            support, index = window_codes(params)
+            for v in support:
+                assert decode_support(params, v) == reference_decode_support(params, v)
+            for v in index:
+                assert decode_index(params, v) == reference_decode_index(params, v)
+            if params.window ** d > 1 << 12:
+                continue
+            win = enumerate_windows(params)
+            assert sorted(support) == sorted(encode_support(params, n) for n in win.support_points)
+            assert sorted(index) == sorted(encode_index(params, k) for k in win.index_points)
+            for v in {u + s for u in support + index for s in (-2, -1, 1, 2)}:
+                assert decode_support(params, v) == reference_decode_support(params, v)
+                assert decode_index(params, v) == reference_decode_index(params, v)
+
+
+def test_radix_and_decoders_match_former_code_on_random_values():
+    """Random values in d = 1-5 with N up to 8, and at N = 20 and 64: codes
+    of random window points and their neighbours, values off the window,
+    negative values, and radix values of points inside and outside it."""
+    rng = random.Random(14)
+    for _ in range(12000):
+        params = EncodingParams(rng.randint(1, 5), rng.choice((1, 2, 3, 4, 5, 8, 20, 64)))
+        d, w, stride = params.dim, params.window, params.row_stride
+        n = tuple(rng.randrange(w) for _ in range(d))
+        k = tuple(rng.randrange(1 - w, w) for _ in range(d - 1)) \
+            + (2 * rng.randrange(1 - w // 2, w // 2),)
+        if radix_encode(params, k) < 0:
+            k = tuple(-c for c in k)
+        far = tuple(rng.randrange(-4 * w, 4 * w) for _ in range(d))
+        assert radix_encode(params, far) == reference_radix_encode(params, far)
+        assert radix_encode(params, k) == reference_radix_encode(params, k)
+        values = (
+            encode_support(params, n) + rng.randint(-2, 2),
+            encode_index(params, k) + rng.choice((0, 0, 1, 2, -2, stride, -stride, stride // 2)),
+            rng.randrange(-stride * (w + 2), stride * (w + 2)),
+            rng.getrandbits(rng.randint(1, (2 * d * params.window_exponent) + 4)),
+        )
+        for v in values:
+            assert decode_support(params, v) == reference_decode_support(params, v)
+            assert decode_index(params, v) == reference_decode_index(params, v)
 
 
 def test_flatten_order_key_matches_encoding_order():

@@ -23,6 +23,7 @@ from latwav.intlat import (
     IntMatrix,
     LatticePoint,
     SnfFactorization,
+    check_dim,
     coset_representative,
     from_adapted,
     smith_normal_form,
@@ -449,6 +450,89 @@ def index_decode_table(params: EncodingParams) -> dict[int, LatticePoint]:
     the reference for the radix decoder decode_index."""
     win = enumerate_windows(params)
     return {encode_index(params, k): k for k in win.index_points}
+
+
+# Encoding oracles: the library's former radix value, a sum against a tuple
+# of weights 4^((j-1)N) (the former EncodingParams.base_weights), and its
+# former decoders: one plain digit loop for the support window, and for the
+# index window a floor split retried at the next row with a signed digit loop.
+def reference_base_weights(params: EncodingParams) -> tuple[int, ...]:
+    """Exact weights 4^((j-1)N), j = 1..dim."""
+    n = params.window_exponent
+    return tuple(1 << (2 * n * j) for j in range(params.dim))
+
+
+def reference_radix_encode(params: EncodingParams, n: LatticePoint) -> int:
+    """Base-4^N positional value of n; total on Z^d, injective on the window."""
+    check_dim(n, params.dim)
+    return sum(c * w for c, w in zip(n, reference_base_weights(params)))
+
+
+def reference_decode_support(params: EncodingParams, value: int) -> LatticePoint | None:
+    """Inverse of encode_support, computed by radix decomposition.
+
+    On the support window the flattening is floor(y/2)*stride + 2*sigma + (y
+    odd) with 0 <= 2*sigma + 1 < stride and sigma a plain base-4^N number
+    with digits below 2^N, so the value splits uniquely.  Returns None when
+    the value is not the code of any window point.
+    """
+    d, n_exp = params.dim, params.window_exponent
+    w = 1 << n_exp
+    if value < 0:
+        return None
+    y_half, rest = divmod(value, params.row_stride)
+    parity = rest & 1
+    sigma = rest >> 1
+    digits = []
+    for _ in range(d - 1):
+        sigma, digit = divmod(sigma, 1 << (2 * n_exp))
+        if digit >= w:
+            return None
+        digits.append(digit)
+    if sigma:
+        return None
+    y = 2 * y_half + parity
+    if not 0 <= y < w:
+        return None
+    return tuple(digits) + (y,)
+
+
+def reference_decode_index(params: EncodingParams, value: int) -> LatticePoint | None:
+    """Inverse of encode_index, computed by signed radix decomposition.
+
+    The leading part 2*sigma of an index-window code can be negative, so the
+    split of value = j*stride + 2*sigma is ambiguous by one stride; both
+    candidates are tried and at most one decodes to window digits (the
+    flattening is injective there).
+    """
+    d, n_exp = params.dim, params.window_exponent
+    w = 1 << n_exp
+    if value < 0 or value & 1:
+        return None
+    stride = params.row_stride
+    base = 1 << (2 * n_exp)
+
+    def signed_digits(sigma: int) -> LatticePoint | None:
+        digits = []
+        for _ in range(d - 1):
+            sigma, digit = divmod(sigma, base)
+            if digit >= base - (w - 1):
+                digit -= base
+                sigma += 1
+            elif digit > w - 1:
+                return None
+            digits.append(digit)
+        return tuple(digits) if sigma == 0 else None
+
+    j0, rest = divmod(value, stride)
+    for j, twice_sigma in ((j0, rest), (j0 + 1, rest - stride)):
+        x = signed_digits(twice_sigma >> 1) if twice_sigma % 2 == 0 else None
+        if x is None:
+            continue
+        k = x + (2 * j,)
+        if in_index_window(params, k):
+            return k
+    return None
 
 
 # Cascade oracles: the library's former level difference, which scans the
