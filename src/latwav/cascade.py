@@ -81,9 +81,9 @@ def _centre_digits(matrix: DilationMatrix) -> tuple[LatticePoint, ...]:
     """S = {j : floor(A^-1 (j + 1/2)) = 0}, the fine cells whose centers lie
     in coarse cell 0, found in the integer bounding box of A [0,1]^d by the
     exact test 0 <= sign * adj(A) (2j + 1) < 2 |det A| on every row."""
-    det = matrix.A.det()
+    det = matrix.det
     sign = 1 if det > 0 else -1
-    adj_rows = [[sign * x for x in row] for row in matrix.A.adjugate().rows]
+    adj_rows = [[sign * x for x in row] for row in matrix.adj.rows]
     det2 = 2 * abs(det)
     images = [matrix.A.vec(corner) for corner in product((0, 1), repeat=matrix.dim)]
     box = [range(min(coord) - 1, max(coord) + 2) for coord in zip(*images)]
@@ -184,8 +184,8 @@ def support_bounding_box(filt: Filter) -> tuple[tuple[float, ...], tuple[float, 
     image of a skew matrix and need not converge.
     """
     d = filt.dim
-    det = filt.matrix.A.det()
-    ainv = [[x / det for x in row] for row in filt.matrix.A.adjugate().rows]
+    det = filt.matrix.det
+    ainv = [[x / det for x in row] for row in filt.matrix.adj.rows]
     pts = list(filt.coeffs)
     s_lo = [float(min(p[j] for p in pts)) for j in range(d)]
     s_hi = [float(max(p[j] for p in pts)) for j in range(d)]

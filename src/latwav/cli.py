@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 verification failure, 2 input error.
+Exit codes: 0 success, 1 verification failure, 2 input error.  Errors and
+library warnings go to stderr as single ``error: ...`` / ``warning: ...`` lines.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ import argparse
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
 
 from . import cascade as cascade_mod
@@ -270,11 +272,17 @@ _COMMANDS = {
 }
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = Config.from_file(args.config) if args.config else Config()
-        return _COMMANDS[args.command](args, config)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning  # one line, like the error lines
+            config = Config.from_file(args.config) if args.config else Config()
+            return _COMMANDS[args.command](args, config)
     except InputFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

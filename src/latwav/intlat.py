@@ -113,29 +113,27 @@ class IntMatrix(_IntMatrixFields):
         return sign * a[n - 1][n - 1]
 
     def adjugate(self) -> "IntMatrix":
-        """adj(M) with M * adj(M) = det(M) * I, exact.
-
-        By Cayley-Hamilton, A * M_d = -c_d * I for the last matrix M_d of the
-        charpoly recursion, and c_d = (-1)^d det A, so adj(A) = (-1)^(d-1) M_d.
-        """
-        sign = -1 if self.dim % 2 == 0 else 1
-        return IntMatrix(tuple(tuple(sign * x for x in row) for row in self._leverrier()[1]))
+        """adj(M) with M * adj(M) = det(M) * I, exact (see ``_leverrier``)."""
+        return self._leverrier()[2]
 
     def unimodular_inverse(self) -> "IntMatrix":
         """Exact integer inverse det * adj; requires det = +/-1."""
-        d = self.det()
+        _, d, adj = self._leverrier()
         if d not in (1, -1):
             raise ValueError(f"matrix with det {d} has no integer inverse")
-        return IntMatrix(tuple(tuple(d * x for x in row) for row in self.adjugate().rows))
+        return IntMatrix(tuple(tuple(d * x for x in row) for row in adj.rows))
 
     def charpoly(self) -> tuple[int, ...]:
         """Monic characteristic polynomial coefficients, highest degree first."""
         return self._leverrier()[0]
 
-    def _leverrier(self) -> tuple[tuple[int, ...], list[list[int]]]:
+    def _leverrier(self) -> tuple[tuple[int, ...], int, "IntMatrix"]:
         """Faddeev-LeVerrier: M_1 = I, c_k = -tr(A M_k) / k and
-        M_(k+1) = A M_k + c_k I.  Returns (1, c_1, ..., c_d) and the rows of
-        M_d; every division is exact over the integers."""
+        M_(k+1) = A M_k + c_k I; every division is exact over the integers.
+
+        Returns (1, c_1, ..., c_d), det A and adj A.  By Cayley-Hamilton,
+        A * M_d = -c_d * I, and c_d = (-1)^d det A, so adj A = (-1)^(d-1) M_d.
+        """
         n = self.dim
         coeffs = [1]
         m = [list(row) for row in IntMatrix.identity(n).rows]
@@ -150,7 +148,9 @@ class IntMatrix(_IntMatrixFields):
                 for i in range(n):
                     am[i][i] += c
                 m = am
-        return tuple(coeffs), m
+        sign = 1 if n % 2 == 0 else -1  # (-1)^d
+        adj = IntMatrix(tuple(tuple(-sign * x for x in row) for row in m))
+        return tuple(coeffs), sign * coeffs[-1], adj
 
 
 class SnfFactorization(NamedTuple):
@@ -168,7 +168,7 @@ class SnfFactorization(NamedTuple):
         return self.U.mul(self.D).mul(self.V)
 
 
-def is_expansive(A: IntMatrix) -> bool:
+def is_expansive(A: IntMatrix, charpoly: tuple[int, ...] | None = None) -> bool:
     """True iff every eigenvalue of A has modulus > 1, decided exactly.
 
     The eigenvalues of A lie outside the closed unit disk exactly when the
@@ -179,9 +179,10 @@ def is_expansive(A: IntMatrix) -> bool:
     (a_n f - a_0 f*) / z, of degree n - 1, is stable.  Each step divides out
     the content so the coefficients stay small.  Roots on the unit circle
     (and the eigenvalue 0) end the recursion with False; nothing rounds.
+    ``charpoly``, when given, is A's, already computed.
     """
     # The charpoly's coefficients, highest degree first, are r's lowest first.
-    f = list(A.charpoly())
+    f = list(charpoly or A.charpoly())
     while len(f) > 1:
         a0, an = f[0], f[-1]
         if abs(a0) >= abs(an):
@@ -276,10 +277,12 @@ def in_dilated_lattice_exact(A: IntMatrix, u_inverse: IntMatrix,
     coordinate.  Disagreement would mean a broken factorization, so it is an
     assertion failure rather than a recoverable error.
     """
-    check_dim(p, A.dim)
-    det_a = A.det()
-    num = A.adjugate().vec(p)
-    route1 = all(x % det_a == 0 for x in num)
+    return _membership(A.det(), A.adjugate(), u_inverse, p)
+
+
+def _membership(det_a: int, adj: IntMatrix, u_inverse: IntMatrix, p: LatticePoint) -> bool:
+    check_dim(p, adj.dim)
+    route1 = all(x % det_a == 0 for x in adj.vec(p))
     route2 = u_inverse.vec(p)[-1] % 2 == 0
     if route1 != route2:
         raise AssertionError(f"lattice membership routes disagree at {p}")
@@ -291,8 +294,9 @@ class DilationMatrix(NamedTuple):
 
     `adapted_basis` is U from the Smith normal form; its columns form the
     basis in which A*Z^d = {(x, 2n)}.  `coset_rep` = U*e_d generates the
-    complementary coset.  All fields are immutable; instances are safe to
-    share across threads.
+    complementary coset.  `det` and `adj` are det(A) and adj(A), taken from
+    the charpoly run that decides expansiveness.  All fields are immutable;
+    instances are safe to share across threads.
     """
 
     A: IntMatrix
@@ -300,12 +304,15 @@ class DilationMatrix(NamedTuple):
     adapted_basis: IntMatrix
     adapted_basis_inv: IntMatrix
     coset_rep: LatticePoint
+    det: int
+    adj: IntMatrix
 
     @classmethod
     def from_matrix(cls, A) -> "DilationMatrix":
         if not isinstance(A, IntMatrix):
             A = IntMatrix.from_rows(A)
-        if not is_expansive(A):
+        charpoly, det, adj = A._leverrier()
+        if not is_expansive(A, charpoly):
             raise NotExpansiveError("matrix has an eigenvalue of modulus <= 1")
         snf = smith_normal_form(A)
         u_inv = snf.U.unimodular_inverse()
@@ -316,6 +323,8 @@ class DilationMatrix(NamedTuple):
             adapted_basis=snf.U,
             adapted_basis_inv=u_inv,
             coset_rep=rep,
+            det=det,
+            adj=adj,
         )
         if in_dilated_lattice(dil, rep):
             raise AssertionError("coset representative landed inside A*Z^d")
@@ -327,8 +336,9 @@ class DilationMatrix(NamedTuple):
 
 
 def in_dilated_lattice(dil: DilationMatrix, k: LatticePoint) -> bool:
-    """True iff k is in A*Z^d (two exact routes, cross-checked)."""
-    return in_dilated_lattice_exact(dil.A, dil.adapted_basis_inv, k)
+    """True iff k is in A*Z^d (two exact routes, cross-checked; the same
+    decision as ``in_dilated_lattice_exact`` with det and adj held)."""
+    return _membership(dil.det, dil.adj, dil.adapted_basis_inv, k)
 
 
 def to_adapted(dil: DilationMatrix, p: LatticePoint) -> LatticePoint:

@@ -22,9 +22,12 @@ from .verify import ResidualReport
 def canonical_dumps(obj) -> str:
     """Strict, compact JSON: a NaN or infinity (from input magnitudes that
     overflow double precision) is refused rather than written as a bare
-    token.  Without ``indent`` the json module uses its C encoder."""
+    token.  Without ``indent`` the json module uses its C encoder.  Every
+    document is a tree built fresh by a ``*_to_json`` function, so the
+    encoder keeps no cycle markers."""
     try:
-        return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False,
+                          check_circular=False)
     except ValueError as exc:
         if "integer string conversion" in str(exc):
             raise InputFormatError(f"result holds an integer too long to print: {exc}") from exc

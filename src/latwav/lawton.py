@@ -19,6 +19,7 @@ exactly the point's image in a one-dimensional transfer.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import NamedTuple
 
 from .encode import EncodingParams, encode_support, window_exponent_for_extent
@@ -152,35 +153,33 @@ def build_reduced_system(support: SupportSet, dil: DilationMatrix) -> ReducedSys
     the one with nonnegative radix value in the adapted chart, listed in
     increasing radix order (so the zero generator always comes first).
 
-    One pass over ordered pairs builds everything, in the 1-D chart.  Only
-    pairs whose codes share a parity (last adapted coordinate) differ by an
+    One pass over pairs builds everything, in the 1-D chart.  Only pairs
+    whose codes share a parity (last adapted coordinate) differ by an
     element of A*Z^d.  For such a, b the code difference is
     v = (dy/2)*stride + 2*radix(dx) with |2*radix(dx)| < stride/2, so v is
     injective in k = b - a, and its sign and order are those of radix(k):
     dy first, then x from right to left.  v >= 0 is thus the canonical-sign
-    test and sorting by v lists the index set in radix order.  Iterating a
-    in support order adds at most one pair per generator for each a, so
-    every bucket lists its pairs (n, n + k) in support order.
+    test, so each a pairs only with the same-parity points at or after it
+    in code order, and sorting by v lists the index set in radix order.
+    Iterating a in support order adds at most one pair per generator for
+    each a, so every bucket lists its pairs (n, n + k) in support order.
     """
     if support.dim != dil.dim:
         raise DimensionMismatchError("support and matrix dimensions differ")
     codes, c_min, n_exp = _chart(support, dil)
     order = tuple(sorted(support.points, key=codes.__getitem__))
     classes: tuple[list, list] = ([], [])
+    starts = []  # each point's position in its parity class
     for p in order:
-        classes[codes[p] & 1].append((codes[p], p))
+        same = classes[codes[p] & 1]
+        starts.append(len(same))
+        same.append((codes[p], p))
 
-    buckets: dict[int, list] = {}
-    for a in order:
+    buckets = defaultdict(list)
+    for a, start in zip(order, starts):
         ca = codes[a]
-        for cb, b in classes[ca & 1]:
-            v = cb - ca
-            if v >= 0:
-                bucket = buckets.get(v)
-                if bucket is None:
-                    buckets[v] = [(a, b)]
-                else:
-                    bucket.append((a, b))
+        for cb, b in classes[ca & 1][start:]:
+            buckets[cb - ca].append((a, b))
 
     equations = {}
     for v in sorted(buckets):

@@ -132,8 +132,10 @@ def _witness_fault(sys_a: ReducedSystem, sys_b: ReducedSystem, iso: IsoMap) -> s
         return "support map is not a bijection onto the target support"
     for k, eq in sys_a.equations.items():
         target = sys_b.equations.get(eta[k])
-        mapped = Equation(k=eta[k], pairs=tuple((theta[n], theta[m]) for n, m in eq.pairs),
-                          rhs=eq.rhs)
+        pairs = tuple([(theta[n], theta[m]) for n, m in eq.pairs])
+        if target is not None and pairs == target.pairs and eq.rhs == target.rhs:
+            continue  # the same pairs in the same order: no pair sets needed
+        mapped = Equation(k=eta[k], pairs=pairs, rhs=eq.rhs)
         if target is None or not equations_equal_up_to_conjugation(mapped, target):
             return (f"generator {k} does not map: its equation under the support map "
                     f"is not the target equation of {eta[k]}")

@@ -64,13 +64,14 @@ def _dual_coset_shift(filt: Filter):
     transpose; the solve is exact (adjugate over determinant) up to the
     integer true division, which rounds each quotient correctly.  The
     denominator is made positive first, so a zero quotient is +0.0.
+    det(A^T) = det(A) and adj(A^T) = adj(A)^T are read off the matrix.
     """
     import numpy as np
 
-    at = filt.matrix.A.transpose()
-    q = coset_representative(smith_normal_form(at))
-    det = at.det()
-    num = at.adjugate().vec(q)
+    dil = filt.matrix
+    q = coset_representative(smith_normal_form(dil.A.transpose()))
+    det = dil.det
+    num = dil.adj.transpose().vec(q)
     if det < 0:
         det, num = -det, [-x for x in num]
     return np.array([2.0 * math.pi * (x / det) for x in num])

@@ -5,10 +5,12 @@ import json
 
 import pytest
 
+import latwav.jsonio
 from latwav.cli import main
 from latwav.jsonio import canonical_dumps, filter_to_json, matrix_to_json
 from latwav.filters import daubechies4_1d, haar_1d, quincunx_matrix
 from latwav.transfer import Filter
+from util import error_line, reference_canonical_dumps
 
 
 @pytest.fixture
@@ -278,7 +280,7 @@ def test_integers_beyond_float_or_print_range_are_input_errors(workdir, capsys, 
     code, out, err = run(capsys, *(a.format(**paths) for a in argv))
     assert code == 2
     assert out == ""
-    assert err.startswith("error:") and message in err
+    assert message in error_line(err)
     assert sorted(workdir.iterdir()) == before
 
 
@@ -471,3 +473,42 @@ def test_cli_output_matches_golden_digests(tmp_path, capsys, monkeypatch):
         for name, data in _golden_outputs(tmp_path, capsys).items()
     }
     assert digests == GOLDEN_DIGESTS
+
+
+def test_golden_documents_dump_as_with_cycle_checks(tmp_path, capsys, monkeypatch):
+    """Every document the golden calls print or write is byte-identical to
+    the former dump, which kept the encoder's cycle markers."""
+    monkeypatch.setenv("LATWAV_OUTPUT_DIR", str(tmp_path / "out"))
+    documents = []
+
+    def checked(obj):
+        text = canonical_dumps(obj)
+        assert text == reference_canonical_dumps(obj)
+        documents.append(text)
+        return text
+
+    monkeypatch.setattr(latwav.jsonio, "canonical_dumps", checked)
+    _golden_outputs(tmp_path, capsys)
+    assert len(documents) == 31  # 28 printed documents and 3 grid.json sidecars
+
+
+def _zero_tap_filter(workdir):
+    data = json.loads(canonical_dumps(filter_to_json(haar_1d())))
+    data["coeffs"].append({"n": [2], "re": 0.0})
+    (workdir / "zero.json").write_text(json.dumps(data))
+    return workdir / "zero.json"
+
+
+def test_library_warnings_print_as_one_warning_line(workdir, capsys):
+    """A library warning prints as `warning: <message>` alone, like the
+    `error:` lines: no source path, no category, no echoed source line."""
+    code, out, err = run(capsys, "reduce", str(_zero_tap_filter(workdir)))
+    assert code == 0 and json.loads(out)["support"] == [[0], [1]]
+    assert err == "warning: dropped 1 exactly-zero coefficient(s)\n"
+
+    bad = Filter.from_coeffs(haar_1d().matrix, {(0,): 0.9, (1,): 0.7071067811865476})
+    (workdir / "bad.json").write_text(canonical_dumps(filter_to_json(bad)))
+    code, out, err = run(capsys, "cascade", str(workdir / "bad.json"), "--levels", "2")
+    assert code == 0 and json.loads(out)["level"] == 2
+    assert err == ("warning: filter residual 3.100e-01 exceeds 1.0e-10; "
+                   "cascade convergence is not guaranteed\n")

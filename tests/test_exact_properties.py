@@ -1,6 +1,7 @@
 """Property tests of the exact layers: the Smith normal form's invariants on
-random determinant +/-2 matrices in d = 1-5, and decode after encode as the
-identity on the support and index windows in d = 1-4 with N up to 12."""
+random determinant +/-2 matrices in d = 1-5, decode after encode as the
+identity on the support and index windows in d = 1-4 with N up to 12, and
+the reduced-system build equal to the former full pair scan in d = 1-4."""
 
 import pytest
 
@@ -18,15 +19,17 @@ from latwav.encode import (  # noqa: E402
     radix_encode,
 )
 from latwav.intlat import IntMatrix, coset_representative, smith_normal_form  # noqa: E402
+from latwav.lawton import SupportSet, build_reduced_system  # noqa: E402
+from util import lattice_chart, reference_pair_scan_build  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
 
 
 @st.composite
-def det_two_matrices(draw) -> IntMatrix:
+def det_two_matrices(draw, max_dim: int = 5) -> IntMatrix:
     """P * diag(1, ..., 1, +/-2) * Q, where P and Q are products of random
     elementary row additions, swaps and negations."""
-    d = draw(st.integers(1, 5))
+    d = draw(st.integers(1, max_dim))
 
     def unimodular() -> IntMatrix:
         rows = [[int(i == j) for j in range(d)] for i in range(d)]
@@ -113,3 +116,24 @@ def test_decode_is_none_off_the_image(data):
         assert n is None or (in_support_window(p, n) and encode_support(p, n) == value)
         k = decode_index(p, value)
         assert k is None or (in_index_window(p, k) and encode_index(p, k) == value)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_build_matches_the_full_pair_scan(data):
+    """The same index set, equation order, pair order, support order and
+    chart as the former build, which scanned every ordered same-parity pair;
+    supports are dense or sparse and translated anywhere."""
+    dil = lattice_chart(data.draw(det_two_matrices(max_dim=4)))
+    span = data.draw(st.sampled_from((1, 2, 3, 8, 40)))
+    offset = data.draw(st.tuples(*[st.integers(-60, 60)] * dil.dim))
+    box = st.tuples(*[st.integers(0, span)] * dil.dim)
+    points = data.draw(st.sets(box, min_size=1, max_size=30))
+    support = SupportSet.from_points(
+        tuple(o + c for o, c in zip(offset, p)) for p in points)
+    got = build_reduced_system(support, dil)
+    want = reference_pair_scan_build(support, dil)
+    assert got.index_set == want.index_set
+    for k in want.index_set:
+        assert got.equations[k] == want.equations[k], k
+    assert got == want

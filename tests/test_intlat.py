@@ -209,6 +209,60 @@ def test_membership_routes_cross_checked_on_random_dyadic():
                 in_dilated_lattice_exact(m, u_inv, p)
 
 
+def _random_expansive(rnd, dim: int) -> IntMatrix:
+    """U C U^-1 for the companion C of x^d +/- 2 and a random unimodular U."""
+    c = companion((1,) + (0,) * (dim - 1) + (rnd.choice((2, -2)),))
+    u = IntMatrix.identity(dim)
+    for _ in range(rnd.randint(0, 4) if dim > 1 else 0):
+        i, j = rnd.sample(range(dim), 2)
+        rows = [[int(r == s) for s in range(dim)] for r in range(dim)]
+        rows[i][j] = rnd.choice((-2, -1, 1, 2))
+        u = u.mul(IntMatrix.from_rows(rows))
+    return u.mul(c).mul(u.unimodular_inverse())
+
+
+def test_held_det_and_adjugate_match_the_exact_membership_oracle():
+    """A DilationMatrix keeps det(A) and adj(A) from its one charpoly run:
+    they equal Bareiss's determinant and the cofactor adjugate, and
+    in_dilated_lattice decides as in_dilated_lattice_exact, which computes
+    both afresh, on random points in d = 1-4."""
+    rnd = random.Random(17)
+    for dim in (1, 2, 3, 4):
+        for _ in range(25):
+            a = _random_expansive(rnd, dim)
+            dil = DilationMatrix.from_matrix(a)
+            assert dil.det == a.det() and abs(dil.det) == 2
+            assert dil.adj == a.adjugate() == reference_adjugate(a)
+            for bound in (3, 10**6):
+                for _ in range(100):
+                    p = tuple(rnd.randint(-bound, bound) for _ in range(dim))
+                    assert in_dilated_lattice(dil, p) == in_dilated_lattice_exact(
+                        a, dil.adapted_basis_inv, p), (a.rows, p)
+
+
+def test_from_matrix_runs_each_exact_routine_once(monkeypatch):
+    """Building a DilationMatrix runs the charpoly recursion and Bareiss
+    once each on A, and membership tests run neither again."""
+    a = IntMatrix.from_rows([[0, 0, -2], [1, 0, 0], [0, 1, 0]])
+    calls = []
+
+    def counted(name):
+        original = getattr(IntMatrix, name)
+
+        def wrapper(self):
+            if self == a:
+                calls.append(name)
+            return original(self)
+        return wrapper
+
+    for name in ("_leverrier", "det"):
+        monkeypatch.setattr(IntMatrix, name, counted(name))
+    dil = DilationMatrix.from_matrix(a)
+    for p in lattice_window(3, 2):
+        in_dilated_lattice(dil, p)
+    assert sorted(calls) == ["_leverrier", "det"]
+
+
 def test_matrix_power_and_adjugate():
     m = IntMatrix.from_rows(QUINCUNX)
     assert m.power(0) == IntMatrix.identity(2)

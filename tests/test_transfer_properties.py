@@ -1,6 +1,9 @@
-"""Property test: every transfer's index map, derived from its support map,
-equals the former encode_index/decode_index route, and residuals carry over
-bit for bit, over random expansive dyadic matrices in d = 1-4."""
+"""Property tests over random expansive dyadic matrices in d = 1-4: every
+transfer's index map, derived from its support map, equals the former
+encode_index/decode_index route, and residuals carry over bit for bit; the
+witness check gives the former check's verdict and text on true and corrupted
+witnesses; and the canonical JSON of systems and reports is byte-identical
+to the former dump with cycle checks."""
 
 import pytest
 
@@ -8,9 +11,22 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from latwav.intlat import DilationMatrix, IntMatrix  # noqa: E402
-from latwav.transfer import Filter, transfer  # noqa: E402
+from latwav.jsonio import (  # noqa: E402
+    canonical_dumps,
+    residual_report_to_json,
+    system_to_json,
+    transfer_report_to_json,
+)
+from latwav.transfer import Filter, IsoMap, _witness_fault, transfer  # noqa: E402
 from latwav.verify import lawton_residuals  # noqa: E402
-from util import companion, reference_index_map  # noqa: E402
+from util import (  # noqa: E402
+    companion,
+    reference_canonical_dumps,
+    reference_index_map,
+    reference_witness_fault,
+)
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=200, deadline=None)
 
 
 @st.composite
@@ -46,13 +62,18 @@ def filters(draw, matrix: DilationMatrix) -> Filter:
     return Filter.from_coeffs(matrix, coeffs)
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@st.composite
+def transfers(draw):
+    source = draw(expansive_dyadic(draw(st.integers(1, 4))))
+    target = draw(expansive_dyadic(draw(st.integers(1, 4))))
+    filt = draw(filters(source))
+    return filt, transfer(filt, target)
+
+
+@PROPERTY
 @given(data=st.data())
 def test_index_maps_match_the_encoding_route(data):
-    source = data.draw(expansive_dyadic(data.draw(st.integers(1, 4))))
-    target = data.draw(expansive_dyadic(data.draw(st.integers(1, 4))))
-    filt = data.draw(filters(source))
-    report = transfer(filt, target)
+    filt, report = data.draw(transfers())
 
     for stage, to_line in zip(report.stages, (True, False)):
         assert stage.iso.index_map == reference_index_map(stage, to_line)
@@ -62,3 +83,48 @@ def test_index_maps_match_the_encoding_route(data):
     assert tgt.sum_residual == src.sum_residual
     for k, value in src.per_index.items():
         assert tgt.per_index[report.iso.index_map[k]] == value
+
+
+def _with_equations(system, change):
+    return system._replace(equations={k: change(k, eq) for k, eq in system.equations.items()})
+
+
+@PROPERTY
+@given(data=st.data())
+def test_witness_check_matches_the_former_check(data):
+    """True witnesses; targets whose pairs are reordered (tuples differ, pair
+    sets agree) or transposed; a target with one right-hand side flipped; and
+    a support map with two points swapped."""
+    _, report = data.draw(transfers())
+    chosen = data.draw(st.sampled_from((report, *report.stages)))
+    sys_a, sys_b, iso = chosen.source_system, chosen.target_system, chosen.iso
+    flip = data.draw(st.sampled_from(sys_b.index_set))
+    theta = dict(iso.support_map)
+    points = data.draw(st.permutations(sorted(theta)))
+    p, q = points[0], points[-1]  # the same point on a one-point support
+    theta[p], theta[q] = theta[q], theta[p]
+    cases = {
+        "true": (sys_b, iso),
+        "reordered": (_with_equations(sys_b, lambda k, eq: eq._replace(pairs=eq.pairs[::-1])), iso),
+        "transposed": (_with_equations(
+            sys_b, lambda k, eq: eq._replace(pairs=tuple((b, a) for a, b in eq.pairs))), iso),
+        "rhs": (_with_equations(
+            sys_b, lambda k, eq: eq._replace(rhs=1 - eq.rhs) if k == flip else eq), iso),
+        "swapped": (sys_b, IsoMap(theta, iso.index_map)),
+    }
+    faults = {name: _witness_fault(sys_a, b, w) for name, (b, w) in cases.items()}
+    assert faults == {name: reference_witness_fault(sys_a, b, w)
+                      for name, (b, w) in cases.items()}
+    assert faults["true"] is faults["reordered"] is faults["transposed"] is None
+    assert faults["rhs"] is not None
+
+
+@PROPERTY
+@given(data=st.data())
+def test_canonical_dumps_match_the_dump_with_cycle_checks(data):
+    _, report = data.draw(transfers())
+    documents = [system_to_json(report.source_system), system_to_json(report.target_system),
+                 transfer_report_to_json(report),
+                 residual_report_to_json(lawton_residuals(report.target_filter))]
+    for doc in documents:
+        assert canonical_dumps(doc) == reference_canonical_dumps(doc)

@@ -1,5 +1,6 @@
 """Shared helpers for the test suite."""
 
+import json
 import math
 from fractions import Fraction
 from itertools import product
@@ -17,7 +18,12 @@ from latwav.encode import (
     radix_encode,
     window_exponent_for_extent,
 )
-from latwav.errors import LatwavError, NotDyadicError
+from latwav.errors import (
+    DimensionMismatchError,
+    DomainMismatchError,
+    LatwavError,
+    NotDyadicError,
+)
 from latwav.intlat import (
     DilationMatrix,
     IntMatrix,
@@ -29,9 +35,25 @@ from latwav.intlat import (
     smith_normal_form,
     to_adapted,
 )
-from latwav.lawton import Equation, ReducedSystem, SupportSet
-from latwav.transfer import Filter
+from latwav.lawton import (
+    Equation,
+    ReducedSystem,
+    SupportSet,
+    _chart,
+    equations_equal_up_to_conjugation,
+)
+from latwav.transfer import Filter, IsoMap
 from latwav.verify import SQRT2, _dual_coset_shift
+
+def error_line(err: str) -> str:
+    """The ``error:`` line that ends the stderr of an exit-2 CLI call.  Every
+    line before it must be a ``warning:`` line (a library warning that came
+    before the error), so no traceback or source line slips through."""
+    *before, last = err.splitlines() or [""]
+    assert all(line.startswith("warning: ") for line in before), err
+    assert last.startswith("error:"), err
+    return last
+
 
 # Window enumeration: every point of the support window and of the index
 # window, materialized for exhaustive tests of the encodings.
@@ -311,6 +333,8 @@ def lattice_chart(m: IntMatrix) -> DilationMatrix:
         adapted_basis=snf.U,
         adapted_basis_inv=snf.U.unimodular_inverse(),
         coset_rep=coset_representative(snf),
+        det=m.det(),
+        adj=m.adjugate(),
     )
 
 
@@ -389,6 +413,80 @@ def reference_build_reduced_system(support: SupportSet, dil: DilationMatrix) -> 
                     for p in order),
         c_min=c_min,
     )
+
+
+# Bucket-pass oracle: the library's former one-pass build, which scans every
+# ordered same-parity pair in the 1-D chart and keeps those with v >= 0.
+def reference_pair_scan_build(support: SupportSet, dil: DilationMatrix) -> ReducedSystem:
+    if support.dim != dil.dim:
+        raise DimensionMismatchError("support and matrix dimensions differ")
+    codes, c_min, n_exp = _chart(support, dil)
+    order = tuple(sorted(support.points, key=codes.__getitem__))
+    classes: tuple[list, list] = ([], [])
+    for p in order:
+        classes[codes[p] & 1].append((codes[p], p))
+
+    buckets: dict[int, list] = {}
+    for a in order:
+        ca = codes[a]
+        for cb, b in classes[ca & 1]:
+            v = cb - ca
+            if v >= 0:
+                bucket = buckets.get(v)
+                if bucket is None:
+                    buckets[v] = [(a, b)]
+                else:
+                    bucket.append((a, b))
+
+    equations = {}
+    for v in sorted(buckets):
+        pairs = buckets[v]
+        a, b = pairs[0]
+        k = tuple(y - x for x, y in zip(a, b))
+        equations[k] = Equation(k=k, pairs=tuple(pairs), rhs=1 if v == 0 else 0)
+    index_set = tuple(equations)
+    return ReducedSystem(
+        support=support,
+        matrix=dil,
+        index_set=index_set,
+        equations=equations,
+        window_exponent=n_exp,
+        support_order=order,
+        codes=tuple(codes[p] for p in order),
+        c_min=c_min,
+    )
+
+
+# Witness oracle: the library's former witness check, which compares every
+# mapped equation with its target as pair sets, up to transposition.
+def reference_witness_fault(sys_a: ReducedSystem, sys_b: ReducedSystem,
+                            iso: IsoMap) -> str | None:
+    theta, eta = iso.support_map, iso.index_map
+    if set(theta) != set(sys_a.support.points):
+        raise DomainMismatchError("support map domain does not match the source support")
+    if set(eta) != set(sys_a.index_set):
+        raise DomainMismatchError("index map domain does not match the source index set")
+
+    image = set(theta.values())
+    if image != set(sys_b.support.points) or len(image) != len(theta):
+        return "support map is not a bijection onto the target support"
+    for k, eq in sys_a.equations.items():
+        target = sys_b.equations.get(eta[k])
+        mapped = Equation(k=eta[k], pairs=tuple((theta[n], theta[m]) for n, m in eq.pairs),
+                          rhs=eq.rhs)
+        if target is None or not equations_equal_up_to_conjugation(mapped, target):
+            return (f"generator {k} does not map: its equation under the support map "
+                    f"is not the target equation of {eta[k]}")
+    image = set(eta.values())
+    if image != set(sys_b.index_set) or len(image) != len(eta):
+        return "index map is not a bijection onto the target index set"
+    return None
+
+
+# JSON oracle: the library's former canonical dump, with the encoder's
+# cycle markers on.
+def reference_canonical_dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def reference_index_map(report, to_line: bool = True) -> dict:
