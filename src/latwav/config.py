@@ -8,6 +8,7 @@ from pathlib import Path
 from .errors import InputFormatError
 
 DEFAULT_CELL_BUDGET = 5_000_000
+DEFAULT_PAIR_BUDGET = 5_000_000
 
 
 def _is_int(x) -> bool:
@@ -18,15 +19,16 @@ class Config:
     """Limits and defaults; the fields are the ``__slots__``, validated at
     construction and compared as a tuple."""
 
-    __slots__ = ("tolerance", "cascade_level_cap", "cell_budget", "output_dir")
+    __slots__ = ("tolerance", "cascade_level_cap", "cell_budget", "output_dir", "pair_budget")
 
     def __init__(self, tolerance: float = 1e-10, cascade_level_cap: int = 12,
-                 cell_budget: int = DEFAULT_CELL_BUDGET, output_dir: str = "."):
+                 cell_budget: int = DEFAULT_CELL_BUDGET, output_dir: str = ".",
+                 pair_budget: int = DEFAULT_PAIR_BUDGET):
         if not (_is_int(tolerance) or isinstance(tolerance, float)) \
                 or not math.isfinite(tolerance) or tolerance <= 0:
             raise InputFormatError(f"tolerance must be a positive number, got {tolerance!r}")
         for name, value in (("cascade_level_cap", cascade_level_cap),
-                            ("cell_budget", cell_budget)):
+                            ("cell_budget", cell_budget), ("pair_budget", pair_budget)):
             if not _is_int(value) or value <= 0:
                 raise InputFormatError(f"{name} must be a positive integer, got {value!r}")
         if not isinstance(output_dir, str):
@@ -35,6 +37,7 @@ class Config:
         self.cascade_level_cap = cascade_level_cap
         self.cell_budget = cell_budget
         self.output_dir = output_dir
+        self.pair_budget = pair_budget
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)

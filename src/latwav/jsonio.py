@@ -162,6 +162,27 @@ def system_to_json(system: ReducedSystem) -> dict:
     }
 
 
+def system_dumps(system: ReducedSystem) -> str:
+    """``canonical_dumps(system_to_json(system))``, rendered directly so the
+    encoder never walks the pair tuples.  Each support point and generator
+    is dumped once by ``canonical_dumps`` (an integer too long to print is
+    the same input error); a pair (a, b) is then "[a," + "b]" from two
+    cached texts.  The keys are written in sorted order."""
+    point = {p: canonical_dumps(p) for p in system.support_order}
+    head = {p: f"[{text}," for p, text in point.items()}
+    tail = {p: f"{text}]" for p, text in point.items()}
+    ks = [canonical_dumps(k) for k in system.index_set]
+    equations = ",".join(
+        '{"k":%s,"pairs":[%s],"rhs":%d}'
+        % (k, ",".join([head[a] + tail[b] for a, b in eq.pairs]), eq.rhs)
+        for k, eq in zip(ks, map(system.equations.__getitem__, system.index_set))
+    )
+    return ('{"equations":[%s],"index_set":[%s],"matrix":%s,"support":[%s],'
+            '"window_exponent":%d}') % (
+        equations, ",".join(ks), canonical_dumps(matrix_to_json(system.matrix.A)),
+        ",".join(point.values()), system.window_exponent)
+
+
 def residual_report_to_json(report: ResidualReport) -> dict:
     return {
         "per_index": [

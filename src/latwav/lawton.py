@@ -19,6 +19,7 @@ exactly the point's image in a one-dimensional transfer.
 
 from __future__ import annotations
 
+import operator
 from collections import defaultdict
 from typing import NamedTuple
 
@@ -144,6 +145,19 @@ def equations_equal_up_to_conjugation(e1: Equation, e2: Equation) -> bool:
         return False
     s1, s2 = e1.pair_set(), e2.pair_set()
     return s1 == s2 or s1 == frozenset((b, a) for a, b in s2)
+
+
+def pair_count(support: SupportSet, dil: DilationMatrix) -> int:
+    """The number of pairs ``build_reduced_system`` stores, in O(L) before
+    any bucket exists: each point pairs with the points of its parity class
+    (the parity of its last adapted coordinate) at or after it, so a class
+    of n points makes n(n + 1)/2 pairs."""
+    if support.dim != dil.dim:
+        raise DimensionMismatchError("support and matrix dimensions differ")
+    last = dil.adapted_basis_inv.rows[-1]
+    odd = sum(sum(map(operator.mul, last, p)) & 1 for p in support.points)
+    even = len(support) - odd
+    return (odd * (odd + 1) + even * (even + 1)) // 2
 
 
 def build_reduced_system(support: SupportSet, dil: DilationMatrix) -> ReducedSystem:

@@ -27,10 +27,6 @@ from .errors import DimensionMismatchError
 from .lawton import SupportSet
 
 SQRT2 = math.sqrt(2.0)
-# Odd-sum points must carry magnitude above NONZERO_THRESHOLD; even-sum points
-# other than the origin must vanish below ZERO_THRESHOLD.
-ZERO_THRESHOLD = 1e-9
-NONZERO_THRESHOLD = 1e-2
 
 
 def _cosine_line_integral(p: int) -> float:
@@ -57,7 +53,13 @@ def shannon_coeff(m: int, n: int) -> float:
 
 
 class SupportPatternReport(NamedTuple):
-    """Classification of the coefficient window [-W, W]^2."""
+    """Classification of the coefficient window [-W, W]^2.
+
+    ``shannon_coeff`` is exactly 0.0 at every even-sum point but the origin
+    and a nonzero float at every odd-sum point, so the pattern is decided by
+    exact comparison with zero; the smallest odd magnitude,
+    (2 sqrt(2) / pi^2) / (W^2 - 1) or / W^2, shrinks with the width.
+    """
 
     half_width: int
     values: dict[tuple[int, int], float]
@@ -66,8 +68,7 @@ class SupportPatternReport(NamedTuple):
 
     @property
     def pattern_holds(self) -> bool:
-        return (self.min_odd_magnitude > NONZERO_THRESHOLD
-                and self.max_even_magnitude < ZERO_THRESHOLD)
+        return self.min_odd_magnitude != 0.0 and self.max_even_magnitude == 0.0
 
 
 def support_pattern(half_width: int) -> SupportPatternReport:

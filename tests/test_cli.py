@@ -1,13 +1,22 @@
 """End-to-end CLI behavior: pipelines, artifacts, exit codes."""
 
+import gc
 import hashlib
+import importlib
 import json
+import math
 
 import pytest
 
 import latwav.jsonio
 from latwav.cli import main
-from latwav.jsonio import canonical_dumps, filter_to_json, matrix_to_json
+from latwav.jsonio import (
+    canonical_dumps,
+    filter_to_json,
+    matrix_to_json,
+    system_dumps,
+    system_to_json,
+)
 from latwav.filters import daubechies4_1d, haar_1d, quincunx_matrix
 from latwav.transfer import Filter
 from util import error_line, reference_canonical_dumps
@@ -115,6 +124,21 @@ def test_quincunx_pattern_command(workdir, capsys):
     assert len(csv) == 50
 
 
+@pytest.mark.parametrize("width", [6, 50])
+def test_quincunx_pattern_holds_at_every_width(workdir, capsys, width):
+    """The odd-sum coefficients shrink like 1/W^2 but never vanish, and the
+    even-sum ones are exactly zero: the pattern holds at widths where the
+    smallest odd magnitude is below 0.01."""
+    code, out, _ = run(capsys, "quincunx", "pattern", "--width", str(width))
+    assert code == 0
+    data = json.loads(out)
+    assert data["pattern_holds"] is True
+    assert data["max_even_magnitude"] == 0.0
+    expected = 2 * math.sqrt(2) / math.pi ** 2 / (width ** 2 - 1 + width % 2)
+    assert math.isclose(data["min_odd_magnitude"], expected, rel_tol=1e-12)
+    assert data["min_odd_magnitude"] < 1e-2
+
+
 def test_encode_eval_command(workdir, capsys):
     code, out, _ = run(capsys, "encode", "eval", "--d", "2", "--N", "1", "--point", "1,2")
     assert code == 0
@@ -185,7 +209,7 @@ def test_config_file_and_output_dir(workdir, capsys, tmp_path, monkeypatch):
 
 
 def _fail_if_called(*args, **kwargs):
-    raise AssertionError("computed before the output directory was checked")
+    raise AssertionError("computed before the input was checked")
 
 
 @pytest.mark.parametrize("how", ["env-is-a-file", "config-under-a-file"])
@@ -211,6 +235,49 @@ def test_unusable_output_dir_is_input_error_before_any_compute(workdir, capsys, 
         assert err.startswith("error: output directory") and "cannot be created" in err
         assert "Traceback" not in err
     assert afile.read_text() == "not a directory"
+
+
+@pytest.mark.parametrize("command", [
+    ["reduce", "{db4}"],
+    ["verify", "{db4}"],
+    ["transfer", "{db4}", "--target", "{quincunx}"],
+    ["cascade", "{db4}", "--levels", "1"],
+], ids=["reduce", "verify", "transfer", "cascade"])
+def test_pair_budget_is_checked_before_the_build(workdir, capsys, monkeypatch, command):
+    """db4's system holds 6 pairs (two parity classes of 2 points): a budget
+    of 5 refuses it with exit 2 before any bucket exists, 6 admits it."""
+    command = [a.format(db4=workdir / "db4.json", quincunx=workdir / "quincunx.json")
+               for a in command]
+    config = workdir / "config.json"
+    config.write_text('{"pair_budget": 5}')
+    with monkeypatch.context() as patch:
+        patch.setattr(importlib.import_module("latwav.transfer"), "build_reduced_system",
+                      _fail_if_called)
+        code, out, err = run(capsys, "--config", str(config), *command)
+    assert code == 2
+    assert out == ""
+    assert error_line(err).endswith("the reduced system needs 6 pairs, pair budget is 5")
+    config.write_text('{"pair_budget": 6}')
+    code, _, err = run(capsys, "--config", str(config), *command)
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_restores_the_collector_state(workdir, capsys, enabled):
+    """Commands run with the cyclic collector paused; an in-process caller
+    gets its own setting back after exit codes 0, 1 and 2."""
+    bad = Filter.from_coeffs(haar_1d().matrix, {(0,): 0.8, (1,): 0.7})
+    (workdir / "bad.json").write_text(canonical_dumps(filter_to_json(bad)))
+    (workdir / "broken.json").write_text('{"dim": 2')
+    try:
+        (gc.enable if enabled else gc.disable)()
+        for argv, want in ((["reduce", workdir / "db4.json"], 0),
+                           (["verify", workdir / "bad.json"], 1),
+                           (["snf", workdir / "broken.json"], 2)):
+            code, _, _ = run(capsys, *map(str, argv))
+            assert (code, gc.isenabled()) == (want, enabled)
+    finally:
+        gc.enable()
 
 
 def test_cascade_level_cap(workdir, capsys):
@@ -477,9 +544,11 @@ def test_cli_output_matches_golden_digests(tmp_path, capsys, monkeypatch):
 
 def test_golden_documents_dump_as_with_cycle_checks(tmp_path, capsys, monkeypatch):
     """Every document the golden calls print or write is byte-identical to
-    the former dump, which kept the encoder's cycle markers."""
+    the former dump, which kept the encoder's cycle markers.  ``reduce``
+    prints through ``system_dumps``, compared with that dump of
+    ``system_to_json``; its point texts are not counted as documents."""
     monkeypatch.setenv("LATWAV_OUTPUT_DIR", str(tmp_path / "out"))
-    documents = []
+    documents, systems = [], []
 
     def checked(obj):
         text = canonical_dumps(obj)
@@ -487,9 +556,19 @@ def test_golden_documents_dump_as_with_cycle_checks(tmp_path, capsys, monkeypatc
         documents.append(text)
         return text
 
+    def checked_system(system):
+        with monkeypatch.context() as inner:
+            inner.setattr(latwav.jsonio, "canonical_dumps", canonical_dumps)
+            text = system_dumps(system)
+        assert text == reference_canonical_dumps(system_to_json(system))
+        systems.append(text)
+        return text
+
     monkeypatch.setattr(latwav.jsonio, "canonical_dumps", checked)
+    monkeypatch.setattr(latwav.jsonio, "system_dumps", checked_system)
     _golden_outputs(tmp_path, capsys)
-    assert len(documents) == 31  # 28 printed documents and 3 grid.json sidecars
+    assert len(documents) == 27  # 24 printed documents and 3 grid.json sidecars
+    assert len(systems) == 4  # one reduce per golden filter
 
 
 def _zero_tap_filter(workdir):

@@ -1,7 +1,8 @@
 """Property tests of the exact layers: the Smith normal form's invariants on
 random determinant +/-2 matrices in d = 1-5, decode after encode as the
-identity on the support and index windows in d = 1-4 with N up to 12, and
-the reduced-system build equal to the former full pair scan in d = 1-4."""
+identity on the support and index windows in d = 1-4 with N up to 12, the
+reduced-system build equal to the former full pair scan in d = 1-4, its pair
+count known before the build, and its direct dump equal to the encoder's."""
 
 import pytest
 
@@ -19,8 +20,9 @@ from latwav.encode import (  # noqa: E402
     radix_encode,
 )
 from latwav.intlat import IntMatrix, coset_representative, smith_normal_form  # noqa: E402
-from latwav.lawton import SupportSet, build_reduced_system  # noqa: E402
-from util import lattice_chart, reference_pair_scan_build  # noqa: E402
+from latwav.jsonio import system_dumps, system_to_json  # noqa: E402
+from latwav.lawton import SupportSet, build_reduced_system, pair_count  # noqa: E402
+from util import lattice_chart, reference_canonical_dumps, reference_pair_scan_build  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
 
@@ -118,6 +120,15 @@ def test_decode_is_none_off_the_image(data):
         assert k is None or (in_index_window(p, k) and encode_index(p, k) == value)
 
 
+def draw_support(data, dim: int, offsets=st.integers(-60, 60)) -> SupportSet:
+    """A dense or sparse support, translated by an offset drawn from ``offsets``."""
+    span = data.draw(st.sampled_from((1, 2, 3, 8, 40)))
+    offset = data.draw(st.tuples(*[offsets] * dim))
+    box = st.tuples(*[st.integers(0, span)] * dim)
+    points = data.draw(st.sets(box, min_size=1, max_size=30))
+    return SupportSet.from_points(tuple(o + c for o, c in zip(offset, p)) for p in points)
+
+
 @PROPERTY
 @given(data=st.data())
 def test_build_matches_the_full_pair_scan(data):
@@ -125,15 +136,31 @@ def test_build_matches_the_full_pair_scan(data):
     chart as the former build, which scanned every ordered same-parity pair;
     supports are dense or sparse and translated anywhere."""
     dil = lattice_chart(data.draw(det_two_matrices(max_dim=4)))
-    span = data.draw(st.sampled_from((1, 2, 3, 8, 40)))
-    offset = data.draw(st.tuples(*[st.integers(-60, 60)] * dil.dim))
-    box = st.tuples(*[st.integers(0, span)] * dil.dim)
-    points = data.draw(st.sets(box, min_size=1, max_size=30))
-    support = SupportSet.from_points(
-        tuple(o + c for o, c in zip(offset, p)) for p in points)
+    support = draw_support(data, dil.dim)
     got = build_reduced_system(support, dil)
     want = reference_pair_scan_build(support, dil)
     assert got.index_set == want.index_set
     for k in want.index_set:
         assert got.equations[k] == want.equations[k], k
     assert got == want
+
+
+@PROPERTY
+@given(data=st.data())
+def test_pair_count_matches_the_stored_build(data):
+    dil = lattice_chart(data.draw(det_two_matrices(max_dim=4)))
+    support = draw_support(data, dil.dim)
+    system = build_reduced_system(support, dil)
+    assert pair_count(support, dil) == sum(len(eq.pairs) for eq in system.equations.values())
+
+
+@PROPERTY
+@given(data=st.data())
+def test_system_dumps_match_the_encoder_dump(data):
+    """Byte-identical to the encoder's canonical dump of ``system_to_json``,
+    with negative coordinates and coordinates beyond 2^63."""
+    dil = lattice_chart(data.draw(det_two_matrices(max_dim=4)))
+    support = draw_support(data, dil.dim, st.integers(-60, 60) | st.sampled_from(
+        (2**63, -(2**63) - 5, 2**64 + 3, -(10**30), 10**40)))
+    system = build_reduced_system(support, dil)
+    assert system_dumps(system) == reference_canonical_dumps(system_to_json(system))

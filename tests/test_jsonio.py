@@ -8,6 +8,7 @@ from latwav.cascade import run_cascade
 from latwav.errors import InputFormatError
 from latwav.filters import daubechies4_1d, quincunx_haar, quincunx_matrix
 from latwav.intlat import smith_normal_form
+from latwav.lawton import SupportSet, build_reduced_system
 from latwav.jsonio import (
     basis_to_json,
     canonical_dumps,
@@ -21,6 +22,7 @@ from latwav.jsonio import (
     matrix_to_json,
     residual_report_to_json,
     snf_to_json,
+    system_dumps,
     system_to_json,
     transfer_report_to_json,
 )
@@ -103,6 +105,19 @@ def test_system_report_shape():
     assert set(eq0) == {"k", "pairs", "rhs"}
     assert eq0["rhs"] == 1
     assert roundtrips(data)
+
+
+@pytest.mark.parametrize("points", [[(0,), (10**5000,)], [(1 - 10**4300,), (10**4300 - 1,)]],
+                         ids=["point", "generator"])
+def test_system_dumps_refuses_integers_too_long_to_print(points):
+    """A support point or generator past the print limit is the same input
+    error as in the encoder's dump.  The second support's points have 4300
+    digits and print; its generator has 4301."""
+    system = build_reduced_system(SupportSet.from_points(points), daubechies4_1d().matrix)
+    with pytest.raises(InputFormatError, match="result holds an integer too long to print"):
+        canonical_dumps(system_to_json(system))
+    with pytest.raises(InputFormatError, match="result holds an integer too long to print"):
+        system_dumps(system)
 
 
 def test_residual_report_round_trip():

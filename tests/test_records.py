@@ -119,7 +119,7 @@ def test_repr_and_equality():
     assert repr(IntMatrix.from_rows([[2]])) == "IntMatrix(rows=((2,),))"
     assert repr(SupportSet.from_points([(1,)])) == "SupportSet(points=frozenset({(1,)}), dim=1)"
     assert repr(Config()) == ("Config(tolerance=1e-10, cascade_level_cap=12, "
-                              "cell_budget=5000000, output_dir='.')")
+                              "cell_budget=5000000, output_dir='.', pair_budget=5000000)")
     # The tuple records compare and hash as tuples, and iterate their fields.
     assert EncodingParams(2, 3) == (2, 3) and hash(EncodingParams(2, 3)) == hash((2, 3))
     assert tuple(IntMatrix.from_rows([[2]])) == (((2,),),)

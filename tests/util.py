@@ -2,6 +2,7 @@
 
 import json
 import math
+import operator
 from fractions import Fraction
 from itertools import product
 from typing import NamedTuple
@@ -147,44 +148,60 @@ def companion(poly) -> IntMatrix:
 # Exact linear algebra oracles: the library's former adjugate, which expands
 # d^2 cofactor determinants, its former charpoly, which ran the
 # Faddeev-LeVerrier recursion alone, and its former Smith normal form, which
-# mirrored each elementary step on U or V through five helper closures.
-def _reference_minor(m: IntMatrix, i: int, j: int) -> IntMatrix:
-    rows = tuple(
-        tuple(v for c, v in enumerate(row) if c != j)
-        for r, row in enumerate(m.rows)
-        if r != i
-    )
-    return IntMatrix(rows)
+# mirrored each elementary step on U or V through five helper closures.  The
+# adjugate and charpoly oracles work on plain list rows.
+def _reference_det(a: list[list[int]]) -> int:
+    """Bareiss elimination, as in ``IntMatrix.det``, on rows it overwrites."""
+    n = len(a)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot_row = a[k]
+        pivot = pivot_row[k]
+        for row in a[k + 1:]:
+            factor = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - factor * pivot_row[j]) // prev
+        prev = pivot
+    return sign * a[n - 1][n - 1]
 
 
 def reference_adjugate(m: IntMatrix) -> IntMatrix:
-    n = m.dim
+    rows = [list(row) for row in m.rows]
+    n = len(rows)
     if n == 1:
         return IntMatrix(((1,),))
     cof = [
-        [(-1) ** (i + j) * _reference_minor(m, i, j).det() for j in range(n)]
+        [(-1) ** (i + j) * _reference_det([r[:j] + r[j + 1:] for r in rows[:i] + rows[i + 1:]])
+         for j in range(n)]
         for i in range(n)
     ]
     return IntMatrix(tuple(zip(*cof)))  # transpose of cofactors
 
 
 def reference_charpoly(m: IntMatrix) -> tuple[int, ...]:
-    n = m.dim
+    rows = m.rows
+    n = len(rows)
     coeffs = [1]
-    acc = IntMatrix.identity(n)
+    acc = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        acc = m.mul(acc)
-        tr = sum(acc.rows[i][i] for i in range(n))
+        cols = tuple(zip(*acc))
+        acc = [[sum(map(operator.mul, row, col)) for col in cols] for row in rows]  # m * acc
+        tr = sum(acc[i][i] for i in range(n))
         if tr % k != 0:
             raise AssertionError("trace recursion lost exactness")
         c = -tr // k
         coeffs.append(c)
-        acc = IntMatrix(
-            tuple(
-                tuple(acc.rows[i][j] + (c if i == j else 0) for j in range(n))
-                for i in range(n)
-            )
-        )
+        for i in range(n):
+            acc[i][i] += c
     return tuple(coeffs)
 
 
