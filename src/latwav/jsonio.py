@@ -34,6 +34,10 @@ def canonical_dumps(obj) -> str:
         raise InputFormatError(f"result is not finite: {exc}") from exc
 
 
+# Texts of integer points already checked by a ``canonical_dumps`` call.
+_compact_dumps = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+
+
 def matrix_to_json(m: IntMatrix) -> dict:
     return {"dim": m.dim, "rows": [list(row) for row in m.rows]}
 
@@ -164,23 +168,26 @@ def system_to_json(system: ReducedSystem) -> dict:
 
 def system_dumps(system: ReducedSystem) -> str:
     """``canonical_dumps(system_to_json(system))``, rendered directly so the
-    encoder never walks the pair tuples.  Each support point and generator
-    is dumped once by ``canonical_dumps`` (an integer too long to print is
-    the same input error); a pair (a, b) is then "[a," + "b]" from two
-    cached texts.  The keys are written in sorted order."""
-    point = {p: canonical_dumps(p) for p in system.support_order}
+    encoder never walks the pair tuples.  One ``canonical_dumps`` call renders
+    every field but the equations (an integer too long to print is the same
+    input error); each support point and generator is then rendered once
+    more to a cached text, and a pair (a, b) is "[a," + "b]" of two of them.
+    "equations" sorts first among the keys, so it opens the document."""
+    rest = canonical_dumps({
+        "index_set": system.index_set,
+        "matrix": matrix_to_json(system.matrix.A),
+        "support": system.support_order,
+        "window_exponent": system.window_exponent,
+    })
+    point = {p: _compact_dumps(p) for p in system.support_order}
     head = {p: f"[{text}," for p, text in point.items()}
     tail = {p: f"{text}]" for p, text in point.items()}
-    ks = [canonical_dumps(k) for k in system.index_set]
     equations = ",".join(
         '{"k":%s,"pairs":[%s],"rhs":%d}'
-        % (k, ",".join([head[a] + tail[b] for a, b in eq.pairs]), eq.rhs)
-        for k, eq in zip(ks, map(system.equations.__getitem__, system.index_set))
+        % (_compact_dumps(k), ",".join([head[a] + tail[b] for a, b in eq.pairs]), eq.rhs)
+        for k, eq in zip(system.index_set, map(system.equations.__getitem__, system.index_set))
     )
-    return ('{"equations":[%s],"index_set":[%s],"matrix":%s,"support":[%s],'
-            '"window_exponent":%d}') % (
-        equations, ",".join(ks), canonical_dumps(matrix_to_json(system.matrix.A)),
-        ",".join(point.values()), system.window_exponent)
+    return '{"equations":[%s],%s' % (equations, rest[1:])
 
 
 def residual_report_to_json(report: ResidualReport) -> dict:
