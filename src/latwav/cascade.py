@@ -17,13 +17,14 @@ two-element digit set S, a complete residue system for Z^d / A Z^d.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from itertools import product
 from typing import NamedTuple
 
 from .config import DEFAULT_CELL_BUDGET
 from .errors import LevelBudgetExceededError
-from .intlat import DilationMatrix, LatticePoint
+from .intlat import DilationMatrix, IntMatrix, LatticePoint
 from .transfer import Coefficient, Filter
 from .verify import lawton_residuals
 
@@ -77,18 +78,23 @@ def cascade_step(grid: CascadeGrid, filt: Filter,
     return CascadeGrid(level=grid.level + 1, matrix=grid.matrix, cells=new_cells)
 
 
+def _image_box(rows, lo, hi) -> tuple[list[int], list[int]]:
+    """The integer box of {M x : lo <= x <= hi}, M the matrix with these rows."""
+    return ([sum(min(r * l, r * h) for r, l, h in zip(row, lo, hi)) for row in rows],
+            [sum(max(r * l, r * h) for r, l, h in zip(row, lo, hi)) for row in rows])
+
+
 def _centre_digits(matrix: DilationMatrix) -> tuple[LatticePoint, ...]:
     """S = {j : floor(A^-1 (j + 1/2)) = 0}, the fine cells whose centers lie
-    in coarse cell 0, found in the integer bounding box of A [0,1]^d by the
-    exact test 0 <= sign * adj(A) (2j + 1) < 2 |det A| on every row."""
+    in coarse cell 0, scanned over the integer box of A [0,1]^d widened by 1
+    with the exact test 0 <= sign * adj(A) (2j + 1) < 2 |det A| on every row."""
     det = matrix.det
     sign = 1 if det > 0 else -1
     adj_rows = [[sign * x for x in row] for row in matrix.adj.rows]
     det2 = 2 * abs(det)
-    images = [matrix.A.vec(corner) for corner in product((0, 1), repeat=matrix.dim)]
-    box = [range(min(coord) - 1, max(coord) + 2) for coord in zip(*images)]
+    lo, hi = _image_box(matrix.A.rows, (0,) * matrix.dim, (1,) * matrix.dim)
     return tuple(
-        j for j in product(*box)
+        j for j in product(*(range(l - 1, h + 2) for l, h in zip(lo, hi)))
         if all(0 <= sum(a * (2 * c + 1) for a, c in zip(row, j)) < det2
                for row in adj_rows)
     )
@@ -168,43 +174,38 @@ def translate_gram(grid: CascadeGrid,
     return out
 
 
-_BOX_TOL = 1e-9
-_BOX_MAX_ITER = 500
-
-
 def support_bounding_box(filt: Filter) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Axis-aligned box certified to contain the limit function's support.
 
-    The support of the limit is the attractor sum_{j>=1} A^-j * support, so
-    its bounding box is the sum of the per-term interval boxes of
-    A^-j * hull(support).  Terms are accumulated until they stabilize below
-    ``_BOX_TOL`` (they shrink geometrically since A is expansive); the result
-    is padded by one unit on each side.  Interval iteration of the fixed-point
-    map itself is not used: taking a bounding box at every step inflates the
-    image of a skew matrix and need not converge.
-    """
-    d = filt.dim
-    det = filt.matrix.det
-    ainv = [[x / det for x in row] for row in filt.matrix.adj.rows]
-    pts = list(filt.coeffs)
-    s_lo = [float(min(p[j] for p in pts)) for j in range(d)]
-    s_hi = [float(max(p[j] for p in pts)) for j in range(d)]
+    The support lies in the attractor X = sum_{j>=1} A^-j S of the support S.
+    A^-1 = M / 2 with M = sign(det A) adj(A), so Y_k = sum_{j<=k} A^-j box(S)
+    has an exact box over 2^k, and X = Y_k + A^-k X gives
+    |X|_inf <= |Y_k|_inf / (1 - q) for q = |A^-k|_inf.  Y_k's box widened by
+    q times that bound holds X; k is the first k >= 53 (float mantissa bits)
+    with q <= 2^-53, which exists as A is expansive.  Bounds round outward.
 
-    lo = [0.0] * d
-    hi = [0.0] * d
-    power = [[float(i == j) for j in range(d)] for i in range(d)]
-    for _ in range(_BOX_MAX_ITER):
-        power = [
-            [sum(ainv[i][t] * power[t][j] for t in range(d)) for j in range(d)]
-            for i in range(d)
-        ]
-        term = 0.0
-        for i in range(d):
-            a = sum(min(r * l, r * h) for r, l, h in zip(power[i], s_lo, s_hi))
-            b = sum(max(r * l, r * h) for r, l, h in zip(power[i], s_lo, s_hi))
-            lo[i] += a
-            hi[i] += b
-            term = max(term, abs(a), abs(b))
-        if term < _BOX_TOL:
+    A level-K cascade cell A^-K (j + [0,1)^d) has its low corner in Y_K, so
+    in the box when 0 is in box(S) (every bundled filter); the rest of a cell,
+    and early cells of a translated support, can lie outside it.
+    """
+    sign = 1 if filt.matrix.det > 0 else -1
+    m = IntMatrix(tuple(tuple(sign * x for x in row) for row in filt.matrix.adj.rows))
+    s_lo = [min(c) for c in zip(*filt.coeffs)]
+    s_hi = [max(c) for c in zip(*filt.coeffs)]
+    bits = sys.float_info.mant_dig
+    lo = hi = [0] * filt.dim
+    power, k = m, 1
+    while True:
+        a, b = _image_box(power.rows, s_lo, s_hi)
+        lo = [2 * y + t for y, t in zip(lo, a)]
+        hi = [2 * y + t for y, t in zip(hi, b)]
+        norm = max(sum(map(abs, row)) for row in power.rows)
+        if k >= bits and norm << bits <= 1 << k:
             break
-    return tuple(x - 1.0 for x in lo), tuple(x + 1.0 for x in hi)
+        power, k = power.mul(m), k + 1
+    # Numerators over 2^k (2^k - norm): Y_k's bounds, and q times the bound on X.
+    scale = (1 << k) - norm
+    den = scale << k
+    widen = norm * max(map(abs, lo + hi))
+    return (tuple(math.nextafter((y * scale - widen) / den, -math.inf) for y in lo),
+            tuple(math.nextafter((y * scale + widen) / den, math.inf) for y in hi))

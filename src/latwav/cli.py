@@ -118,7 +118,7 @@ def _load_filter(path: str, config: Config):
     """The filter in ``path``, refused before its reduced system is built
     when that system would hold more pairs than the pair budget."""
     filt = jsonio.filter_from_json(jsonio.load_json(path), path)
-    pairs = pair_count(filt.support(), filt.matrix)
+    pairs = pair_count(filt.support, filt.matrix)
     _require(pairs <= config.pair_budget,
              f"{path}: the reduced system needs {pairs} pairs, "
              f"pair budget is {config.pair_budget}")
@@ -222,10 +222,8 @@ def _cmd_quincunx(args, config: Config) -> int:
              f"cell budget is {config.cell_budget}")
     out = _out_dir(config)
     report = support_pattern(args.width)
-    lines = ["m,n,s"]
-    for (m, n) in sorted(report.values):
-        lines.append(f"{m},{n},{report.values[(m, n)]!r}")
-    (out / f"quincunx_pattern_w{args.width}.csv").write_text("\n".join(lines) + "\n")
+    rows = "".join(f"{m},{n},{s!r}\n" for (m, n), s in report.values.items())
+    (out / f"quincunx_pattern_w{args.width}.csv").write_text("m,n,s\n" + rows)
     _emit({
         "half_width": report.half_width,
         "min_odd_magnitude": report.min_odd_magnitude,

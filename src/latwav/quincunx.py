@@ -53,7 +53,7 @@ def shannon_coeff(m: int, n: int) -> float:
 
 
 class SupportPatternReport(NamedTuple):
-    """Classification of the coefficient window [-W, W]^2.
+    """Classification of the window [-W, W]^2, ``values`` in ascending (m, n) order.
 
     ``shannon_coeff`` is exactly 0.0 at every even-sum point but the origin
     and a nonzero float at every odd-sum point, so the pattern is decided by

@@ -37,7 +37,7 @@ class Filter:
     Coefficients are keyed by standard-coordinate lattice points; exact zeros
     are never stored (the support is by definition the nonzero set).  The
     fields cannot be reassigned and the coefficient dict is not to be
-    mutated: ``system`` is cached.
+    mutated: ``support`` and ``system`` are cached.
     """
 
     def __init__(self, matrix: DilationMatrix, coeffs: dict[LatticePoint, Coefficient]):
@@ -81,6 +81,7 @@ class Filter:
     def dim(self) -> int:
         return self.matrix.dim
 
+    @cached_property
     def support(self) -> SupportSet:
         return SupportSet.from_points(self.coeffs)
 
@@ -88,7 +89,7 @@ class Filter:
     def system(self) -> ReducedSystem:
         """The reduced system of the support, built on first use and shared
         by every later caller (residuals, cascade, transfer)."""
-        return build_reduced_system(self.support(), self.matrix)
+        return build_reduced_system(self.support, self.matrix)
 
 
 class IsoMap(NamedTuple):

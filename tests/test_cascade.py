@@ -15,7 +15,7 @@ from latwav.cascade import (
     support_bounding_box,
     translate_gram,
 )
-from latwav.errors import LevelBudgetExceededError
+from latwav.errors import LevelBudgetExceededError, NotExpansiveError
 from latwav.filters import (
     daubechies4_1d,
     dilation_1d,
@@ -26,7 +26,13 @@ from latwav.filters import (
 )
 from latwav.intlat import DilationMatrix, IntMatrix, in_dilated_lattice
 from latwav.transfer import Filter, transfer
-from util import companion, reference_level_difference, reference_translate_gram
+from util import (
+    companion,
+    reference_centre_digits,
+    reference_level_difference,
+    reference_support_bounding_box,
+    reference_translate_gram,
+)
 
 BUNDLED = (haar_1d, daubechies4_1d, quincunx_haar, quincunx_daubechies4)
 
@@ -157,30 +163,101 @@ def test_early_stop_on_tolerance():
     assert diffs == [0.0]  # first difference is already below tol
 
 
+def _inverse_numerator(matrix) -> IntMatrix:
+    """M = sign(det A) adj(A), so that A^-1 = M / 2."""
+    sign = 1 if matrix.A.det() > 0 else -1
+    return IntMatrix.from_rows([[sign * x for x in row] for row in matrix.A.adjugate().rows])
+
+
 def test_support_bounding_box_contains_cells():
+    """The low corner A^-K j = M^K j / 2^K of every level-12 cell lies in the
+    box, compared in exact rationals: 0 is in every bundled support."""
     for make in BUNDLED:
         filt = make()
         lo, hi = support_bounding_box(filt)
-        levels = 12
         grid = initial_grid(filt.matrix)
-        det = filt.matrix.A.det()
-        inv = [[x / det for x in row] for row in filt.matrix.A.adjugate().rows]
-        for _ in range(levels):
+        for _ in range(12):
             grid = cascade_step(grid, filt)
+        m_pow = _inverse_numerator(filt.matrix).power(grid.level)
+        bounds = [(Fraction(l) * 2 ** grid.level, Fraction(h) * 2 ** grid.level)
+                  for l, h in zip(lo, hi)]
         for cell in grid.cells:
-            # map the cell's low corner through A^-K
-            x = [float(c) for c in cell]
-            for _ in range(grid.level):
-                x = [sum(r * v for r, v in zip(row, x)) for row in inv]
-            for j in range(filt.dim):
-                assert lo[j] - 1e-6 <= x[j] <= hi[j] + 1e-6
+            for (l, h), x in zip(bounds, m_pow.vec(cell)):
+                assert l <= x <= h, (make.__name__, cell)
 
 
 def test_support_bounding_box_haar():
-    lo, hi = support_bounding_box(haar_1d())
-    # attractor of {0,1} under /2 is [0, 1]; box pads by 1
-    assert abs(lo[0] + 1.0) < 1e-6
-    assert abs(hi[0] - 2.0) < 1e-6
+    """The attractor of {0, 1} under x / 2 is [0, 1]: the box is that interval
+    rounded outward by a few ulps, with no pad."""
+    (lo,), (hi,) = support_bounding_box(haar_1d())
+    assert -4 * math.ulp(1.0) <= lo <= 0.0
+    assert 1.0 <= hi <= 1.0 + 4 * math.ulp(1.0)
+
+
+def _attractor_points(matrix, digits, rnd, count: int, steps: int):
+    """Exact points of the attractor of the maps x -> A^-1 (x + s), s in
+    ``digits``, as (integer numerators, positive denominator): the fixed
+    point (A - I)^-1 c of one map, pushed through ``steps`` random maps."""
+    shifted = IntMatrix.from_rows(
+        [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(matrix.A.rows)]
+    )
+    det = shifted.det()
+    sign = 1 if det > 0 else -1
+    adj = shifted.adjugate()
+    m = _inverse_numerator(matrix)
+    for _ in range(count):
+        u = tuple(sign * x for x in adj.vec(rnd.choice(digits)))
+        den = abs(det)
+        for _ in range(steps):
+            s = rnd.choice(digits)
+            u = m.vec(tuple(x + den * c for x, c in zip(u, s)))
+            den *= 2
+        yield u, den
+
+
+def _expansive_matrices(rnd, per_dim: int) -> list[DilationMatrix]:
+    """The companions of x^d +/- 2 in d = 1-4 and, in d = 2-4, ``per_dim``
+    random expansive det +/-2 matrices U C U^-1: C the companion of a random
+    monic polynomial with constant term +/-2, kept when it is expansive, and
+    U a product of random shears."""
+    out = [DilationMatrix.from_matrix(companion((1,) + (0,) * (d - 1) + (c,)))
+           for d in range(1, 5) for c in (2, -2)]
+    for d in range(2, 5):
+        kept = 0
+        while kept < per_dim:
+            poly = (1,) + tuple(rnd.randint(-2, 2) for _ in range(d - 1)) + (rnd.choice((2, -2)),)
+            u = IntMatrix.identity(d)
+            for _ in range(rnd.randint(1, 4)):
+                i, j = rnd.sample(range(d), 2)
+                u = u.mul(_shear(d, i, j, rnd.choice((-2, -1, 1, 2))))
+            try:
+                out.append(DilationMatrix.from_matrix(_conjugate(companion(poly), u)))
+            except NotExpansiveError:
+                continue
+            kept += 1
+    return out
+
+
+def test_support_bounding_box_holds_attractor_points_and_tightens_the_former_box():
+    """On random expansive matrices in d = 1-4 with translated random
+    supports, exact attractor points lie in the box, and the box lies in the
+    former padded float box."""
+    rnd = random.Random(18)
+    for matrix in _expansive_matrices(rnd, per_dim=8):
+        d = matrix.dim
+        for _ in range(3):
+            shift = [rnd.randint(-20, 20) for _ in range(d)]
+            digits = sorted({
+                tuple(rnd.randint(-3, 3) + t for t in shift) for _ in range(rnd.randint(2, 6))
+            })
+            filt = Filter.from_coeffs(matrix, {p: 1.0 for p in digits})
+            lo, hi = support_bounding_box(filt)
+            ref_lo, ref_hi = reference_support_bounding_box(filt)
+            assert all(r <= x for r, x in zip(ref_lo, lo)), (matrix.A.rows, digits)
+            assert all(x <= r for r, x in zip(ref_hi, hi)), (matrix.A.rows, digits)
+            for u, den in _attractor_points(matrix, digits, rnd, count=10, steps=30):
+                for l, x, h in zip(lo, u, hi):
+                    assert Fraction(l) * den <= x <= Fraction(h) * den, (matrix.A.rows, digits)
 
 
 def _shear(dim: int, row: int, col: int, t: int) -> IntMatrix:
@@ -226,6 +303,7 @@ def test_level_difference_matches_reference():
     bit for bit, and translate_gram its former per-shift sort."""
     for filt, levels in _differential_filters():
         digits = _centre_digits(filt.matrix)
+        assert digits == reference_centre_digits(filt.matrix)
         assert len(digits) == 2
         assert sorted(in_dilated_lattice(filt.matrix, s) for s in digits) == [False, True]
         grid = initial_grid(filt.matrix)

@@ -18,8 +18,9 @@ from latwav.jsonio import (
     system_to_json,
 )
 from latwav.filters import daubechies4_1d, haar_1d, quincunx_matrix
+from latwav.quincunx import support_pattern
 from latwav.transfer import Filter
-from util import error_line, reference_canonical_dumps
+from util import count_work, error_line, reference_canonical_dumps
 
 
 @pytest.fixture
@@ -137,6 +138,10 @@ def test_quincunx_pattern_holds_at_every_width(workdir, capsys, width):
     expected = 2 * math.sqrt(2) / math.pi ** 2 / (width ** 2 - 1 + width % 2)
     assert math.isclose(data["min_odd_magnitude"], expected, rel_tol=1e-12)
     assert data["min_odd_magnitude"] < 1e-2
+    # the CSV rows come in window order, as the former sorted rendering
+    values = support_pattern(width).values
+    former = "m,n,s\n" + "".join(f"{m},{n},{values[(m, n)]!r}\n" for m, n in sorted(values))
+    assert (workdir / f"quincunx_pattern_w{width}.csv").read_text() == former
 
 
 def test_encode_eval_command(workdir, capsys):
@@ -260,6 +265,33 @@ def test_pair_budget_is_checked_before_the_build(workdir, capsys, monkeypatch, c
     config.write_text('{"pair_budget": 6}')
     code, _, err = run(capsys, "--config", str(config), *command)
     assert code == 0, err
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["reduce", "{db4}"], {"support": 1, "build": 1}),
+    (["verify", "{db4}"], {"support": 1, "build": 1}),
+    (["cascade", "{db4}", "--levels", "8"],
+     {"support": 1, "build": 1, "cells": [4, 10, 22, 46, 94, 190, 382, 766]}),
+], ids=["reduce", "verify", "cascade"])
+def test_cli_work_ledger(workdir, capsys, monkeypatch, argv, want):
+    """The work a command does, pinned where timings cannot be: one
+    SupportSet and one reduced-system build for the input filter, no witness
+    check, and db4's cells per cascade level.  A change that adds work fails
+    here on every machine.  ``transfer``'s counts are pinned by
+    test_transfer.py::test_transfer_builds_each_system_once."""
+    counts = count_work(monkeypatch)
+    cascade_mod = importlib.import_module("latwav.cascade")
+    step = cascade_mod.cascade_step
+
+    def cascade_step(*args, **kwargs):
+        grid = step(*args, **kwargs)
+        counts.setdefault("cells", []).append(len(grid.cells))
+        return grid
+
+    monkeypatch.setattr(cascade_mod, "cascade_step", cascade_step)
+    code, _, err = run(capsys, *(a.format(db4=workdir / "db4.json") for a in argv))
+    assert code == 0, err
+    assert counts == want
 
 
 @pytest.mark.parametrize("enabled", [True, False])

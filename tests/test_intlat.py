@@ -317,17 +317,19 @@ def _oracle_sample(rnd, d: int, kind: int) -> IntMatrix:
 
 
 def test_adjugate_charpoly_det_and_snf_match_oracles():
-    """The adjugate from the charpoly recursion, the charpoly and the
+    """The adjugate and charpoly of one charpoly-recursion run and the
     one-routine SNF are == to the former implementations on 10,200 seeded
-    matrices in d = 1-6, and A * adj(A) = det(A) * I (Bareiss det)."""
+    matrices in d = 1-6; the run's det equals Bareiss's, and
+    A * adj(A) = det(A) * I."""
     rnd = random.Random(13)
     factored = 0
     for d in range(1, 7):
         for kind in range(1700):
             m = _oracle_sample(rnd, d, kind)
-            adj, det = m.adjugate(), m.det()
+            charpoly, det, adj = m._leverrier()
+            assert det == m.det(), m.rows
             assert adj == reference_adjugate(m), m.rows
-            assert m.charpoly() == reference_charpoly(m), m.rows
+            assert charpoly == reference_charpoly(m), m.rows
             assert m.mul(adj).rows == tuple(
                 tuple(det * (i == j) for j in range(d)) for i in range(d)
             ), m.rows

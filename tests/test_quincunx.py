@@ -67,6 +67,9 @@ def test_pattern_window():
     # worst odd point in the window is (0, 3): |m^2 - n^2| = 9
     assert abs(report.min_odd_magnitude - 2.0 * SQRT2 / (9.0 * math.pi ** 2)) < 1e-15
     assert len(report.values) == 49
+    for width in range(1, 8):  # the CLI writes the CSV rows in this order
+        values = support_pattern(width).values
+        assert list(values) == sorted(values)
 
 
 def test_decay_is_inverse_square_difference():

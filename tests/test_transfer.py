@@ -31,7 +31,7 @@ from latwav.transfer import (
     verify_isomorphism,
 )
 from latwav.verify import lawton_residuals
-from util import enumerate_windows, shift_normalize
+from util import count_work, enumerate_windows, shift_normalize
 
 
 def test_filter_drops_exact_zeros_with_warning():
@@ -377,35 +377,31 @@ def test_transfer_preserves_residuals_for_arbitrary_coefficients():
                     assert tgt.per_index[rep.iso.index_map[k]] == value
 
 
-def test_transfer_builds_each_system_once(monkeypatch):
-    """Source, 1-D and target systems are built once each; the 1-D system
-    from the first stage is reused by the second.  The two stage witnesses
-    and the composed one are all checked.  A fresh filter is used because
-    the bundled singletons keep the systems earlier tests built for them."""
-    # the package re-exports the function transfer under the module's name
-    transfer_mod = importlib.import_module("latwav.transfer")
-    calls = {"build": 0, "verify": 0}
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(transfer_mod, "build_reduced_system",
-                        counting("build", transfer_mod.build_reduced_system))
-    monkeypatch.setattr(transfer_mod, "verify_isomorphism",
-                        counting("verify", transfer_mod.verify_isomorphism))
+def test_transfer_builds_each_system_once(monkeypatch, tmp_path):
+    """Source, 1-D and target systems are built once each, from one
+    SupportSet each; the 1-D system from the first stage is reused by the
+    second.  The two stage witnesses and the composed one are all checked.
+    A fresh filter is used because the bundled singletons keep the systems
+    earlier tests built for them.  ``latwav transfer`` does the same work:
+    the input filter's support serves both its pair budget and its build."""
+    calls = count_work(monkeypatch)
     filt = Filter.from_coeffs(quincunx_matrix(), quincunx_haar().coeffs)
     report = transfer(filt, companion_3d_matrix())
-    assert calls == {"build": 3, "verify": 3}
+    assert calls == {"build": 3, "verify": 3, "support": 3}
     assert report.stages[1].source_system is report.stages[0].target_system
     assert verify_isomorphism(report.source_system, report.target_system, report.iso)
 
     # again on the same filter: only the new 1-D and target filters build
-    calls.update(build=0, verify=0)
+    calls.clear()
     assert transfer(filt, companion_3d_matrix()) == report
-    assert calls == {"build": 2, "verify": 3}
+    assert calls == {"build": 2, "verify": 3, "support": 2}
+
+    (tmp_path / "filter.json").write_text(canonical_dumps(filter_to_json(filt)))
+    (tmp_path / "target.json").write_text(canonical_dumps(matrix_to_json(companion_3d_matrix().A)))
+    calls.clear()
+    assert main(["transfer", str(tmp_path / "filter.json"),
+                 "--target", str(tmp_path / "target.json")]) == 0
+    assert calls == {"build": 3, "verify": 3, "support": 3}
 
 
 def test_reports_share_the_filter_system():

@@ -1,5 +1,6 @@
 """Shared helpers for the test suite."""
 
+import importlib
 import json
 import math
 import operator
@@ -54,6 +55,27 @@ def error_line(err: str) -> str:
     assert all(line.startswith("warning: ") for line in before), err
     assert last.startswith("error:"), err
     return last
+
+
+def _counted(counts: dict, name: str, fn):
+    def wrapper(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def count_work(monkeypatch) -> dict:
+    """The work ledger: a dict that counts reduced-system builds ("build"),
+    witness checks ("verify") and SupportSet constructions ("support") while
+    the test runs.  The transfer module's names are patched, since
+    ``Filter.system`` and ``transfer`` call them there."""
+    transfer_mod = importlib.import_module("latwav.transfer")
+    counts: dict = {}
+    for name, key in (("build_reduced_system", "build"), ("verify_isomorphism", "verify")):
+        monkeypatch.setattr(transfer_mod, name, _counted(counts, key, getattr(transfer_mod, name)))
+    monkeypatch.setattr(SupportSet, "from_points",
+                        classmethod(_counted(counts, "support", SupportSet.from_points.__func__)))
+    return counts
 
 
 # Window enumeration: every point of the support window and of the index
@@ -704,3 +726,49 @@ def reference_translate_gram(grid: CascadeGrid, window) -> dict:
                 acc = acc + value * other.conjugate()
         out[tuple(m)] = acc * vol
     return out
+
+
+# Box oracles: the library's former support box, which summed float terms
+# A^-j box(S) until one fell below 1e-9 (at most 500 of them) and padded the
+# sum by 1, and the former digit scan box, the extremes of the 2^d corner
+# images of A [0,1]^d.
+def reference_support_bounding_box(filt: Filter) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    d = filt.dim
+    det = filt.matrix.det
+    ainv = [[x / det for x in row] for row in filt.matrix.adj.rows]
+    pts = list(filt.coeffs)
+    s_lo = [float(min(p[j] for p in pts)) for j in range(d)]
+    s_hi = [float(max(p[j] for p in pts)) for j in range(d)]
+
+    lo = [0.0] * d
+    hi = [0.0] * d
+    power = [[float(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(500):
+        power = [
+            [sum(ainv[i][t] * power[t][j] for t in range(d)) for j in range(d)]
+            for i in range(d)
+        ]
+        term = 0.0
+        for i in range(d):
+            a = sum(min(r * l, r * h) for r, l, h in zip(power[i], s_lo, s_hi))
+            b = sum(max(r * l, r * h) for r, l, h in zip(power[i], s_lo, s_hi))
+            lo[i] += a
+            hi[i] += b
+            term = max(term, abs(a), abs(b))
+        if term < 1e-9:
+            break
+    return tuple(x - 1.0 for x in lo), tuple(x + 1.0 for x in hi)
+
+
+def reference_centre_digits(matrix: DilationMatrix) -> tuple[LatticePoint, ...]:
+    det = matrix.A.det()
+    sign = 1 if det > 0 else -1
+    adj_rows = [[sign * x for x in row] for row in matrix.A.adjugate().rows]
+    det2 = 2 * abs(det)
+    images = [matrix.A.vec(corner) for corner in product((0, 1), repeat=matrix.dim)]
+    box = [range(min(coord) - 1, max(coord) + 2) for coord in zip(*images)]
+    return tuple(
+        j for j in product(*box)
+        if all(0 <= sum(a * (2 * c + 1) for a, c in zip(row, j)) < det2
+               for row in adj_rows)
+    )
