@@ -4,9 +4,9 @@ transfer of Parseval-frame scaling filters under dyadic dilations."""
 from .cascade import CascadeGrid, cascade_step, initial_grid, run_cascade, support_bounding_box, translate_gram
 from .encode import EncodingParams, additivity_holds, decode_index, decode_support, encode_index, encode_support, flatten_point, radix_encode
 from .intlat import DilationMatrix, IntMatrix, SnfFactorization, from_adapted, in_dilated_lattice, is_expansive, smith_normal_form, to_adapted
-from .lawton import Equation, ReducedSystem, SupportSet, build_reduced_system, equations_equal_up_to_conjugation, generated_equation, restrict_index_set
+from .lawton import Equation, Filter, ReducedSystem, SupportSet, build_reduced_system, equations_equal_up_to_conjugation, generated_equation, restrict_index_set
 from .quincunx import shannon_coeff, sublattice_premise, support_pattern
-from .transfer import Filter, IsoMap, TransferReport, from_one_d, to_one_d, transfer, verify_isomorphism
+from .transfer import IsoMap, TransferReport, from_one_d, to_one_d, transfer, verify_isomorphism
 from .verify import ResidualReport, lawton_residuals, qmf_check
 
 __version__ = "0.1.0"

@@ -22,10 +22,10 @@ import warnings
 from itertools import product
 from typing import NamedTuple
 
-from .config import DEFAULT_CELL_BUDGET
+from .config import DEFAULT_CELL_BUDGET, DEFAULT_LEVEL_CAP, DEFAULT_TOLERANCE
 from .errors import LevelBudgetExceededError
 from .intlat import DilationMatrix, IntMatrix, LatticePoint
-from .transfer import Coefficient, Filter
+from .lawton import Coefficient, Filter
 from .verify import lawton_residuals
 
 SQRT2 = math.sqrt(2.0)
@@ -86,15 +86,16 @@ def _image_box(rows, lo, hi) -> tuple[list[int], list[int]]:
 
 def _centre_digits(matrix: DilationMatrix) -> tuple[LatticePoint, ...]:
     """S = {j : floor(A^-1 (j + 1/2)) = 0}, the fine cells whose centers lie
-    in coarse cell 0, scanned over the integer box of A [0,1]^d widened by 1
-    with the exact test 0 <= sign * adj(A) (2j + 1) < 2 |det A| on every row."""
+    in coarse cell 0, with the exact test 0 <= sign * adj(A) (2j + 1) < 2 |det A|
+    on every row.  j + 1/2 lies in A [0,1)^d, so lo <= j <= hi - 1 for the
+    integer box [lo, hi] of A [0,1]^d, and only that box is scanned."""
     det = matrix.det
     sign = 1 if det > 0 else -1
     adj_rows = [[sign * x for x in row] for row in matrix.adj.rows]
     det2 = 2 * abs(det)
     lo, hi = _image_box(matrix.A.rows, (0,) * matrix.dim, (1,) * matrix.dim)
     return tuple(
-        j for j in product(*(range(l - 1, h + 2) for l, h in zip(lo, hi)))
+        j for j in product(*map(range, lo, hi))
         if all(0 <= sum(a * (2 * c + 1) for a, c in zip(row, j)) < det2
                for row in adj_rows)
     )
@@ -123,9 +124,9 @@ def level_difference(coarse: CascadeGrid, fine: CascadeGrid) -> float:
     return math.sqrt(acc * fine.cell_volume)
 
 
-def run_cascade(filt: Filter, max_level: int = 12, tol: float = 0.0,
+def run_cascade(filt: Filter, max_level: int = DEFAULT_LEVEL_CAP, tol: float = 0.0,
                 cell_budget: int = DEFAULT_CELL_BUDGET,
-                residual_warn_tolerance: float = 1e-10,
+                residual_warn_tolerance: float = DEFAULT_TOLERANCE,
                 ) -> tuple[CascadeGrid, list[float]]:
     """Iterate the cascade from the unit-cube indicator.
 

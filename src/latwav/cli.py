@@ -32,10 +32,7 @@ from .intlat import smith_normal_form
 from .lawton import pair_count
 from .quincunx import support_pattern
 from .transfer import transfer
-from .verify import lawton_residuals, qmf_check
-
-QMF_SEED = 0
-QMF_SAMPLES = 1024
+from .verify import QMF_SAMPLES, QMF_SEED, lawton_residuals, qmf_check
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -48,24 +45,30 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("snf", help="Smith normal form of a determinant +/-2 matrix")
+    p.set_defaults(run=_cmd_snf)
     p.add_argument("matrix", help="matrix JSON file")
 
     p = sub.add_parser("basis", help="adapted basis and coset representative")
+    p.set_defaults(run=_cmd_basis)
     p.add_argument("matrix", help="matrix JSON file")
 
     p = sub.add_parser("reduce", help="reduced system of a filter's support")
+    p.set_defaults(run=_cmd_reduce)
     p.add_argument("filter", help="filter JSON file")
 
     p = sub.add_parser("verify", help="residuals of a filter against its system")
+    p.set_defaults(run=_cmd_verify)
     p.add_argument("filter", help="filter JSON file")
     p.add_argument("--tolerance", type=float, default=None,
                    help="override the pass/fail tolerance")
 
     p = sub.add_parser("transfer", help="transfer a filter to a target matrix")
+    p.set_defaults(run=_cmd_transfer)
     p.add_argument("filter", help="filter JSON file")
     p.add_argument("--target", required=True, help="target matrix JSON file")
 
     p = sub.add_parser("cascade", help="cascade approximation of the scaling function")
+    p.set_defaults(run=_cmd_cascade)
     p.add_argument("filter", help="filter JSON file")
     p.add_argument("--levels", type=int, default=None, help="number of refinement levels")
     p.add_argument("--tol", type=float, default=0.0,
@@ -74,16 +77,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("quincunx", help="quincunx Shannon coefficient tools")
     qsub = p.add_subparsers(dest="subcommand", required=True)
     q = qsub.add_parser("pattern", help="coefficient window and parity pattern")
+    q.set_defaults(run=_cmd_quincunx)
     q.add_argument("--width", type=int, required=True, help="window half-width")
 
     p = sub.add_parser("encode", help="encoding diagnostics")
     esub = p.add_subparsers(dest="subcommand", required=True)
     e = esub.add_parser("eval", help="evaluate the encodings at one point")
+    e.set_defaults(run=_cmd_encode)
     e.add_argument("--d", type=int, required=True, help="dimension")
     e.add_argument("--N", type=int, required=True, help="window exponent")
     e.add_argument("--point", required=True, help="comma-separated coordinates")
 
     p = sub.add_parser("bundled", help="emit a bundled example filter as JSON")
+    p.set_defaults(run=_cmd_bundled)
     p.add_argument("name", choices=sorted(filters_mod.BUNDLED_FILTERS),
                    help="bundled filter name")
 
@@ -150,7 +156,7 @@ def _cmd_verify(args, config: Config) -> int:
              f"--tolerance must be a positive number, got {tolerance!r}")
     report = lawton_residuals(filt)
     try:
-        deviation = qmf_check(filt, samples=QMF_SAMPLES, seed=QMF_SEED)
+        deviation = qmf_check(filt)
     except OverflowError as exc:
         raise InputFormatError(f"{args.filter}: a coefficient position is beyond double "
                                f"range, so its frequency response cannot be sampled") from exc
@@ -279,19 +285,6 @@ def _cmd_bundled(args, config: Config) -> int:
     return 0
 
 
-_COMMANDS = {
-    "snf": _cmd_snf,
-    "basis": _cmd_basis,
-    "reduce": _cmd_reduce,
-    "verify": _cmd_verify,
-    "transfer": _cmd_transfer,
-    "cascade": _cmd_cascade,
-    "quincunx": _cmd_quincunx,
-    "encode": _cmd_encode,
-    "bundled": _cmd_bundled,
-}
-
-
 def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
@@ -304,7 +297,7 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning  # one line, like the error lines
             config = Config.from_file(args.config) if args.config else Config()
-            return _COMMANDS[args.command](args, config)
+            return args.run(args, config)
     except InputFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -7,6 +7,8 @@ from pathlib import Path
 
 from .errors import InputFormatError
 
+DEFAULT_TOLERANCE = 1e-10
+DEFAULT_LEVEL_CAP = 12
 DEFAULT_CELL_BUDGET = 5_000_000
 DEFAULT_PAIR_BUDGET = 5_000_000
 
@@ -21,7 +23,8 @@ class Config:
 
     __slots__ = ("tolerance", "cascade_level_cap", "cell_budget", "output_dir", "pair_budget")
 
-    def __init__(self, tolerance: float = 1e-10, cascade_level_cap: int = 12,
+    def __init__(self, tolerance: float = DEFAULT_TOLERANCE,
+                 cascade_level_cap: int = DEFAULT_LEVEL_CAP,
                  cell_budget: int = DEFAULT_CELL_BUDGET, output_dir: str = ".",
                  pair_budget: int = DEFAULT_PAIR_BUDGET):
         if not (_is_int(tolerance) or isinstance(tolerance, float)) \

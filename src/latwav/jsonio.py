@@ -14,8 +14,8 @@ from .cascade import CascadeGrid
 from .config import _is_int
 from .errors import InputFormatError, LatwavError
 from .intlat import DilationMatrix, IntMatrix, SnfFactorization
-from .lawton import ReducedSystem
-from .transfer import Filter, TransferReport
+from .lawton import Filter, ReducedSystem
+from .transfer import TransferReport
 from .verify import ResidualReport
 
 

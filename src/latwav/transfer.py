@@ -12,84 +12,13 @@ unchanged.
 
 from __future__ import annotations
 
-import warnings
-from functools import cache, cached_property
-from numbers import Complex
+from functools import cache
 from typing import NamedTuple
 
 from .encode import EncodingParams, decode_support, window_exponent_for_extent
 from .errors import DomainMismatchError, IsomorphismError, NotOneDimensionalError
-from .intlat import DilationMatrix, LatticePoint, as_point, from_adapted
-from .lawton import (
-    Equation,
-    ReducedSystem,
-    SupportSet,
-    build_reduced_system,
-    equations_equal_up_to_conjugation,
-)
-
-Coefficient = complex | float
-
-
-class Filter:
-    """Finitely supported coefficients over a dilation matrix.
-
-    Coefficients are keyed by standard-coordinate lattice points; exact zeros
-    are never stored (the support is by definition the nonzero set).  The
-    fields cannot be reassigned and the coefficient dict is not to be
-    mutated: ``support`` and ``system`` are cached.
-    """
-
-    def __init__(self, matrix: DilationMatrix, coeffs: dict[LatticePoint, Coefficient]):
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.matrix, self.coeffs) == (other.matrix, other.coeffs)
-
-    def __repr__(self) -> str:
-        return f"Filter(matrix={self.matrix!r}, coeffs={self.coeffs!r})"
-
-    @classmethod
-    def from_coeffs(cls, matrix: DilationMatrix, coeffs) -> "Filter":
-        cleaned: dict[LatticePoint, Coefficient] = {}
-        dropped = 0
-        for p, value in dict(coeffs).items():
-            p = as_point(p)
-            if len(p) != matrix.dim:
-                raise DomainMismatchError(
-                    f"coefficient at {p} has dimension {len(p)}, matrix is {matrix.dim}x{matrix.dim}"
-                )
-            if not isinstance(value, Complex):
-                raise TypeError(f"coefficient at {p} is not a number: {value!r}")
-            if value == 0:
-                dropped += 1
-                continue
-            cleaned[p] = value
-        if dropped:
-            warnings.warn(f"dropped {dropped} exactly-zero coefficient(s)", stacklevel=2)
-        if not cleaned:
-            raise ValueError("filter support is empty")
-        return cls(matrix=matrix, coeffs=cleaned)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.dim
-
-    @cached_property
-    def support(self) -> SupportSet:
-        return SupportSet.from_points(self.coeffs)
-
-    @cached_property
-    def system(self) -> ReducedSystem:
-        """The reduced system of the support, built on first use and shared
-        by every later caller (residuals, cascade, transfer)."""
-        return build_reduced_system(self.support, self.matrix)
+from .intlat import DilationMatrix, LatticePoint, from_adapted
+from .lawton import Equation, Filter, ReducedSystem, equations_equal_up_to_conjugation
 
 
 class IsoMap(NamedTuple):

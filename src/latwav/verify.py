@@ -6,10 +6,11 @@ import math
 from typing import NamedTuple
 
 from .intlat import LatticePoint, coset_representative, smith_normal_form
-from .lawton import ReducedSystem
-from .transfer import Filter
+from .lawton import Filter, ReducedSystem
 
 SQRT2 = math.sqrt(2.0)
+QMF_SAMPLES = 1024
+QMF_SEED = 0
 
 
 class ResidualReport(NamedTuple):
@@ -77,7 +78,7 @@ def _dual_coset_shift(filt: Filter):
     return np.array([2.0 * math.pi * (x / det) for x in num])
 
 
-def qmf_check(filt: Filter, samples: int = 1024, seed: int = 0) -> float:
+def qmf_check(filt: Filter, samples: int = QMF_SAMPLES, seed: int = QMF_SEED) -> float:
     """Max deviation of |m0(xi)|^2 + |m0(xi + zeta)|^2 from 1.
 
     m0 is the frequency response 2^(-1/2) * sum h_n exp(-i n.xi) and zeta the

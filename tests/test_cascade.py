@@ -17,6 +17,7 @@ from latwav.cascade import (
 )
 from latwav.errors import LevelBudgetExceededError, NotExpansiveError
 from latwav.filters import (
+    BUNDLED_MATRICES,
     daubechies4_1d,
     dilation_1d,
     haar_1d,
@@ -296,6 +297,15 @@ def _differential_filters():
     for c in (2, -2):
         dil = DilationMatrix.from_matrix(companion((1, 0, 0, 0, c)))
         yield transfer(db4, dil).target_filter, 4
+
+
+def test_centre_digits_match_the_former_widened_scan():
+    """Scanning only the integer box of A [0,1]^d finds the digits that the
+    former scan of that box widened by 1 found, on the bundled matrices and
+    on seeded random expansive matrices in d = 1-4."""
+    matrices = [make() for make in BUNDLED_MATRICES.values()]
+    for matrix in matrices + _expansive_matrices(random.Random(19), per_dim=10):
+        assert _centre_digits(matrix) == reference_centre_digits(matrix), matrix.A.rows
 
 
 def test_level_difference_matches_reference():

@@ -18,6 +18,8 @@ from latwav.jsonio import (
     system_to_json,
 )
 from latwav.filters import daubechies4_1d, haar_1d, quincunx_matrix
+from latwav.intlat import DilationMatrix
+from latwav.lawton import pair_count
 from latwav.quincunx import support_pattern
 from latwav.transfer import Filter
 from util import count_work, error_line, reference_canonical_dumps
@@ -256,7 +258,7 @@ def test_pair_budget_is_checked_before_the_build(workdir, capsys, monkeypatch, c
     config = workdir / "config.json"
     config.write_text('{"pair_budget": 5}')
     with monkeypatch.context() as patch:
-        patch.setattr(importlib.import_module("latwav.transfer"), "build_reduced_system",
+        patch.setattr(importlib.import_module("latwav.lawton"), "build_reduced_system",
                       _fail_if_called)
         code, out, err = run(capsys, "--config", str(config), *command)
     assert code == 2
@@ -268,30 +270,55 @@ def test_pair_budget_is_checked_before_the_build(workdir, capsys, monkeypatch, c
 
 
 @pytest.mark.parametrize("argv, want", [
-    (["reduce", "{db4}"], {"support": 1, "build": 1}),
-    (["verify", "{db4}"], {"support": 1, "build": 1}),
+    (["reduce", "{db4}"], {"support": 1, "build": 1, "pairs": [6], "from_matrix": 1}),
+    (["verify", "{db4}"], {"support": 1, "build": 1, "pairs": [6], "from_matrix": 1}),
     (["cascade", "{db4}", "--levels", "8"],
-     {"support": 1, "build": 1, "cells": [4, 10, 22, 46, 94, 190, 382, 766]}),
-], ids=["reduce", "verify", "cascade"])
+     {"support": 1, "build": 1, "pairs": [6], "from_matrix": 1,
+      "cells": [4, 10, 22, 46, 94, 190, 382, 766]}),
+    (["transfer", "{db4}", "--target", "{quincunx}"],
+     {"support": 3, "build": 3, "pairs": [6, 6, 6], "from_matrix": 3, "verify": 3}),
+], ids=["reduce", "verify", "cascade", "transfer"])
 def test_cli_work_ledger(workdir, capsys, monkeypatch, argv, want):
     """The work a command does, pinned where timings cannot be: one
-    SupportSet and one reduced-system build for the input filter, no witness
-    check, and db4's cells per cascade level.  A change that adds work fails
-    here on every machine.  ``transfer``'s counts are pinned by
-    test_transfer.py::test_transfer_builds_each_system_once."""
+    SupportSet, one reduced-system build and one ``from_matrix`` run (the
+    filter's matrix) for the input filter, no witness check, and db4's cells
+    per cascade level.  ``transfer`` makes three of each (source, [2] and
+    target) and three witness checks.  Every build stores the pairs that
+    ``pair_count`` gives for the input.  ``dilation_1d``'s cache is cleared
+    first, so the count does not depend on which tests ran before.  A change
+    that adds work fails here on every machine."""
+    db4 = daubechies4_1d()
+    pairs = pair_count(db4.support, db4.matrix)
+    importlib.import_module("latwav.transfer").dilation_1d.cache_clear()
     counts = count_work(monkeypatch)
+    lawton_mod = importlib.import_module("latwav.lawton")
     cascade_mod = importlib.import_module("latwav.cascade")
-    step = cascade_mod.cascade_step
+    build, step = lawton_mod.build_reduced_system, cascade_mod.cascade_step
+    from_matrix = DilationMatrix.from_matrix.__func__
+
+    def build_reduced_system(*args, **kwargs):
+        system = build(*args, **kwargs)
+        counts.setdefault("pairs", []).append(
+            sum(len(eq.pairs) for eq in system.equations.values()))
+        return system
+
+    def counted_from_matrix(cls, *args, **kwargs):
+        counts["from_matrix"] = counts.get("from_matrix", 0) + 1
+        return from_matrix(cls, *args, **kwargs)
 
     def cascade_step(*args, **kwargs):
         grid = step(*args, **kwargs)
         counts.setdefault("cells", []).append(len(grid.cells))
         return grid
 
+    monkeypatch.setattr(lawton_mod, "build_reduced_system", build_reduced_system)
+    monkeypatch.setattr(DilationMatrix, "from_matrix", classmethod(counted_from_matrix))
     monkeypatch.setattr(cascade_mod, "cascade_step", cascade_step)
-    code, _, err = run(capsys, *(a.format(db4=workdir / "db4.json") for a in argv))
+    code, _, err = run(capsys, *(a.format(db4=workdir / "db4.json",
+                                          quincunx=workdir / "quincunx.json") for a in argv))
     assert code == 0, err
     assert counts == want
+    assert counts["pairs"] == [pairs] * counts["build"]
 
 
 @pytest.mark.parametrize("enabled", [True, False])

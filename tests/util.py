@@ -67,12 +67,14 @@ def _counted(counts: dict, name: str, fn):
 def count_work(monkeypatch) -> dict:
     """The work ledger: a dict that counts reduced-system builds ("build"),
     witness checks ("verify") and SupportSet constructions ("support") while
-    the test runs.  The transfer module's names are patched, since
-    ``Filter.system`` and ``transfer`` call them there."""
-    transfer_mod = importlib.import_module("latwav.transfer")
+    the test runs.  Each name is patched in the module that calls it:
+    ``Filter.system`` builds in ``latwav.lawton``, and ``transfer`` checks
+    its witnesses in ``latwav.transfer``."""
     counts: dict = {}
-    for name, key in (("build_reduced_system", "build"), ("verify_isomorphism", "verify")):
-        monkeypatch.setattr(transfer_mod, name, _counted(counts, key, getattr(transfer_mod, name)))
+    for module, name, key in (("latwav.lawton", "build_reduced_system", "build"),
+                              ("latwav.transfer", "verify_isomorphism", "verify")):
+        module = importlib.import_module(module)
+        monkeypatch.setattr(module, name, _counted(counts, key, getattr(module, name)))
     monkeypatch.setattr(SupportSet, "from_points",
                         classmethod(_counted(counts, "support", SupportSet.from_points.__func__)))
     return counts
