@@ -25,10 +25,8 @@ from typing import NamedTuple
 from .config import DEFAULT_CELL_BUDGET, DEFAULT_LEVEL_CAP, DEFAULT_TOLERANCE
 from .errors import LevelBudgetExceededError
 from .intlat import DilationMatrix, IntMatrix, LatticePoint
-from .lawton import Coefficient, Filter
+from .lawton import SQRT2, Coefficient, Filter
 from .verify import lawton_residuals
-
-SQRT2 = math.sqrt(2.0)
 
 
 class CascadeGrid(NamedTuple):

@@ -6,11 +6,12 @@ import math
 from functools import cache
 
 from .intlat import DilationMatrix
+from .lawton import SQRT2
 from .transfer import Filter, dilation_1d, from_one_d
 
 # 1/sqrt(2) so that sqrt(2) * h == 1.0 exactly in doubles; this keeps the
 # Haar cascade an exact fixed point.
-INV_SQRT2 = 1.0 / math.sqrt(2.0)
+INV_SQRT2 = 1.0 / SQRT2
 
 
 @cache
@@ -40,7 +41,7 @@ def haar_1d() -> Filter:
 def daubechies4_1d() -> Filter:
     """The 4-tap Daubechies orthonormal filter (normalized to sum sqrt(2))."""
     r3 = math.sqrt(3.0)
-    scale = 1.0 / (4.0 * math.sqrt(2.0))
+    scale = 1.0 / (4.0 * SQRT2)
     taps = (1.0 + r3, 3.0 + r3, 3.0 - r3, 1.0 - r3)
     return Filter.from_coeffs(
         dilation_1d(), {(i,): scale * t for i, t in enumerate(taps)}

@@ -19,6 +19,7 @@ exactly the point's image in a one-dimensional transfer.
 
 from __future__ import annotations
 
+import math
 import operator
 import warnings
 from collections import defaultdict
@@ -29,6 +30,9 @@ from typing import NamedTuple
 from .encode import EncodingParams, encode_support, window_exponent_for_extent
 from .errors import DimensionMismatchError, DomainMismatchError, NotInLatticeError, NotSubsetError
 from .intlat import DilationMatrix, LatticePoint, as_point, in_dilated_lattice, to_adapted
+
+# The normalization sum_n h_n = sqrt(2) of the module docstring, as a double.
+SQRT2 = math.sqrt(2.0)
 
 
 class SupportSet:

@@ -24,9 +24,7 @@ import math
 from typing import NamedTuple
 
 from .errors import DimensionMismatchError
-from .lawton import SupportSet
-
-SQRT2 = math.sqrt(2.0)
+from .lawton import SQRT2, SupportSet
 
 
 def _cosine_line_integral(p: int) -> float:

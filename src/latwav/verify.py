@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import math
+import random
 from typing import NamedTuple
 
 from .intlat import LatticePoint, coset_representative, smith_normal_form
-from .lawton import Filter, ReducedSystem
+from .lawton import SQRT2, Filter, ReducedSystem
 
-SQRT2 = math.sqrt(2.0)
 QMF_SAMPLES = 1024
 QMF_SEED = 0
 
@@ -78,12 +78,27 @@ def _dual_coset_shift(filt: Filter):
     return np.array([2.0 * math.pi * (x / det) for x in num])
 
 
+def _sample_points(samples: int, dim: int, seed: int) -> list[float]:
+    """The ``samples`` x ``dim`` frequency points of ``qmf_check``, row-major.
+
+    Each coordinate is -pi + 2*pi*u, with u from the standard library's
+    ``random.Random(seed)``.  Python documents that generator's ``random()``
+    stream for an integer seed as the same on every version, so a printed
+    seed reproduces its points across upgrades; numpy makes no such promise
+    for its ``Generator`` streams.
+    """
+    rng = random.Random(seed)
+    return [-math.pi + 2.0 * math.pi * rng.random() for _ in range(samples * dim)]
+
+
 def qmf_check(filt: Filter, samples: int = QMF_SAMPLES, seed: int = QMF_SEED) -> float:
     """Max deviation of |m0(xi)|^2 + |m0(xi + zeta)|^2 from 1.
 
     m0 is the frequency response 2^(-1/2) * sum h_n exp(-i n.xi) and zeta the
     dual-lattice coset shift; for an exact solution the deviation vanishes up
-    to roundoff.  Sampling points are pseudo-random with a fixed seed.
+    to roundoff.  The points xi come from ``random.Random(seed)`` (see
+    ``_sample_points``), so the check loads only what ``import numpy`` loads,
+    and no random-number module of numpy's.
     """
     import numpy as np
 
@@ -92,8 +107,7 @@ def qmf_check(filt: Filter, samples: int = QMF_SAMPLES, seed: int = QMF_SEED) ->
     values = np.array([filt.coeffs[p] for p in pts], dtype=complex)
     zeta = _dual_coset_shift(filt)
 
-    rng = np.random.default_rng(seed)
-    xi = rng.uniform(-math.pi, math.pi, size=(samples, filt.dim))
+    xi = np.array(_sample_points(samples, filt.dim, seed)).reshape(samples, filt.dim)
 
     def m0(points: np.ndarray) -> np.ndarray:
         # exp(-i n.xi) from the real product n.xi, in one complex buffer:

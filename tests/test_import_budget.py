@@ -1,7 +1,10 @@
 """Import budget: the package and its CLI load neither numpy nor scipy.
 
 Only ``verify`` (its frequency-domain QMF check) imports numpy, and only
-when it runs; every other command needs the standard library alone.  Nor
+when it runs; every other command needs the standard library alone.  Even
+``verify`` loads no numpy module beyond those a bare ``import numpy`` loads:
+its sample points come from the standard library's ``random``, so
+``numpy.random`` stays out wherever numpy loads it lazily.  Nor
 do they load ``dataclasses`` (with ``inspect``) or ``fractions`` (with
 ``decimal``): the records are tuples and plain classes, and the one exact
 quotient is an integer true division.  The check runs in a fresh
@@ -12,6 +15,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import latwav
 
@@ -47,10 +52,22 @@ with contextlib.redirect_stdout(io.StringIO()):
     for argv in commands:
         assert main(argv) == 0, argv
 print(heavy())
+
+def numpy_modules():
+    return sorted(m for m in sys.modules if m == 'numpy' or m.startswith('numpy.'))
+
+import numpy
+print(numpy_modules())
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["verify", "db4.json"]) == 0
+print(numpy_modules())
 """
 
 
-def test_import_and_commands_other_than_verify_load_neither_numpy_nor_scipy(tmp_path):
+@pytest.fixture(scope="module")
+def budget_lines(tmp_path_factory):
+    """The script's four printed lines, from one fresh interpreter."""
+    tmp_path = tmp_path_factory.mktemp("budget")
     env = dict(os.environ, LATWAV_OUTPUT_DIR=str(tmp_path))
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
@@ -58,6 +75,15 @@ def test_import_and_commands_other_than_verify_load_neither_numpy_nor_scipy(tmp_
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    after_import, after_commands = proc.stdout.splitlines()
+    return proc.stdout.splitlines()
+
+
+def test_import_and_commands_other_than_verify_load_neither_numpy_nor_scipy(budget_lines):
+    after_import, after_commands, _, _ = budget_lines
     assert after_import == "[]"
     assert after_commands == "[]"
+
+
+def test_verify_loads_only_the_numpy_modules_of_a_bare_numpy_import(budget_lines):
+    _, _, bare_numpy, after_verify = budget_lines
+    assert after_verify == bare_numpy

@@ -15,7 +15,7 @@ from latwav.filters import (
     quincunx_matrix,
 )
 from latwav.transfer import Filter, transfer
-from latwav.verify import SQRT2, _dual_coset_shift, lawton_residuals, qmf_check
+from latwav.verify import SQRT2, _dual_coset_shift, _sample_points, lawton_residuals, qmf_check
 from util import lattice_chart, random_dyadic_matrices, reference_qmf_check
 
 BUNDLED = (haar_1d, daubechies4_1d, quincunx_haar, quincunx_daubechies4)
@@ -100,6 +100,19 @@ def test_qmf_deterministic_for_fixed_seed():
     a = qmf_check(daubechies4_1d(), samples=256, seed=3)
     b = qmf_check(daubechies4_1d(), samples=256, seed=3)
     assert a == b
+
+
+def test_qmf_sample_stream_is_pinned():
+    """The first points of ``random.Random(seed)``, as literal floats: Python
+    promises this stream on every version, so a change in any supported
+    Python fails here."""
+    assert _sample_points(3, 1, 0) == [2.1640663169737717, 1.6207753144767914, -0.4990634762961359]
+    assert _sample_points(2, 2, 5) == [
+        0.7722141235584434, 1.5191924583902034,  # first row
+        1.8547558739363392, 2.779997122185401,  # second row
+    ]
+    # a longer draw begins with the shorter one
+    assert _sample_points(1024, 1, 0)[:3] == _sample_points(3, 1, 0)
 
 
 def test_transfer_preserves_residuals_bitwise():

@@ -4,6 +4,7 @@ import importlib
 import json
 import math
 import operator
+import random
 from fractions import Fraction
 from itertools import product
 from typing import NamedTuple
@@ -560,14 +561,20 @@ def reference_dual_coset_shift(filt) -> np.ndarray:
 
 def reference_qmf_check(filt, samples: int = 1024, seed: int = 0) -> float:
     """The library's former QMF check, which forms the phases from the
-    complex product (-1j * points) @ n_mat.T."""
+    complex product (-1j * points) @ n_mat.T.
+
+    The points are drawn row by row with ``random.Random.uniform``, which
+    Python documents as a + (b - a) * random(); pi - (-pi) is exactly 2 pi,
+    so each point equals the library's -pi + 2 pi * u bit for bit.
+    """
     pts = sorted(filt.coeffs)
     n_mat = np.array(pts, dtype=float)
     values = np.array([filt.coeffs[p] for p in pts], dtype=complex)
     zeta = _dual_coset_shift(filt)
 
-    rng = np.random.default_rng(seed)
-    xi = rng.uniform(-math.pi, math.pi, size=(samples, filt.dim))
+    rng = random.Random(seed)
+    xi = np.array([[rng.uniform(-math.pi, math.pi) for _ in range(filt.dim)]
+                   for _ in range(samples)], dtype=float)
 
     def m0(points: np.ndarray) -> np.ndarray:
         phases = np.exp(-1j * points @ n_mat.T)
