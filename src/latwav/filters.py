@@ -6,8 +6,8 @@ import math
 from functools import cache
 
 from .intlat import DilationMatrix
-from .lawton import SQRT2
-from .transfer import Filter, dilation_1d, from_one_d
+from .lawton import Filter, SQRT2
+from .transfer import dilation_1d, from_one_d
 
 # 1/sqrt(2) so that sqrt(2) * h == 1.0 exactly in doubles; this keeps the
 # Haar cascade an exact fixed point.

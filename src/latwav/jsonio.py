@@ -9,14 +9,17 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .cascade import CascadeGrid
 from .config import _is_int
 from .errors import InputFormatError, LatwavError
 from .intlat import DilationMatrix, IntMatrix, SnfFactorization
 from .lawton import Filter, ReducedSystem
-from .transfer import TransferReport
-from .verify import ResidualReport
+
+if TYPE_CHECKING:  # annotations only: the wire format loads none of these layers
+    from .cascade import CascadeGrid
+    from .transfer import TransferReport
+    from .verify import ResidualReport
 
 
 def canonical_dumps(obj) -> str:

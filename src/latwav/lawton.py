@@ -28,8 +28,8 @@ from numbers import Complex
 from typing import NamedTuple
 
 from .encode import EncodingParams, encode_support, window_exponent_for_extent
-from .errors import DimensionMismatchError, DomainMismatchError, NotInLatticeError, NotSubsetError
-from .intlat import DilationMatrix, LatticePoint, as_point, in_dilated_lattice, to_adapted
+from .errors import DimensionMismatchError, DomainMismatchError, NotSubsetError
+from .intlat import DilationMatrix, LatticePoint, as_point, to_adapted
 
 # The normalization sum_n h_n = sqrt(2) of the module docstring, as a double.
 SQRT2 = math.sqrt(2.0)
@@ -127,23 +127,6 @@ def _chart(support: SupportSet, dil: DilationMatrix):
         for p, c in adapted.items()
     }
     return codes, c_min, n_exp
-
-
-def generated_equation(support: SupportSet, dil: DilationMatrix,
-                       k: LatticePoint) -> Equation | None:
-    """The equation generated by k on this support, or None if trivial."""
-    k = as_point(k)
-    if len(k) != support.dim or support.dim != dil.dim:
-        raise DimensionMismatchError("support, matrix and generator dimensions differ")
-    if not in_dilated_lattice(dil, k):
-        raise NotInLatticeError(f"generator {k} is not in A*Z^d")
-    codes = _chart(support, dil)[0]
-    pairs = tuple((n, m) for n in sorted(support.points, key=codes.__getitem__)
-                  if (m := tuple(a + b for a, b in zip(n, k))) in support.points)
-    if not pairs:
-        return None
-    rhs = 1 if all(c == 0 for c in k) else 0
-    return Equation(k=k, pairs=pairs, rhs=rhs)
 
 
 def equations_equal_up_to_conjugation(e1: Equation, e2: Equation) -> bool:

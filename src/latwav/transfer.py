@@ -92,13 +92,6 @@ def dilation_1d() -> DilationMatrix:
     return DilationMatrix.from_matrix([[2]])
 
 
-def _checked_report(report: TransferReport) -> TransferReport:
-    witness = (report.source_system, report.target_system, report.iso)
-    if not verify_isomorphism(*witness):
-        raise IsomorphismError(f"transfer witness fails: {_witness_fault(*witness)}")
-    return report
-
-
 def _index_map(system: ReducedSystem, support_map) -> dict[LatticePoint, LatticePoint]:
     """Each generator k goes to theta(a + k) - theta(a) on the first pair of
     its equation.  Every stage's support map is a window flattening (or its
@@ -109,25 +102,16 @@ def _index_map(system: ReducedSystem, support_map) -> dict[LatticePoint, Lattice
             for k, (a, b) in firsts}
 
 
-def _carry(filt: Filter, matrix: DilationMatrix, support_map,
-           shift: LatticePoint, n_exp: int) -> TransferReport:
-    """Carry ``filt`` onto ``matrix``, its support points moving through
-    ``support_map`` and its generators with them.  The report is
-    witness-checked before it is returned."""
-    target = Filter(
-        matrix=matrix,
-        coeffs={support_map[p]: v for p, v in filt.coeffs.items()},
-    )
-    sys_a = filt.system
-    return _checked_report(TransferReport(
-        source_filter=filt,
-        target_filter=target,
-        source_system=sys_a,
-        target_system=target.system,
-        iso=IsoMap(support_map=support_map, index_map=_index_map(sys_a, support_map)),
-        shift=shift,
-        window_exponent=n_exp,
-    ))
+def _carry(filt: Filter, target: Filter, support_map, shift: LatticePoint,
+           n_exp: int, stages: tuple[TransferReport, ...] = ()) -> TransferReport:
+    """The report that ``support_map`` carries ``filt`` onto ``target``, its
+    generators moving with the support points.  Every report is built here,
+    and its witness is checked before it is returned."""
+    sys_a, sys_b = filt.system, target.system
+    iso = IsoMap(support_map=support_map, index_map=_index_map(sys_a, support_map))
+    if not verify_isomorphism(sys_a, sys_b, iso):
+        raise IsomorphismError(f"transfer witness fails: {_witness_fault(sys_a, sys_b, iso)}")
+    return TransferReport(filt, target, sys_a, sys_b, iso, shift, n_exp, stages)
 
 
 def to_one_d(filt: Filter) -> TransferReport:
@@ -140,7 +124,8 @@ def to_one_d(filt: Filter) -> TransferReport:
     """
     system = filt.system
     support_map = {p: (c,) for p, c in zip(system.support_order, system.codes)}
-    return _carry(filt, dilation_1d(), support_map,
+    target = Filter(dilation_1d(), {support_map[p]: v for p, v in filt.coeffs.items()})
+    return _carry(filt, target, support_map,
                   from_adapted(filt.matrix, system.c_min), system.window_exponent)
 
 
@@ -178,7 +163,8 @@ def from_one_d(filt: Filter, target_matrix: DilationMatrix) -> TransferReport:
         return from_adapted(target_matrix, c)
 
     support_map = {p: pullback(p[0]) for p in filt.coeffs}
-    return _carry(filt, target_matrix, support_map, shift, n_exp)
+    target = Filter(target_matrix, {support_map[p]: v for p, v in filt.coeffs.items()})
+    return _carry(filt, target, support_map, shift, n_exp)
 
 
 def transfer(filt: Filter, target_matrix: DilationMatrix) -> TransferReport:
@@ -190,15 +176,5 @@ def transfer(filt: Filter, target_matrix: DilationMatrix) -> TransferReport:
     stage1 = to_one_d(filt)
     stage2 = from_one_d(stage1.target_filter, target_matrix)
     support_map = {p: stage2.iso.support_map[m] for p, m in stage1.iso.support_map.items()}
-    report = TransferReport(
-        source_filter=filt,
-        target_filter=stage2.target_filter,
-        source_system=stage1.source_system,
-        target_system=stage2.target_system,
-        iso=IsoMap(support_map=support_map,
-                   index_map=_index_map(stage1.source_system, support_map)),
-        shift=stage1.shift,
-        window_exponent=stage1.window_exponent,
-        stages=(stage1, stage2),
-    )
-    return _checked_report(report)
+    return _carry(filt, stage2.target_filter, support_map, stage1.shift,
+                  stage1.window_exponent, stages=(stage1, stage2))

@@ -18,11 +18,11 @@ from latwav.lawton import (
     SupportSet,
     build_reduced_system,
     equations_equal_up_to_conjugation,
-    generated_equation,
     restrict_index_set,
 )
 from util import (
     enumerate_windows,
+    generated_equation,
     lattice_chart,
     random_dyadic_matrices,
     reference_build_reduced_system,

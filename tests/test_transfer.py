@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from latwav.encode import EncodingParams, encode_support
+from latwav.encode import EncodingParams, decode_support, encode_support
 from latwav.cli import main
 from latwav.errors import DomainMismatchError, IsomorphismError, NotOneDimensionalError
 from latwav.filters import (
@@ -231,6 +231,31 @@ def test_from_one_d_db4_to_quincunx_residuals():
 def test_from_one_d_requires_one_dimensional_input():
     with pytest.raises(NotOneDimensionalError):
         from_one_d(quincunx_haar(), quincunx_matrix())
+
+
+def _smallest_window_exponent(dim: int, top: int) -> int:
+    """The smallest N >= 1 at which every integer in [0, top] decodes to a
+    support-window point, found by trying N = 1, 2, ..."""
+    n_exp = 1
+    while any(decode_support(EncodingParams(dim, n_exp), m) is None for m in range(top + 1)):
+        n_exp += 1
+    return n_exp
+
+
+@pytest.mark.parametrize("target", [dilation_1d, quincunx_matrix, antidiagonal_matrix,
+                                    companion_3d_matrix])
+@pytest.mark.parametrize("shift", [-7, -1, 0, 1, 5, 64])
+def test_from_one_d_window_is_smallest_for_shifted_sources(target, shift):
+    """A source whose support does not start at 0 is shift-normalized first,
+    so its window exponent is the smallest one for the support's extent
+    alone.  ``transfer`` always hands over codes that start at 0, so only a
+    direct call shows this."""
+    db4, matrix = daubechies4_1d(), target()
+    filt = Filter.from_coeffs(dilation_1d(), {(m + shift,): v for (m,), v in db4.coeffs.items()})
+    report = from_one_d(filt, matrix)
+    assert report.shift == (shift,)
+    top = max(db4.coeffs)[0] - min(db4.coeffs)[0]
+    assert report.window_exponent == _smallest_window_exponent(matrix.dim, top)
 
 
 def test_round_trip_random_filters():

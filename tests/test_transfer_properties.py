@@ -1,9 +1,9 @@
 """Property tests over random expansive dyadic matrices in d = 1-4: every
 transfer's index map, derived from its support map, equals the former
-encode_index/decode_index route, and residuals carry over bit for bit; the
-witness check gives the former check's verdict and text on true and corrupted
-witnesses; and the canonical JSON of systems and reports is byte-identical
-to the former dump with cycle checks."""
+encode_index/decode_index route, its support map keeps support order, and
+residuals carry over bit for bit; the witness check gives the former check's
+verdict and text on true and corrupted witnesses; and the canonical JSON of
+systems and reports is byte-identical to the former dump with cycle checks."""
 
 import pytest
 
@@ -78,6 +78,12 @@ def test_index_maps_match_the_encoding_route(data):
     for stage, to_line in zip(report.stages, (True, False)):
         assert stage.iso.index_map == reference_index_map(stage, to_line)
     assert report.iso.index_map == reference_index_map(report)
+    # every support map carries support order onto support order, position
+    # by position: an O(L) witness check may rely on it
+    for chosen in (report, *report.stages):
+        theta = chosen.iso.support_map
+        assert tuple(theta[p] for p in chosen.source_system.support_order) \
+            == chosen.target_system.support_order
 
     src, tgt = lawton_residuals(filt), lawton_residuals(report.target_filter)
     assert tgt.sum_residual == src.sum_residual

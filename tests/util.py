@@ -26,15 +26,18 @@ from latwav.errors import (
     DomainMismatchError,
     LatwavError,
     NotDyadicError,
+    NotInLatticeError,
 )
 from latwav.intlat import (
     DilationMatrix,
     IntMatrix,
     LatticePoint,
     SnfFactorization,
+    as_point,
     check_dim,
     coset_representative,
     from_adapted,
+    in_dilated_lattice,
     smith_normal_form,
     to_adapted,
 )
@@ -455,6 +458,26 @@ def reference_build_reduced_system(support: SupportSet, dil: DilationMatrix) -> 
                     for p in order),
         c_min=c_min,
     )
+
+
+# Per-generator oracle: the library's former equation builder, which checks
+# one generator k against A*Z^d and scans the support in chart order for its
+# pairs (n, n + k).
+def generated_equation(support: SupportSet, dil: DilationMatrix,
+                       k: LatticePoint) -> Equation | None:
+    """The equation generated by k on this support, or None if trivial."""
+    k = as_point(k)
+    if len(k) != support.dim or support.dim != dil.dim:
+        raise DimensionMismatchError("support, matrix and generator dimensions differ")
+    if not in_dilated_lattice(dil, k):
+        raise NotInLatticeError(f"generator {k} is not in A*Z^d")
+    codes = _chart(support, dil)[0]
+    pairs = tuple((n, m) for n in sorted(support.points, key=codes.__getitem__)
+                  if (m := tuple(a + b for a, b in zip(n, k))) in support.points)
+    if not pairs:
+        return None
+    rhs = 1 if all(c == 0 for c in k) else 0
+    return Equation(k=k, pairs=pairs, rhs=rhs)
 
 
 # Bucket-pass oracle: the library's former one-pass build, which scans every
