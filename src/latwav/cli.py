@@ -11,6 +11,10 @@ every collector pass over them is wasted: 7-11 ms of such a ``reduce``
 (about 100 passes, 2-core VM).  Reference counting still frees them.  The cost is
 the cyclic garbage of imports (numpy's, in ``verify``), which now stays
 until the process exits: 0.2-0.3 MB of peak RSS.
+
+Each handler imports the layers it runs, inside the handler, so a command
+executes only its own part of the package: ``snf`` and ``basis`` run
+``intlat`` and ``jsonio`` but never ``lawton``.
 """
 
 from __future__ import annotations
@@ -23,16 +27,10 @@ import sys
 import warnings
 from pathlib import Path
 
-from . import cascade as cascade_mod
 from . import filters as filters_mod
 from . import jsonio
 from .config import Config
 from .errors import InputFormatError, IsomorphismError, LatwavError
-from .intlat import smith_normal_form
-from .lawton import pair_count
-from .quincunx import support_pattern
-from .transfer import transfer
-from .verify import QMF_SAMPLES, QMF_SEED, lawton_residuals, qmf_check
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -123,6 +121,8 @@ def _require(ok: bool, message: str) -> None:
 def _load_filter(path: str, config: Config):
     """The filter in ``path``, refused before its reduced system is built
     when that system would hold more pairs than the pair budget."""
+    from .lawton import pair_count
+
     filt = jsonio.filter_from_json(jsonio.load_json(path), path)
     pairs = pair_count(filt.support, filt.matrix)
     _require(pairs <= config.pair_budget,
@@ -132,12 +132,16 @@ def _load_filter(path: str, config: Config):
 
 
 def _cmd_snf(args, config: Config) -> int:
+    from .intlat import smith_normal_form
+
     matrix = jsonio.matrix_from_json(jsonio.load_json(args.matrix), args.matrix)
     _emit(jsonio.snf_to_json(smith_normal_form(matrix)))
     return 0
 
 
 def _cmd_basis(args, config: Config) -> int:
+    from .intlat import smith_normal_form
+
     matrix = jsonio.matrix_from_json(jsonio.load_json(args.matrix), args.matrix)
     _emit(jsonio.basis_to_json(smith_normal_form(matrix)))
     return 0
@@ -150,6 +154,8 @@ def _cmd_reduce(args, config: Config) -> int:
 
 
 def _cmd_verify(args, config: Config) -> int:
+    from .verify import QMF_SAMPLES, QMF_SEED, lawton_residuals, qmf_check
+
     filt = _load_filter(args.filter, config)
     tolerance = args.tolerance if args.tolerance is not None else config.tolerance
     _require(math.isfinite(tolerance) and tolerance > 0,
@@ -173,6 +179,8 @@ def _cmd_verify(args, config: Config) -> int:
 
 
 def _cmd_transfer(args, config: Config) -> int:
+    from .transfer import transfer
+
     filt = _load_filter(args.filter, config)
     target = jsonio.dilation_from_json(jsonio.load_json(args.target), args.target)
     report = transfer(filt, target)
@@ -181,6 +189,8 @@ def _cmd_transfer(args, config: Config) -> int:
 
 
 def _cmd_cascade(args, config: Config) -> int:
+    from .cascade import run_cascade
+
     filt = _load_filter(args.filter, config)
     levels = args.levels if args.levels is not None else config.cascade_level_cap
     _require(levels >= 0, f"--levels must be nonnegative, got {levels}")
@@ -189,7 +199,7 @@ def _cmd_cascade(args, config: Config) -> int:
     _require(levels <= config.cascade_level_cap,
              f"--levels {levels} exceeds the configured cap {config.cascade_level_cap}")
     out = _out_dir(config)
-    grid, diffs = cascade_mod.run_cascade(
+    grid, diffs = run_cascade(
         filt, max_level=levels, tol=args.tol, cell_budget=config.cell_budget,
         residual_warn_tolerance=config.tolerance,
     )
@@ -222,6 +232,8 @@ def _cmd_cascade(args, config: Config) -> int:
 
 
 def _cmd_quincunx(args, config: Config) -> int:
+    from .quincunx import support_pattern
+
     _require(args.width >= 1, f"--width must be >= 1, got {args.width}")
     _require((2 * args.width + 1) ** 2 <= config.cell_budget,
              f"--width {args.width} needs {(2 * args.width + 1) ** 2} coefficients, "

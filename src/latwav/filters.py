@@ -1,17 +1,26 @@
-"""Bundled dilation matrices and exact example filters."""
+"""Bundled dilation matrices and exact example filters.
+
+The CLI reads ``BUNDLED_FILTERS`` for its ``bundled`` choices on every
+command, so a filter imports ``lawton`` (and ``transfer``) only when it is
+built.
+"""
 
 from __future__ import annotations
 
 import math
 from functools import cache
+from typing import TYPE_CHECKING
 
 from .intlat import DilationMatrix
-from .lawton import Filter, SQRT2
-from .transfer import dilation_1d, from_one_d
 
-# 1/sqrt(2) so that sqrt(2) * h == 1.0 exactly in doubles; this keeps the
-# Haar cascade an exact fixed point.
-INV_SQRT2 = 1.0 / SQRT2
+if TYPE_CHECKING:
+    from .lawton import Filter
+
+
+@cache
+def dilation_1d() -> DilationMatrix:
+    """The 1x1 dilation [2] (shared instance)."""
+    return DilationMatrix.from_matrix([[2]])
 
 
 @cache
@@ -34,12 +43,19 @@ def companion_3d_matrix() -> DilationMatrix:
 
 @cache
 def haar_1d() -> Filter:
-    return Filter.from_coeffs(dilation_1d(), {(0,): INV_SQRT2, (1,): INV_SQRT2})
+    """Two taps of 1/sqrt(2): sqrt(2) * h == 1.0 exactly in doubles, which
+    keeps the Haar cascade an exact fixed point."""
+    from .lawton import SQRT2, Filter
+
+    h = 1.0 / SQRT2
+    return Filter.from_coeffs(dilation_1d(), {(0,): h, (1,): h})
 
 
 @cache
 def daubechies4_1d() -> Filter:
     """The 4-tap Daubechies orthonormal filter (normalized to sum sqrt(2))."""
+    from .lawton import SQRT2, Filter
+
     r3 = math.sqrt(3.0)
     scale = 1.0 / (4.0 * SQRT2)
     taps = (1.0 + r3, 3.0 + r3, 3.0 - r3, 1.0 - r3)
@@ -50,15 +66,21 @@ def daubechies4_1d() -> Filter:
 
 @cache
 def quincunx_haar() -> Filter:
-    """Two taps of 1/sqrt(2) at the origin and the coset representative."""
+    """Two taps of 1/sqrt(2), as in ``haar_1d``, at the origin and the coset
+    representative."""
+    from .lawton import SQRT2, Filter
+
     mat = quincunx_matrix()
     origin = (0,) * mat.dim
-    return Filter.from_coeffs(mat, {origin: INV_SQRT2, mat.coset_rep: INV_SQRT2})
+    h = 1.0 / SQRT2
+    return Filter.from_coeffs(mat, {origin: h, mat.coset_rep: h})
 
 
 @cache
 def quincunx_daubechies4() -> Filter:
     """Four-tap quincunx solution: the Daubechies filter carried to 2D."""
+    from .transfer import from_one_d
+
     return from_one_d(daubechies4_1d(), quincunx_matrix()).target_filter
 
 

@@ -13,11 +13,11 @@ from typing import TYPE_CHECKING
 
 from .config import _is_int
 from .errors import InputFormatError, LatwavError
-from .intlat import DilationMatrix, IntMatrix, SnfFactorization
-from .lawton import Filter, ReducedSystem
+from .intlat import DilationMatrix, IntMatrix, SnfFactorization, coset_representative
 
 if TYPE_CHECKING:  # annotations only: the wire format loads none of these layers
     from .cascade import CascadeGrid
+    from .lawton import Filter, ReducedSystem
     from .transfer import TransferReport
     from .verify import ResidualReport
 
@@ -83,8 +83,6 @@ def snf_to_json(snf: SnfFactorization) -> dict:
 
 
 def basis_to_json(snf: SnfFactorization) -> dict:
-    from .intlat import coset_representative
-
     return {
         "adapted_basis": matrix_to_json(snf.U),
         "coset_rep": list(coset_representative(snf)),
@@ -117,6 +115,8 @@ def _finite(x, where: str) -> float:
 
 
 def filter_from_json(data, where: str = "filter") -> Filter:
+    from .lawton import Filter
+
     if not isinstance(data, dict):
         raise InputFormatError(f"{where}: expected an object")
     for key in ("dim", "matrix", "coeffs"):

@@ -21,10 +21,12 @@ one-dimensional transfer).
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DimensionMismatchError
-from .lawton import SQRT2, SupportSet
+
+if TYPE_CHECKING:  # annotations only: the Shannon coefficients need no reduced system
+    from .lawton import SupportSet
 
 
 def _cosine_line_integral(p: int) -> float:
@@ -47,7 +49,7 @@ def shannon_coeff(m: int, n: int) -> float:
     """Two-scale coefficient s(m, n), evaluated in closed form."""
     c1 = _cosine_line_integral(m + n)
     c2 = _cosine_line_integral(m - n)
-    return (SQRT2 / (4.0 * math.pi ** 2)) * 0.5 * c1 * c2
+    return (math.sqrt(2.0) / (4.0 * math.pi ** 2)) * 0.5 * c1 * c2
 
 
 class SupportPatternReport(NamedTuple):

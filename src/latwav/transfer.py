@@ -12,11 +12,11 @@ unchanged.
 
 from __future__ import annotations
 
-from functools import cache
 from typing import NamedTuple
 
 from .encode import EncodingParams, decode_support, window_exponent_for_extent
 from .errors import DomainMismatchError, IsomorphismError, NotOneDimensionalError
+from .filters import dilation_1d
 from .intlat import DilationMatrix, LatticePoint, from_adapted
 from .lawton import Equation, Filter, ReducedSystem, equations_equal_up_to_conjugation
 
@@ -84,12 +84,6 @@ def verify_isomorphism(sys_a: ReducedSystem, sys_b: ReducedSystem, iso: IsoMap) 
     equal).  Raises if the witness domains do not even match sys_a.
     """
     return _witness_fault(sys_a, sys_b, iso) is None
-
-
-@cache
-def dilation_1d() -> DilationMatrix:
-    """The 1x1 dilation [2] (shared instance)."""
-    return DilationMatrix.from_matrix([[2]])
 
 
 def _index_map(system: ReducedSystem, support_map) -> dict[LatticePoint, LatticePoint]:

@@ -232,8 +232,8 @@ def test_unusable_output_dir_is_input_error_before_any_compute(workdir, capsys, 
         config = workdir / "config.json"
         config.write_text(canonical_dumps({"output_dir": str(afile / "sub")}))
         argv = ["--config", str(config)]
-    monkeypatch.setattr("latwav.cli.cascade_mod.run_cascade", _fail_if_called)
-    monkeypatch.setattr("latwav.cli.support_pattern", _fail_if_called)
+    monkeypatch.setattr("latwav.cascade.run_cascade", _fail_if_called)
+    monkeypatch.setattr("latwav.quincunx.support_pattern", _fail_if_called)
     for command in (["cascade", str(workdir / "db4.json"), "--levels", "2"],
                     ["quincunx", "pattern", "--width", "2"]):
         code, out, err = run(capsys, *argv, *command)

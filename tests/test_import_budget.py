@@ -1,4 +1,5 @@
-"""Import budget: the package and its CLI load neither numpy nor scipy.
+"""Import budget: the package and its CLI load neither numpy nor scipy,
+and each command executes only the layers it runs.
 
 Only ``verify`` (its frequency-domain QMF check) imports numpy, and only
 when it runs; every other command needs the standard library alone.  Even
@@ -9,6 +10,11 @@ do they load ``dataclasses`` (with ``inspect``) or ``fractions`` (with
 ``decimal``): the records are tuples and plain classes, and the one exact
 quotient is an integer true division.  The check runs in a fresh
 interpreter so the test suite's own imports do not hide an eager import.
+
+``import latwav`` executes no layer: the layers wait in ``sys.modules`` as
+placeholders, whose type is a subclass of ``types.ModuleType``, and each
+command executes exactly its own set.  Every command executes ``filters``,
+whose ``BUNDLED_FILTERS`` the argument parser reads for its choices.
 """
 
 import os
@@ -19,8 +25,23 @@ from pathlib import Path
 import pytest
 
 import latwav
+from latwav.filters import daubechies4_1d
+from latwav.jsonio import canonical_dumps, filter_to_json
 
 SRC = str(Path(latwav.__file__).resolve().parents[1])
+
+
+def _fresh_python(code: str, cwd: Path) -> list[str]:
+    """The lines ``code`` prints in a fresh interpreter run in ``cwd``."""
+    env = dict(os.environ, LATWAV_OUTPUT_DIR=str(cwd))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=cwd,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
 
 SCRIPT = """
 import contextlib, io, sys
@@ -67,15 +88,7 @@ print(numpy_modules())
 @pytest.fixture(scope="module")
 def budget_lines(tmp_path_factory):
     """The script's four printed lines, from one fresh interpreter."""
-    tmp_path = tmp_path_factory.mktemp("budget")
-    env = dict(os.environ, LATWAV_OUTPUT_DIR=str(tmp_path))
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT], env=env, cwd=tmp_path,
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()
+    return _fresh_python(SCRIPT, tmp_path_factory.mktemp("budget"))
 
 
 def test_import_and_commands_other_than_verify_load_neither_numpy_nor_scipy(budget_lines):
@@ -87,3 +100,103 @@ def test_import_and_commands_other_than_verify_load_neither_numpy_nor_scipy(budg
 def test_verify_loads_only_the_numpy_modules_of_a_bare_numpy_import(budget_lines):
     _, _, bare_numpy, after_verify = budget_lines
     assert after_verify == bare_numpy
+
+
+def test_public_names_and_layer_attributes_resolve_through_the_package():
+    """``latwav.transfer`` stays the function that shadows its module, each
+    public name is its layer's object, and each layer attribute is the
+    module in ``sys.modules``."""
+    assert latwav.transfer is sys.modules["latwav.transfer"].transfer
+    for name in latwav.__all__:
+        value = getattr(latwav, name)
+        assert vars(sys.modules[value.__module__])[name] is value
+    for layer in ("cascade", "config", "encode", "errors", "filters", "intlat", "jsonio",
+                  "lawton", "quincunx", "verify"):
+        assert getattr(latwav, layer) is sys.modules[f"latwav.{layer}"]
+    assert set(latwav.__all__) <= set(dir(latwav))
+    with pytest.raises(AttributeError):
+        latwav.no_such_name
+
+
+EXECUTED = """
+import contextlib, io, sys, types
+{run}
+print(sorted(name for name, module in sys.modules.items()
+             if name.startswith("latwav.") and type(module) is types.ModuleType))
+"""
+
+RUN_COMMAND = """
+from latwav.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main({argv!r}) == 0
+"""
+
+PARSER = {"cli", "config", "errors", "filters", "intlat", "jsonio"}
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("layers")
+    (tmp_path / "db4.json").write_text(canonical_dumps(filter_to_json(daubechies4_1d())))
+    (tmp_path / "q.json").write_text('{"dim": 2, "rows": [[1, 1], [-1, 1]]}')
+    return tmp_path
+
+
+def test_import_latwav_executes_no_layer(inputs):
+    assert _fresh_python(EXECUTED.format(run="import latwav"), inputs) == ["[]"]
+
+
+@pytest.mark.parametrize("argv, layers", [
+    (["snf", "q.json"], set()),
+    (["basis", "q.json"], set()),
+    (["encode", "eval", "--d", "2", "--N", "1", "--point", "1,2"], {"encode"}),
+    (["quincunx", "pattern", "--width", "2"], {"quincunx"}),
+    (["bundled", "db4"], {"encode", "lawton"}),
+    (["reduce", "db4.json"], {"encode", "lawton"}),
+    (["verify", "db4.json"], {"encode", "lawton", "verify"}),
+    (["transfer", "db4.json", "--target", "q.json"], {"encode", "lawton", "transfer"}),
+    (["cascade", "db4.json", "--levels", "4"], {"encode", "lawton", "verify", "cascade"}),
+], ids=["snf", "basis", "encode", "quincunx", "bundled", "reduce", "verify", "transfer",
+        "cascade"])
+def test_each_command_executes_only_its_own_layers(inputs, argv, layers):
+    run = RUN_COMMAND.format(argv=argv)
+    executed = _fresh_python(EXECUTED.format(run=run), inputs)
+    assert executed == [str(sorted(f"latwav.{name}" for name in PARSER | layers))]
+
+
+# Dependencies first, so every layer is still unexecuted when its turn
+# comes; four threads on a short switch interval, more than the cores here.
+RACE = """
+import sys, threading, types
+import latwav
+
+sys.setswitchinterval(1e-6)
+for name in ["errors", "config", "intlat", "encode", "jsonio", "filters", "lawton",
+             "quincunx", "transfer", "verify", "cascade"]:
+    module = sys.modules["latwav." + name]
+    assert type(module) is not types.ModuleType, name
+    barrier = threading.Barrier(4)
+    seen = []
+
+    def touch():
+        barrier.wait()
+        seen.append(sorted(vars(module)))
+
+    threads = [threading.Thread(target=touch) for _ in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive(), name
+    whole = sorted(vars(module))
+    print(name, seen == [whole] * 4)
+"""
+
+
+def test_threads_reading_a_fresh_layer_all_see_it_whole(inputs):
+    """Threads wait while the first one executes the layer.  Without the
+    lock (``importlib.util.LazyLoader`` before Python 3.13) the others
+    nearly always read a half-run namespace."""
+    lines = _fresh_python(RACE, inputs)
+    assert len(lines) == 11
+    assert all(line.endswith(" True") for line in lines), lines
