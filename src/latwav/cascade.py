@@ -129,12 +129,13 @@ def run_cascade(filt: Filter, max_level: int = DEFAULT_LEVEL_CAP, tol: float = 0
     """Iterate the cascade from the unit-cube indicator.
 
     Returns the final grid and the per-step sampled L2 differences.  Stops
-    early once a difference drops below ``tol`` (if positive).  Warns when
-    the filter does not solve its system: the iteration is then not known to
-    converge.
+    early once a difference drops below ``tol``; a difference is a square
+    root, so ``tol = 0`` runs every level.  Warns when the filter does not
+    solve its system (``ResidualReport.passes``): the iteration is then not
+    known to converge.
     """
     report = lawton_residuals(filt)
-    if report.max_residual > residual_warn_tolerance:
+    if not report.passes(residual_warn_tolerance):
         warnings.warn(
             f"filter residual {report.max_residual:.3e} exceeds "
             f"{residual_warn_tolerance:.1e}; cascade convergence is not guaranteed",
@@ -146,7 +147,7 @@ def run_cascade(filt: Filter, max_level: int = DEFAULT_LEVEL_CAP, tol: float = 0
         nxt = cascade_step(grid, filt, cell_budget)
         diffs.append(level_difference(grid, nxt))
         grid = nxt
-        if tol > 0.0 and diffs[-1] < tol:
+        if diffs[-1] < tol:
             break
     return grid, diffs
 

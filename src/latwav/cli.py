@@ -43,11 +43,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("snf", help="Smith normal form of a determinant +/-2 matrix")
-    p.set_defaults(run=_cmd_snf)
+    p.set_defaults(run=_cmd_factor, render=jsonio.snf_to_json)
     p.add_argument("matrix", help="matrix JSON file")
 
     p = sub.add_parser("basis", help="adapted basis and coset representative")
-    p.set_defaults(run=_cmd_basis)
+    p.set_defaults(run=_cmd_factor, render=jsonio.basis_to_json)
     p.add_argument("matrix", help="matrix JSON file")
 
     p = sub.add_parser("reduce", help="reduced system of a filter's support")
@@ -131,19 +131,13 @@ def _load_filter(path: str, config: Config):
     return filt
 
 
-def _cmd_snf(args, config: Config) -> int:
+def _cmd_factor(args, config: Config) -> int:
+    """``snf`` and ``basis``: the matrix's Smith normal form, rendered by
+    the ``render`` its subparser sets."""
     from .intlat import smith_normal_form
 
     matrix = jsonio.matrix_from_json(jsonio.load_json(args.matrix), args.matrix)
-    _emit(jsonio.snf_to_json(smith_normal_form(matrix)))
-    return 0
-
-
-def _cmd_basis(args, config: Config) -> int:
-    from .intlat import smith_normal_form
-
-    matrix = jsonio.matrix_from_json(jsonio.load_json(args.matrix), args.matrix)
-    _emit(jsonio.basis_to_json(smith_normal_form(matrix)))
+    _emit(args.render(smith_normal_form(matrix)))
     return 0
 
 
@@ -166,16 +160,17 @@ def _cmd_verify(args, config: Config) -> int:
     except OverflowError as exc:
         raise InputFormatError(f"{args.filter}: a coefficient position is beyond double "
                                f"range, so its frequency response cannot be sampled") from exc
+    passed = report.passes(tolerance)
     data = jsonio.residual_report_to_json(report)
     data.update({
         "qmf_deviation": deviation,
         "qmf_samples": QMF_SAMPLES,
         "qmf_seed": QMF_SEED,
         "tolerance": tolerance,
-        "pass": report.passes(tolerance),
+        "pass": passed,
     })
     _emit(data)
-    return 0 if report.passes(tolerance) else 1
+    return 0 if passed else 1
 
 
 def _cmd_transfer(args, config: Config) -> int:

@@ -17,10 +17,6 @@ class DimensionMismatchError(LatwavError):
     """Operands have incompatible dimensions."""
 
 
-class NotInLatticeError(LatwavError):
-    """A generator was expected to lie in the dilated lattice A*Z^d."""
-
-
 class NotSubsetError(LatwavError):
     """A sub-support is not contained in its parent support."""
 

@@ -156,16 +156,23 @@ def filter_from_json(data, where: str = "filter") -> Filter:
         raise InputFormatError(f"{where}: {exc}") from exc
 
 
-def system_to_json(system: ReducedSystem) -> dict:
+def _system_fields(system: ReducedSystem) -> dict:
+    """Every field of the system document but its equations."""
     return {
+        "index_set": system.index_set,
         "matrix": matrix_to_json(system.matrix.A),
         "support": system.support_order,
-        "index_set": system.index_set,
+        "window_exponent": system.window_exponent,
+    }
+
+
+def system_to_json(system: ReducedSystem) -> dict:
+    return {
+        **_system_fields(system),
         "equations": [
             {"k": eq.k, "pairs": eq.pairs, "rhs": eq.rhs}
             for eq in (system.equations[k] for k in system.index_set)
         ],
-        "window_exponent": system.window_exponent,
     }
 
 
@@ -176,12 +183,7 @@ def system_dumps(system: ReducedSystem) -> str:
     input error); each support point and generator is then rendered once
     more to a cached text, and a pair (a, b) is "[a," + "b]" of two of them.
     "equations" sorts first among the keys, so it opens the document."""
-    rest = canonical_dumps({
-        "index_set": system.index_set,
-        "matrix": matrix_to_json(system.matrix.A),
-        "support": system.support_order,
-        "window_exponent": system.window_exponent,
-    })
+    rest = canonical_dumps(_system_fields(system))
     point = {p: _compact_dumps(p) for p in system.support_order}
     head = {p: f"[{text}," for p, text in point.items()}
     tail = {p: f"{text}]" for p, text in point.items()}

@@ -88,9 +88,6 @@ class Equation(NamedTuple):
     pairs: tuple[tuple[LatticePoint, LatticePoint], ...]
     rhs: int
 
-    def pair_set(self) -> frozenset:
-        return frozenset(self.pairs)
-
 
 class ReducedSystem(NamedTuple):
     """A reduced Lawton system with its canonical index set.
@@ -133,7 +130,7 @@ def equations_equal_up_to_conjugation(e1: Equation, e2: Equation) -> bool:
     """Pair sets equal, or equal after transposing every pair of e2."""
     if e1.rhs != e2.rhs:
         return False
-    s1, s2 = e1.pair_set(), e2.pair_set()
+    s1, s2 = frozenset(e1.pairs), frozenset(e2.pairs)
     return s1 == s2 or s1 == frozenset((b, a) for a, b in s2)
 
 

@@ -127,10 +127,11 @@ def from_one_d(filt: Filter, target_matrix: DilationMatrix) -> TransferReport:
     """Transfer a one-dimensional filter onto an arbitrary expansive dyadic
     target matrix.
 
-    The (shift-normalized) support lies in {0, ..., 2^(N+1)-1} for the
-    smallest admissible window exponent N; those integers are consecutive
-    values of the flattening, so every one decodes to a point of the
-    target's support window.  Supports and generators are returned in
+    The (shift-normalized) support lies in {0, ..., 2^N - 1} in 1-D and in
+    {0, ..., 2^(N+1) - 1}, the codes of the window's rows y = 0 and 1, above
+    it, for the smallest such window exponent N.  Those integers are
+    consecutive values of the flattening, so every one decodes to a point of
+    the target's support window.  Supports and generators are returned in
     standard target coordinates.
     """
     if filt.dim != 1:
@@ -143,11 +144,7 @@ def from_one_d(filt: Filter, target_matrix: DilationMatrix) -> TransferReport:
     shift = (values[0],)
     top = values[-1] - values[0]
     s = target_matrix.dim
-
-    if s == 1:
-        n_exp = window_exponent_for_extent(top)
-    else:
-        n_exp = max(1, top.bit_length() - 1)  # smallest N with top <= 2^(N+1)-1
+    n_exp = window_exponent_for_extent(top if s == 1 else top >> 1)
     params = EncodingParams(s, n_exp)
 
     def pullback(m: int) -> LatticePoint:

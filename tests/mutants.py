@@ -1,0 +1,83 @@
+"""Named one-line mutants of ``src/latwav`` that the test suite must kill.
+
+Each entry is a line of the package as written, a mutant of that line, and
+the test file that must fail under the mutant.  Every one of them once passed
+the whole suite.  For each, the script copies ``src`` to a temporary
+directory, replaces the line there (failing loudly unless it occurs exactly
+once), checks that ``latwav`` imports from the copy, and requires
+``pytest -x`` on the test file to report failing tests.  It exits nonzero when
+a mutant survives.  Run it from the repository root:
+
+    python tests/mutants.py
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+# (module, line as written, mutant line, test file that must fail)
+MUTANTS = [
+    ("transfer.py",
+     "    if image != set(sys_b.index_set) or len(image) != len(eta):",
+     "    if image != set(sys_b.index_set) and len(image) != len(eta):",
+     "tests/test_transfer.py"),
+    ("cascade.py",
+     "        if diffs[-1] < tol:",
+     "        if tol > 0.0:",
+     "tests/test_cascade.py"),
+    ("verify.py",
+     "        return self.max_residual <= tolerance",
+     "        return self.max_residual < tolerance",
+     "tests/test_cli.py"),
+    ("jsonio.py",
+     "    if not isinstance(entries, list) or not entries:",
+     "    if not isinstance(entries, list) and not entries:",
+     "tests/test_jsonio.py"),
+    ("cli.py",
+     '    _require(levels >= 0, f"--levels must be nonnegative, got {levels}")',
+     '    _require(levels > 0, f"--levels must be nonnegative, got {levels}")',
+     "tests/test_cli.py"),
+    ("cli.py",
+     '    _require(args.width >= 1, f"--width must be >= 1, got {args.width}")',
+     '    _require(args.width > 1, f"--width must be >= 1, got {args.width}")',
+     "tests/test_cli.py"),
+    ("cli.py",
+     "    _require((2 * args.width + 1) ** 2 <= config.cell_budget,",
+     "    _require((2 * args.width + 1) ** 2 < config.cell_budget,",
+     "tests/test_cli.py"),
+    ("cli.py",
+     "    _require((2 * args.width + 1) ** 2 <= config.cell_budget,",
+     "    _require((2 * args.width) ** 2 <= config.cell_budget,",
+     "tests/test_cli.py"),
+]
+
+
+def survives(module: str, line: str, mutant: str, test: str) -> bool:
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copytree("src", tmp, dirs_exist_ok=True,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        path = Path(tmp, "latwav", module)
+        lines = path.read_text().split("\n")
+        if lines.count(line) != 1:
+            sys.exit(f"{module}: {line.strip()!r} occurs {lines.count(line)} times, not once")
+        lines[lines.index(line)] = mutant
+        path.write_text("\n".join(lines))
+        env = dict(os.environ, PYTHONPATH=tmp, PYTHONDONTWRITEBYTECODE="1")
+        where = subprocess.run([sys.executable, "-c", "import latwav; print(latwav.__file__)"],
+                               env=env, capture_output=True, text=True, check=True).stdout
+        if not where.startswith(tmp):
+            sys.exit(f"latwav imports from {where.strip()}, not from the mutated copy")
+        run = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                              test], env=env, capture_output=True, text=True)
+    # pytest exits 1 when tests fail; any other code (a collection error, say) is no kill.
+    print(f"{'survives' if run.returncode != 1 else 'killed  '} {module}: {mutant.strip()}"
+          f"  [{test}, pytest exit {run.returncode}]")
+    return run.returncode != 1
+
+
+if __name__ == "__main__":
+    survivors = [m for m in MUTANTS if survives(*m)]
+    sys.exit(f"{len(survivors)} mutant(s) survive" if survivors else 0)

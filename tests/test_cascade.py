@@ -162,6 +162,12 @@ def test_run_cascade_warns_for_non_solution():
 def test_early_stop_on_tolerance():
     _, diffs = run_cascade(haar_1d(), max_level=12, tol=1e-6)
     assert diffs == [0.0]  # first difference is already below tol
+    # db4's differences fall below 0.05 at level 5, not before; tol = 0 runs
+    # every level, as no difference (a square root) is negative.
+    _, diffs = run_cascade(daubechies4_1d(), max_level=12, tol=0.05)
+    assert [round(d, 3) for d in diffs] == [0.366, 0.242, 0.145, 0.082, 0.046]
+    _, diffs = run_cascade(daubechies4_1d(), max_level=12, tol=0.0)
+    assert len(diffs) == 12
 
 
 def _inverse_numerator(matrix) -> IntMatrix:

@@ -22,6 +22,7 @@ from latwav.intlat import DilationMatrix
 from latwav.lawton import pair_count
 from latwav.quincunx import support_pattern
 from latwav.transfer import Filter
+from latwav.verify import lawton_residuals
 from util import count_work, error_line, reference_canonical_dumps
 
 
@@ -85,6 +86,18 @@ def test_verify_tolerance_flag(workdir, capsys):
                        "--tolerance", "1e-6")
     assert code == 0
     assert json.loads(out)["tolerance"] == 1e-6
+
+
+def test_verdict_includes_its_boundary(workdir, capsys):
+    """A filter whose largest residual equals the tolerance passes, in the
+    library and in the CLI."""
+    report = lawton_residuals(daubechies4_1d())
+    assert report.max_residual > 0.0
+    assert report.passes(report.max_residual)
+    code, out, _ = run(capsys, "verify", str(workdir / "db4.json"),
+                       "--tolerance", repr(report.max_residual))
+    assert code == 0
+    assert '"pass":true' in out
 
 
 def test_transfer_output_reverifies_identically(workdir, capsys):
@@ -438,6 +451,39 @@ def test_encode_eval_prints_codes_near_the_digit_limit(capsys):
     code, out, _ = run(capsys, "encode", "eval", "--d", "3", "--N", "3000", "--point", "1,-2,2")
     assert code == 0
     assert json.loads(out)["radix_value"] == 1 - 2 * 4 ** 3000 + 2 * 4 ** 6000
+
+
+@pytest.mark.parametrize("argv", [
+    ["cascade", "{db4}", "--levels", "0"],
+    ["quincunx", "pattern", "--width", "1"],
+], ids=["cascade-levels-0", "quincunx-width-1"])
+def test_smallest_accepted_option_runs(workdir, capsys, argv):
+    code, out, err = run(capsys, *(a.format(db4=workdir / "db4.json") for a in argv))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["output_dir"] == str(workdir)
+
+
+@pytest.mark.parametrize("budget, width, refused", [(25, 2, False), (25, 3, True),
+                                                     (24, 2, True)])
+def test_quincunx_width_over_the_budget_is_refused_before_compute(workdir, capsys, monkeypatch,
+                                                                  budget, width, refused):
+    """--width W needs (2W + 1)^2 cells; a width over the budget is refused
+    before the pattern is computed or written."""
+    quincunx = importlib.import_module("latwav.quincunx")
+    calls = []
+    compute = quincunx.support_pattern
+    monkeypatch.setattr(quincunx, "support_pattern", lambda w: calls.append(w) or compute(w))
+    config = workdir / "config.json"
+    config.write_text(json.dumps({"cell_budget": budget}))
+    code, out, err = run(capsys, "--config", str(config), "quincunx", "pattern",
+                         "--width", str(width))
+    csv = workdir / f"quincunx_pattern_w{width}.csv"
+    if refused:
+        assert (code, out, calls, csv.exists()) == (2, "", [], False)
+        assert err == (f"error: --width {width} needs {(2 * width + 1) ** 2} coefficients, "
+                       f"cell budget is {budget}\n")
+    else:
+        assert (code, err, calls, csv.exists()) == (0, "", [width], True)
 
 
 def test_quincunx_width_at_the_cell_budget(workdir, capsys):

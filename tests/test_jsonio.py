@@ -86,6 +86,11 @@ def test_filter_validation():
         flagged["dim"] = dim
         with pytest.raises(InputFormatError, match="'dim' = .* is not an integer"):
             filter_from_json(flagged)
+    for coeffs in ([], {"n": [0], "re": 1.0}):
+        listless = json.loads(canonical_dumps(base))
+        listless["coeffs"] = coeffs
+        with pytest.raises(InputFormatError, match="^filter: 'coeffs' must be a non-empty list$"):
+            filter_from_json(listless)
 
 
 def test_snf_and_basis_reports():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from latwav.encode import EncodingParams, radix_encode
-from latwav.errors import NotInLatticeError, NotSubsetError
+from latwav.errors import NotSubsetError
 from latwav.filters import (
     antidiagonal_matrix,
     companion_3d_matrix,
@@ -21,6 +21,7 @@ from latwav.lawton import (
     restrict_index_set,
 )
 from util import (
+    NotInLatticeError,
     enumerate_windows,
     generated_equation,
     lattice_chart,

@@ -165,6 +165,20 @@ def test_witness_fault_says_where():
         fault = transfer_mod._witness_fault(sys_a, sys_b, IsoMap(theta, bad))
         assert fault.startswith(f"generator {k} does not map")
 
+    # Every equation of [2] on {0, 1, 2, 3} maps onto the quincunx support
+    # below, and the index map is injective, but it reaches only 2 of the
+    # target's 5 generators.
+    sys_a = build_reduced_system(SupportSet.from_points([(n,) for n in range(4)]),
+                                 dilation_1d())
+    image = [(0, 0), (1, 1), (2, 0), (3, 1)]
+    sys_b = build_reduced_system(SupportSet.from_points(image), quincunx_matrix())
+    theta = dict(zip(sys_a.support_order, image))
+    eta = transfer_mod._index_map(sys_a, theta)
+    assert (eta, len(sys_b.index_set)) == ({(0,): (0, 0), (2,): (2, 0)}, 5)
+    assert not verify_isomorphism(sys_a, sys_b, IsoMap(theta, eta))
+    fault = transfer_mod._witness_fault(sys_a, sys_b, IsoMap(theta, eta))
+    assert fault == "index map is not a bijection onto the target index set"
+
 
 def test_corrupted_index_map_fails_with_its_generator(monkeypatch, tmp_path, capsys):
     """A transfer whose index map is wrong in one entry raises

@@ -26,7 +26,6 @@ from latwav.errors import (
     DomainMismatchError,
     LatwavError,
     NotDyadicError,
-    NotInLatticeError,
 )
 from latwav.intlat import (
     DilationMatrix,
@@ -463,6 +462,10 @@ def reference_build_reduced_system(support: SupportSet, dil: DilationMatrix) -> 
 # Per-generator oracle: the library's former equation builder, which checks
 # one generator k against A*Z^d and scans the support in chart order for its
 # pairs (n, n + k).
+class NotInLatticeError(LatwavError):
+    """A generator was expected to lie in the dilated lattice A*Z^d."""
+
+
 def generated_equation(support: SupportSet, dil: DilationMatrix,
                        k: LatticePoint) -> Equation | None:
     """The equation generated by k on this support, or None if trivial."""
