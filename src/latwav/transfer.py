@@ -3,11 +3,11 @@
 ``to_one_d`` carries a filter over any expansive dyadic matrix onto the
 one-dimensional dilation [2]; ``from_one_d`` is the reverse direction for an
 arbitrary target matrix; ``transfer`` is their composition.  Every step
-returns a TransferReport whose witness maps are machine-checked by
-``verify_isomorphism``: the target system literally is the source system with
-variables renamed through the support map and generators renamed through the
-index map it induces, so solutions (and their residual values) carry over
-unchanged.
+returns a TransferReport whose witness the two systems' charts certify: the
+target system literally is the source system with variables renamed through
+the support map and generators renamed through the index map, so solutions
+(and their residual values) carry over unchanged.  ``verify_isomorphism``
+checks any witness equation by equation.
 """
 
 from __future__ import annotations
@@ -62,10 +62,8 @@ def _witness_fault(sys_a: ReducedSystem, sys_b: ReducedSystem, iso: IsoMap) -> s
         return "support map is not a bijection onto the target support"
     for k, eq in sys_a.equations.items():
         target = sys_b.equations.get(eta[k])
-        pairs = tuple([(theta[n], theta[m]) for n, m in eq.pairs])
-        if target is not None and pairs == target.pairs and eq.rhs == target.rhs:
-            continue  # the same pairs in the same order: no pair sets needed
-        mapped = Equation(k=eta[k], pairs=pairs, rhs=eq.rhs)
+        mapped = Equation(k=eta[k], pairs=tuple((theta[n], theta[m]) for n, m in eq.pairs),
+                          rhs=eq.rhs)
         if target is None or not equations_equal_up_to_conjugation(mapped, target):
             return (f"generator {k} does not map: its equation under the support map "
                     f"is not the target equation of {eta[k]}")
@@ -86,25 +84,34 @@ def verify_isomorphism(sys_a: ReducedSystem, sys_b: ReducedSystem, iso: IsoMap) 
     return _witness_fault(sys_a, sys_b, iso) is None
 
 
-def _index_map(system: ReducedSystem, support_map) -> dict[LatticePoint, LatticePoint]:
-    """Each generator k goes to theta(a + k) - theta(a) on the first pair of
-    its equation.  Every stage's support map is a window flattening (or its
-    inverse) composed with linear charts, and the flattening is additive,
-    so this is the generator's own encoding; the witness check confirms it."""
-    firsts = ((k, system.equations[k].pairs[0]) for k in system.index_set)
-    return {k: tuple(y - x for x, y in zip(support_map[a], support_map[b]))
-            for k, (a, b) in firsts}
+def _chart_fault(sys_a: ReducedSystem, sys_b: ReducedSystem, support_map) -> str | None:
+    """Where support_map departs from the two charts, as text, or None when
+    it carries sys_a's support order onto sys_b's position by position and
+    moves every code by one constant.  ``build_reduced_system`` buckets pairs
+    by code difference and lists each bucket in support order, so such a map
+    carries each equation onto the target's, pair for pair, and the index
+    sets (both sorted by code difference) pair up in order."""
+    order_a, order_b = sys_a.support_order, sys_b.support_order
+    if len(support_map) != len(order_a) or len(order_b) != len(order_a):
+        return "support map is not a bijection onto the target support"
+    shift = sys_b.codes[0] - sys_a.codes[0]
+    for i, (p, q, ca, cb) in enumerate(zip(order_a, order_b, sys_a.codes, sys_b.codes)):
+        if support_map.get(p) != q:
+            return f"support position {i}: {p} goes to {support_map.get(p)}, not to {q}"
+        if cb - ca != shift:
+            return f"support position {i}: the code of {p} moves by {cb - ca}, not by {shift}"
+    return None
 
 
 def _carry(filt: Filter, target: Filter, support_map, shift: LatticePoint,
            n_exp: int, stages: tuple[TransferReport, ...] = ()) -> TransferReport:
     """The report that ``support_map`` carries ``filt`` onto ``target``, its
     generators moving with the support points.  Every report is built here,
-    and its witness is checked before it is returned."""
+    and its witness is certified by the two charts before it is returned."""
     sys_a, sys_b = filt.system, target.system
-    iso = IsoMap(support_map=support_map, index_map=_index_map(sys_a, support_map))
-    if not verify_isomorphism(sys_a, sys_b, iso):
-        raise IsomorphismError(f"transfer witness fails: {_witness_fault(sys_a, sys_b, iso)}")
+    if (fault := _chart_fault(sys_a, sys_b, support_map)) is not None:
+        raise IsomorphismError(f"transfer witness fails: {fault}")
+    iso = IsoMap(support_map=support_map, index_map=dict(zip(sys_a.index_set, sys_b.index_set)))
     return TransferReport(filt, target, sys_a, sys_b, iso, shift, n_exp, stages)
 
 
@@ -127,12 +134,11 @@ def from_one_d(filt: Filter, target_matrix: DilationMatrix) -> TransferReport:
     """Transfer a one-dimensional filter onto an arbitrary expansive dyadic
     target matrix.
 
-    The (shift-normalized) support lies in {0, ..., 2^N - 1} in 1-D and in
-    {0, ..., 2^(N+1) - 1}, the codes of the window's rows y = 0 and 1, above
-    it, for the smallest such window exponent N.  Those integers are
-    consecutive values of the flattening, so every one decodes to a point of
-    the target's support window.  Supports and generators are returned in
-    standard target coordinates.
+    Each support point goes to its 1-D code decoded in the target window.
+    The codes lie in {0, ..., 2^N - 1} in 1-D and in {0, ..., 2^(N+1) - 1},
+    the codes of the window's rows y = 0 and 1, above it, for the smallest
+    such N: consecutive values of the flattening, so every one decodes to a
+    point of the target's support window, in standard target coordinates.
     """
     if filt.dim != 1:
         raise NotOneDimensionalError(f"filter is {filt.dim}-dimensional")
@@ -140,29 +146,21 @@ def from_one_d(filt: Filter, target_matrix: DilationMatrix) -> TransferReport:
         # [-2] shares the lattice 2Z but reverses the canonical order; route
         # such sources through to_one_d (transfer() does) instead.
         raise ValueError("from_one_d requires a filter over the dilation [2]")
-    values = sorted(m for (m,) in filt.coeffs)
-    shift = (values[0],)
-    top = values[-1] - values[0]
-    s = target_matrix.dim
-    n_exp = window_exponent_for_extent(top if s == 1 else top >> 1)
-    params = EncodingParams(s, n_exp)
-
-    def pullback(m: int) -> LatticePoint:
-        c = decode_support(params, m - shift[0])
-        if c is None:
-            raise IsomorphismError(f"support value {m} escaped the target window")
-        return from_adapted(target_matrix, c)
-
-    support_map = {p: pullback(p[0]) for p in filt.coeffs}
+    system = filt.system
+    top = system.codes[-1]
+    n_exp = window_exponent_for_extent(top if target_matrix.dim == 1 else top >> 1)
+    params = EncodingParams(target_matrix.dim, n_exp)
+    support_map = {p: from_adapted(target_matrix, decode_support(params, c))
+                   for p, c in zip(system.support_order, system.codes)}
     target = Filter(target_matrix, {support_map[p]: v for p, v in filt.coeffs.items()})
-    return _carry(filt, target, support_map, shift, n_exp)
+    return _carry(filt, target, support_map, system.c_min, n_exp)
 
 
 def transfer(filt: Filter, target_matrix: DilationMatrix) -> TransferReport:
     """Transfer between arbitrary expansive dyadic matrices via dilation [2].
 
-    The composed witness maps are re-verified against the end systems, so the
-    report is a self-contained certificate of the isomorphism.
+    The composed support map is certified against the end systems' charts,
+    so the report is a self-contained certificate of the isomorphism.
     """
     stage1 = to_one_d(filt)
     stage2 = from_one_d(stage1.target_filter, target_matrix)

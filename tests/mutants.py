@@ -24,6 +24,10 @@ MUTANTS = [
      "    if image != set(sys_b.index_set) or len(image) != len(eta):",
      "    if image != set(sys_b.index_set) and len(image) != len(eta):",
      "tests/test_transfer.py"),
+    ("transfer.py",
+     "        if cb - ca != shift:",
+     "        if cb - ca > shift:",
+     "tests/test_transfer.py"),
     ("cascade.py",
      "        if diffs[-1] < tol:",
      "        if tol > 0.0:",

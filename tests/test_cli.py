@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: pipelines, artifacts, exit codes."""
 
+import cmath
 import gc
 import hashlib
 import importlib
@@ -129,6 +130,31 @@ def test_cascade_artifacts(workdir, capsys):
     conv = (workdir / "db4.convergence.csv").read_text().strip().splitlines()
     assert conv[0] == "level,l2_difference"
     assert len(conv) == 7
+
+
+def test_cascade_of_complex_taps(workdir, capsys):
+    """A complex-tap filter's cascade writes complex values to grid.csv, as
+    ``repr(re)`` and a signed imaginary part with ``j``; phi.csv takes only
+    the real parts, and the printed ``"integral"`` is the modulus |∫φ|."""
+    run_cascade = importlib.import_module("latwav.cascade").run_cascade
+    db4 = daubechies4_1d()
+    filt = Filter.from_coeffs(db4.matrix, {(n,): v * cmath.exp(0.3j * n)
+                                           for (n,), v in db4.coeffs.items()})
+    (workdir / "twist.json").write_text(canonical_dumps(filter_to_json(filt)))
+    code, out, err = run(capsys, "cascade", str(workdir / "twist.json"), "--levels", "3")
+    assert code == 0 and err.startswith("warning: filter residual ")
+    with pytest.warns(UserWarning):
+        grid, _ = run_cascade(filt, max_level=3)
+    cells = sorted(grid.cells.items())
+    assert all(isinstance(value, complex) for _, value in cells)
+    assert any(value.imag for _, value in cells)
+
+    assert (workdir / "twist.grid.csv").read_text().splitlines() == ["j_1,value"] + [
+        f"{j},{value.real!r}{value.imag:+}j" for (j,), value in cells]
+    assert (workdir / "twist.phi.csv").read_text().splitlines() == ["t,phi"] + [
+        f"{(j + 0.5) / 8!r},{value.real!r}" for (j,), value in cells]
+    integral = json.loads(out)["integral"]
+    assert integral == abs(grid.integral()) and integral != grid.integral().real
 
 
 def test_quincunx_pattern_command(workdir, capsys):

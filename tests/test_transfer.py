@@ -173,29 +173,60 @@ def test_witness_fault_says_where():
     image = [(0, 0), (1, 1), (2, 0), (3, 1)]
     sys_b = build_reduced_system(SupportSet.from_points(image), quincunx_matrix())
     theta = dict(zip(sys_a.support_order, image))
-    eta = transfer_mod._index_map(sys_a, theta)
-    assert (eta, len(sys_b.index_set)) == ({(0,): (0, 0), (2,): (2, 0)}, 5)
+    eta = {(0,): (0, 0), (2,): (2, 0)}
+    assert len(sys_b.index_set) == 5
     assert not verify_isomorphism(sys_a, sys_b, IsoMap(theta, eta))
     fault = transfer_mod._witness_fault(sys_a, sys_b, IsoMap(theta, eta))
     assert fault == "index map is not a bijection onto the target index set"
 
 
-def test_corrupted_index_map_fails_with_its_generator(monkeypatch, tmp_path, capsys):
-    """A transfer whose index map is wrong in one entry raises
-    IsomorphismError naming that generator; the CLI exits 1 with a message."""
+def test_chart_fault_says_where():
+    """The chart certificate names the first support position whose image
+    is not the target's point there, or whose code moves by another amount
+    than the first code; a map of another size is not a bijection."""
     transfer_mod = importlib.import_module("latwav.transfer")
-    derive = transfer_mod._index_map
-    k = (2,)
 
-    def corrupted(system, support_map):
-        index_map = derive(system, support_map)
-        if k in index_map:
-            index_map[k] = tuple(c + 2 for c in index_map[k])
-        return index_map
+    def system(*points):
+        return build_reduced_system(SupportSet.from_points([(n,) for n in points]),
+                                    dilation_1d())
 
-    monkeypatch.setattr(transfer_mod, "_index_map", corrupted)
+    near, far = system(0, 1, 2, 3), system(0, 1, 2, 5)
+    assert transfer_mod._chart_fault(near, near, {(n,): (n,) for n in range(4)}) is None
+    shifted = system(7, 8, 9, 10)
+    assert transfer_mod._chart_fault(near, shifted, {(n,): (n + 7,) for n in range(4)}) is None
+
+    squeeze = {(0,): (0,), (1,): (1,), (2,): (2,), (5,): (3,)}
+    assert transfer_mod._chart_fault(far, near, squeeze) == \
+        "support position 3: the code of (5,) moves by -2, not by 0"
+    stretch = {(0,): (0,), (1,): (1,), (2,): (2,), (3,): (5,)}
+    assert transfer_mod._chart_fault(near, far, stretch) == \
+        "support position 3: the code of (3,) moves by 2, not by 0"
+    mirror = {(n,): (3 - n,) for n in range(4)}
+    assert transfer_mod._chart_fault(near, near, mirror) == \
+        "support position 0: (0,) goes to (3,), not to (0,)"
+    # the per-equation check accepts the mirror: it maps every equation onto
+    # the target's up to transposition
+    assert verify_isomorphism(near, near, IsoMap(mirror, {(0,): (0,), (2,): (2,)}))
+    not_onto = "support map is not a bijection onto the target support"
+    assert transfer_mod._chart_fault(near, near, {(n,): (n,) for n in range(3)}) == not_onto
+    assert transfer_mod._chart_fault(far, system(0, 1, 2), squeeze) == not_onto
+
+
+def test_corrupted_support_map_fails_where_it_departs(monkeypatch, tmp_path, capsys):
+    """A transfer whose support map swaps the images of two points raises
+    IsomorphismError naming the first support position that departs from
+    the target's support order; the CLI exits 1 with that message."""
+    transfer_mod = importlib.import_module("latwav.transfer")
+    decode = transfer_mod.decode_support
+    swap = {1: 2, 2: 1}
+
+    def corrupted(params, value):
+        return decode(params, swap.get(value, value))
+
+    monkeypatch.setattr(transfer_mod, "decode_support", corrupted)
     filt = Filter.from_coeffs(dilation_1d(), daubechies4_1d().coeffs)
-    with pytest.raises(IsomorphismError, match=re.escape(f"generator {k} does not map")):
+    where = "transfer witness fails: support position 1: (1,) goes to (1, -1), not to (0, 1)"
+    with pytest.raises(IsomorphismError, match=re.escape(where)):
         transfer(filt, quincunx_matrix())
 
     (tmp_path / "db4.json").write_text(canonical_dumps(filter_to_json(filt)))
@@ -203,7 +234,7 @@ def test_corrupted_index_map_fails_with_its_generator(monkeypatch, tmp_path, cap
     code = main(["transfer", str(tmp_path / "db4.json"), "--target", str(tmp_path / "q.json")])
     out = capsys.readouterr()
     assert (code, out.out) == (1, "")
-    assert f"generator {k} does not map" in out.err and "Traceback" not in out.err
+    assert out.err == f"error: {where}\n"
 
 
 def test_to_one_d_quincunx_haar():

@@ -1,9 +1,11 @@
 """Property tests over random expansive dyadic matrices in d = 1-4: every
-transfer's index map, derived from its support map, equals the former
-encode_index/decode_index route, its support map keeps support order, and
-residuals carry over bit for bit; the witness check gives the former check's
-verdict and text on true and corrupted witnesses; and the canonical JSON of
-systems and reports is byte-identical to the former dump with cycle checks."""
+transfer's index map equals the former encode_index/decode_index route, and
+residuals carry over bit for bit; the chart certificate passes on every
+report, fails on corrupted support maps, and passes only where the former
+per-equation check finds no fault; the witness check gives the former
+check's verdict and text on true and corrupted witnesses; and the canonical
+JSON of systems and reports is byte-identical to the former dump with cycle
+checks."""
 
 import pytest
 
@@ -17,7 +19,14 @@ from latwav.jsonio import (  # noqa: E402
     system_to_json,
     transfer_report_to_json,
 )
-from latwav.transfer import Filter, IsoMap, _witness_fault, transfer  # noqa: E402
+from latwav.lawton import SupportSet, build_reduced_system  # noqa: E402
+from latwav.transfer import (  # noqa: E402
+    Filter,
+    IsoMap,
+    _chart_fault,
+    _witness_fault,
+    transfer,
+)
 from latwav.verify import lawton_residuals  # noqa: E402
 from util import (  # noqa: E402
     companion,
@@ -78,17 +87,42 @@ def test_index_maps_match_the_encoding_route(data):
     for stage, to_line in zip(report.stages, (True, False)):
         assert stage.iso.index_map == reference_index_map(stage, to_line)
     assert report.iso.index_map == reference_index_map(report)
-    # every support map carries support order onto support order, position
-    # by position: an O(L) witness check may rely on it
-    for chosen in (report, *report.stages):
-        theta = chosen.iso.support_map
-        assert tuple(theta[p] for p in chosen.source_system.support_order) \
-            == chosen.target_system.support_order
 
     src, tgt = lawton_residuals(filt), lawton_residuals(report.target_filter)
     assert tgt.sum_residual == src.sum_residual
     for k, value in src.per_index.items():
         assert tgt.per_index[report.iso.index_map[k]] == value
+
+
+@PROPERTY
+@given(data=st.data())
+def test_chart_certificate_is_sound_and_holds_on_every_report(data):
+    """The certificate passes on both stage reports and the composed one. It
+    fails on a support map with two images swapped, or with one point sent
+    to another target point.  Where that point's image is rebuilt into a new
+    target system, the certificate may pass, but only where the former
+    per-equation check finds no fault."""
+    _, report = data.draw(transfers())
+    for chosen in (report, *report.stages):
+        sys_a, sys_b, iso = chosen.source_system, chosen.target_system, chosen.iso
+        assert _chart_fault(sys_a, sys_b, iso.support_map) is None
+        assert reference_witness_fault(sys_a, sys_b, iso) is None
+
+    chosen = data.draw(st.sampled_from((report, *report.stages)))
+    sys_a, sys_b, theta = chosen.source_system, chosen.target_system, chosen.iso.support_map
+    points = data.draw(st.permutations(sys_a.support_order))
+    p, q = points[0], points[-1]
+    if p != q:
+        swapped = {**theta, p: theta[q], q: theta[p]}
+        assert _chart_fault(sys_a, sys_b, swapped) is not None
+    step = st.tuples(*[st.integers(-2, 2)] * sys_b.matrix.dim).filter(any)
+    moved = {**theta, p: tuple(a + b for a, b in zip(theta[p], data.draw(step)))}
+    assert _chart_fault(sys_a, sys_b, moved) is not None
+    if len(set(moved.values())) == len(moved):
+        rebuilt = build_reduced_system(SupportSet.from_points(moved.values()), sys_b.matrix)
+        if _chart_fault(sys_a, rebuilt, moved) is None:
+            eta = dict(zip(sys_a.index_set, rebuilt.index_set))
+            assert reference_witness_fault(sys_a, rebuilt, IsoMap(moved, eta)) is None
 
 
 def _with_equations(system, change):

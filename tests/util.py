@@ -69,12 +69,14 @@ def _counted(counts: dict, name: str, fn):
 
 def count_work(monkeypatch) -> dict:
     """The work ledger: a dict that counts reduced-system builds ("build"),
-    witness checks ("verify") and SupportSet constructions ("support") while
-    the test runs.  Each name is patched in the module that calls it:
-    ``Filter.system`` builds in ``latwav.lawton``, and ``transfer`` checks
-    its witnesses in ``latwav.transfer``."""
+    witness checks ("verify": chart certificates and per-equation checks
+    alike) and SupportSet constructions ("support") while the test runs.
+    Each name is patched in the module that calls it: ``Filter.system``
+    builds in ``latwav.lawton``, and ``transfer`` checks its witnesses in
+    ``latwav.transfer``."""
     counts: dict = {}
     for module, name, key in (("latwav.lawton", "build_reduced_system", "build"),
+                              ("latwav.transfer", "_chart_fault", "verify"),
                               ("latwav.transfer", "verify_isomorphism", "verify")):
         module = importlib.import_module(module)
         monkeypatch.setattr(module, name, _counted(counts, key, getattr(module, name)))
