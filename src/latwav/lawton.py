@@ -71,9 +71,6 @@ class SupportSet:
             raise DimensionMismatchError(f"mixed dimensions in support: {sorted(dims)}")
         return cls(points=points, dim=dims.pop())
 
-    def __contains__(self, p) -> bool:
-        return tuple(p) in self.points
-
     def __len__(self) -> int:
         return len(self.points)
 

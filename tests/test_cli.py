@@ -449,6 +449,34 @@ def test_integers_beyond_float_or_print_range_are_input_errors(workdir, capsys, 
     assert sorted(workdir.iterdir()) == before
 
 
+def test_verify_of_a_phase_beyond_double_range_is_an_input_error(workdir, capsys):
+    """A position that fits a double, 10^308, whose phase n.xi overflows at
+    most sample points: the deviation is NaN, which strict JSON refuses."""
+    (workdir / "f.json").write_text(_two_tap([("1" + "0" * 308,), ("1",)]))
+    code, out, err = run(capsys, "verify", str(workdir / "f.json"))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [error_line(err)]
+    assert "result is not finite" in err
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (["encode", "eval", "--d", "2", "--N", "1", "--point", "1,x"], None,
+     "error: --point '1,x' is not a comma-separated integer tuple"),
+    (["encode", "eval", "--d", "3", "--N", "1", "--point", "1,2"], None,
+     "error: --point has 2 coordinates, --d is 3"),
+    (["verify", "{f}"], "[1, 2]", "error: {f}: expected an object"),
+    (["verify", "{f}"], '{"dim": 2, "matrix": {"dim": 1, "rows": [[2]]}, "coeffs": []}',
+     "error: {f}: dim = 2 but matrix is 1x1"),
+], ids=["encode-point-not-integer", "encode-point-length", "filter-list", "filter-dim-mismatch"])
+def test_input_guards_pin_their_message(workdir, capsys, argv, text, message):
+    path = workdir / "f.json"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run(capsys, *(a.format(f=path) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [message.format(f=path)]
+
+
 @pytest.mark.parametrize("argv, message", [
     (["encode", "eval", "--d", "2", "--N", "0", "--point", "1,2"], "--N must be >= 1"),
     (["quincunx", "pattern", "--width", "0"], "--width must be >= 1"),

@@ -2,7 +2,9 @@
 and each command executes only the layers it runs.
 
 Only ``verify`` (its frequency-domain QMF check) imports numpy, and only
-when it runs; every other command needs the standard library alone.  Even
+when it runs on a filter whose samples x support size exceeds the check's
+standard-library cutoff; every other command, and ``verify`` of a small
+filter such as db4, needs the standard library alone.  Even a large
 ``verify`` loads no numpy module beyond those a bare ``import numpy`` loads:
 its sample points come from the standard library's ``random``, so
 ``numpy.random`` stays out wherever numpy loads it lazily.  Nor
@@ -17,6 +19,7 @@ command executes exactly its own set.  Every command executes ``filters``,
 whose ``BUNDLED_FILTERS`` the argument parser reads for its choices.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -27,20 +30,26 @@ import pytest
 import latwav
 from latwav.filters import daubechies4_1d
 from latwav.jsonio import canonical_dumps, filter_to_json
+from latwav.verify import _STDLIB_QMF_MAX_TERMS, QMF_SAMPLES
 
 SRC = str(Path(latwav.__file__).resolve().parents[1])
 
 
-def _fresh_python(code: str, cwd: Path) -> list[str]:
-    """The lines ``code`` prints in a fresh interpreter run in ``cwd``."""
+def _fresh_run(args: list[str], cwd: Path) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with ``args`` in ``cwd``, exit code 0."""
     env = dict(os.environ, LATWAV_OUTPUT_DIR=str(cwd))
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, cwd=cwd,
+        [sys.executable, *args], env=env, cwd=cwd,
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()
+    return proc
+
+
+def _fresh_python(code: str, cwd: Path) -> list[str]:
+    """The lines ``code`` prints in a fresh interpreter run in ``cwd``."""
+    return _fresh_run(["-c", code], cwd).stdout.splitlines()
 
 
 SCRIPT = """
@@ -74,32 +83,62 @@ with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0, argv
 print(heavy())
 
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["verify", "db4.json"]) == 0
+print(heavy())
+
 def numpy_modules():
     return sorted(m for m in sys.modules if m == 'numpy' or m.startswith('numpy.'))
 
 import numpy
 print(numpy_modules())
 with contextlib.redirect_stdout(io.StringIO()):
-    assert main(["verify", "db4.json"]) == 0
+    assert main(["verify", "big.json"]) == 1
 print(numpy_modules())
 """
 
 
 @pytest.fixture(scope="module")
 def budget_lines(tmp_path_factory):
-    """The script's four printed lines, from one fresh interpreter."""
-    return _fresh_python(SCRIPT, tmp_path_factory.mktemp("budget"))
+    """The script's five printed lines, from one fresh interpreter.
+
+    ``big.json`` has just enough taps that, at the default samples, its QMF
+    check lies above the standard-library cutoff."""
+    tmp_path = tmp_path_factory.mktemp("budget")
+    taps = [{"n": [i], "re": 0.1} for i in range(_STDLIB_QMF_MAX_TERMS // QMF_SAMPLES + 1)]
+    big = {"dim": 1, "matrix": {"dim": 1, "rows": [[2]]}, "coeffs": taps}
+    (tmp_path / "big.json").write_text(json.dumps(big))
+    return _fresh_python(SCRIPT, tmp_path)
 
 
 def test_import_and_commands_other_than_verify_load_neither_numpy_nor_scipy(budget_lines):
-    after_import, after_commands, _, _ = budget_lines
+    after_import, after_commands, _, _, _ = budget_lines
     assert after_import == "[]"
     assert after_commands == "[]"
 
 
+def test_verify_of_a_small_filter_loads_no_numpy(budget_lines):
+    _, _, after_db4, _, _ = budget_lines
+    assert after_db4 == "[]"
+
+
 def test_verify_loads_only_the_numpy_modules_of_a_bare_numpy_import(budget_lines):
-    _, _, bare_numpy, after_verify = budget_lines
+    """A filter above the cutoff, so that numpy evaluates."""
+    _, _, _, bare_numpy, after_verify = budget_lines
+    assert "'numpy'" in bare_numpy
     assert after_verify == bare_numpy
+
+
+def test_python_m_cli_verify_of_db4_imports_no_numpy(tmp_path):
+    """End to end: ``python -m latwav.cli verify db4.json``, whose imports
+    ``-X importtime`` lists, imports no numpy module."""
+    (tmp_path / "db4.json").write_text(canonical_dumps(filter_to_json(daubechies4_1d())))
+    proc = _fresh_run(["-X", "importtime", "-m", "latwav.cli", "verify", "db4.json"], tmp_path)
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert json.loads(proc.stdout)["pass"] is True
+    assert "latwav" in imported
+    assert [m for m in imported if m.split(".")[0] in ("numpy", "scipy")] == []
 
 
 def test_public_names_and_layer_attributes_resolve_through_the_package():

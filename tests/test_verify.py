@@ -3,7 +3,9 @@
 import math
 
 import numpy as np
+import pytest
 
+from latwav import verify
 from latwav.filters import (
     antidiagonal_matrix,
     companion_3d_matrix,
@@ -15,7 +17,16 @@ from latwav.filters import (
     quincunx_matrix,
 )
 from latwav.transfer import Filter, transfer
-from latwav.verify import SQRT2, _dual_coset_shift, _sample_points, lawton_residuals, qmf_check
+from latwav.verify import (
+    _STDLIB_QMF_MAX_TERMS,
+    SQRT2,
+    _dual_coset_shift,
+    _qmf_check_numpy,
+    _qmf_check_stdlib,
+    _sample_points,
+    lawton_residuals,
+    qmf_check,
+)
 from util import lattice_chart, random_dyadic_matrices, reference_qmf_check
 
 BUNDLED = (haar_1d, daubechies4_1d, quincunx_haar, quincunx_daubechies4)
@@ -49,7 +60,7 @@ def test_perturbed_haar_reports_the_perturbation():
 
 def test_qmf_haar_with_pi_shift():
     shift = _dual_coset_shift(haar_1d())
-    assert shift.shape == (1,)
+    assert len(shift) == 1
     assert abs(shift[0] - math.pi) < 1e-15
     assert qmf_check(haar_1d()) < 1e-12
 
@@ -59,23 +70,135 @@ def test_qmf_bundled_filters():
         assert qmf_check(make()) < 1e-10
 
 
-def test_qmf_real_phases_match_reference_bitwise():
-    """The real phase product gives the same deviation, bit for bit, as the
-    former complex product: on the bundled filters and on random real and
-    complex filters over random lattices in d = 1-3, L up to 256."""
-    for make in BUNDLED:
-        filt = make()
-        assert qmf_check(filt) == reference_qmf_check(filt)
-        assert qmf_check(filt, samples=64, seed=5) == reference_qmf_check(filt, 64, 5)
+def _random_filters(dims):
+    """Random real and complex filters over random lattices, L up to 256:
+    five per dimension, drawn in order, so the draws for d = 1-3 are the
+    same whether or not d = 4 follows."""
     rng = np.random.default_rng(8)
-    for d in (1, 2, 3):
+    for d in dims:
         for size, m in zip((1, 3, 17, 64, 256), random_dyadic_matrices(rng, d, 5)):
             pts = {tuple(int(x) for x in rng.integers(-20, 21, size=d)) for _ in range(size)}
             values = rng.normal(size=len(pts))
             if size % 2:
                 values = values + 1j * rng.normal(size=len(pts))
-            filt = Filter.from_coeffs(lattice_chart(m), dict(zip(sorted(pts), values.tolist())))
-            assert qmf_check(filt) == reference_qmf_check(filt), (d, size, m.rows)
+            yield Filter.from_coeffs(lattice_chart(m), dict(zip(sorted(pts), values.tolist())))
+
+
+def test_qmf_real_phases_match_reference_bitwise():
+    """The numpy evaluator's real phase product gives the same deviation,
+    bit for bit, as the former complex product: on the bundled filters and
+    on random real and complex filters over random lattices in d = 1-3."""
+    for make in BUNDLED:
+        filt = make()
+        assert _qmf_check_numpy(filt, 1024, 0) == reference_qmf_check(filt)
+        assert _qmf_check_numpy(filt, 64, 5) == reference_qmf_check(filt, 64, 5)
+    for filt in _random_filters((1, 2, 3)):
+        assert _qmf_check_numpy(filt, 1024, 0) == reference_qmf_check(filt), filt.matrix.A.rows
+
+
+def _evaluator_gap_bound(filt) -> float:
+    """A bound on |stdlib deviation - reference deviation|; the derivation
+    is in ``test_qmf_stdlib_evaluator_matches_reference_within_roundoff``."""
+    u = 2.0**-53
+
+    def gamma(k):
+        return k * u / (1 - k * u)
+
+    d, size = filt.dim, len(filt.coeffs)
+    k_max = max(sum(map(abs, n)) for n in filt.coeffs)
+    h_sum = sum(abs(h) for h in filt.coeffs.values())
+    x_max = (math.pi + max(map(abs, _dual_coset_shift(filt)))) * (1 + u)
+    eta = gamma(2 * d) * k_max * x_max + 4 * u + math.sqrt(2) * gamma(size + 2) * (1 + 4 * u)
+    big_m = h_sum / SQRT2
+    delta = h_sum * (eta + u * (1 + eta)) / SQRT2
+    power = (2 * big_m + delta) * delta + gamma(5) * (big_m + delta) ** 2
+    one = 2 * power + gamma(2) * (2 * (big_m + delta) ** 2 * (1 + gamma(5)) + 1)
+    return 2 * one
+
+
+def test_qmf_stdlib_evaluator_matches_reference_within_roundoff():
+    """The standard-library evaluator against the former numpy check, on
+    the bundled filters and on the random draws above, d = 1-4.
+
+    Both sample the same float points x (xi, and xi + zeta added in float
+    the same way), so they differ only in roundoff.  With u = 2^-53,
+    gamma_k = k u / (1 - k u), L support points, K = max |n|_1,
+    H = sum |h_n|, and X = (pi + max |zeta_j|)(1 + u) >= every coordinate,
+    each evaluator at each point makes these errors:
+
+    - the phase n.x, d products of a float by an integer exact as a float
+      (|n_j| < 2^53) and d - 1 additions, at most 2d roundings in any order
+      and with or without FMA, is off by at most gamma_2d K X;
+    - cos and sin are within two ulps, so the computed exp(-i phase) is
+      within 4u of the exact exponential of the computed phase, and so
+      within gamma_2d K X + 4u of exp(-i n.x), since |e^ia - e^ib| <= |a - b|;
+    - the complex sum of h_n times those L unit numbers adds at most
+      sqrt(2) gamma_(L+2) H (1 + 4u) (Higham, Accuracy and Stability of
+      Numerical Algorithms, 2nd ed., section 3.6);
+    so the sum S is off by at most H eta, eta = gamma_2d K X + 4u +
+    sqrt(2) gamma_(L+2) (1 + 4u).  Dividing by the float SQRT2 adds u |S|,
+    so m0 is off by at most delta = H (eta + u (1 + eta)) / SQRT2, and
+    |m0| <= M = H / SQRT2.  Then |m0|^2 is off by at most
+    (2M + delta) delta + gamma_5 (M + delta)^2 (the square, and numpy's
+    hypot within one ulp), and the two additions of |m0(x)|^2 +
+    |m0(x + zeta)|^2 - 1 add at most gamma_2 (2 (M + delta)^2 (1 + gamma_5)
+    + 1).  The max over points moves by no more than the largest pointwise
+    error, and the two evaluators' errors add: the bound is twice the sum.
+    """
+    filters = [make() for make in BUNDLED] + list(_random_filters((1, 2, 3, 4)))
+    for filt in filters:
+        gap = abs(_qmf_check_stdlib(filt, 1024, 0) - reference_qmf_check(filt))
+        assert gap <= _evaluator_gap_bound(filt), (filt.dim, len(filt.coeffs), gap)
+
+
+def test_qmf_check_takes_the_stdlib_path_up_to_the_cutoff(monkeypatch):
+    """At ``samples`` x L = the cutoff the standard library evaluates; one
+    term above it, numpy does."""
+    taken = []
+
+    def recorded(name, evaluate):
+        def wrapper(*args):
+            taken.append(name)
+            return evaluate(*args)
+        return wrapper
+
+    for name in ("_qmf_check_stdlib", "_qmf_check_numpy"):
+        monkeypatch.setattr(verify, name, recorded(name, getattr(verify, name)))
+    one_tap = Filter.from_coeffs(dilation_1d(), {(0,): 1.0})  # |m0|^2 = 1/2 everywhere
+    assert qmf_check(one_tap, samples=_STDLIB_QMF_MAX_TERMS) < 1e-15
+    assert qmf_check(one_tap, samples=_STDLIB_QMF_MAX_TERMS + 1) < 1e-15
+    assert taken == ["_qmf_check_stdlib", "_qmf_check_numpy"]
+
+
+@pytest.mark.parametrize("coeffs, outcome", [
+    ({(0,): 1e200, (1,): 1e200}, math.inf),  # |m0|^2 overflows
+    ({(0,): 1.0, (10**308,): 1.0}, math.nan),  # the phase n.xi overflows
+    ({(10**308,): 1.0, (10**400,): 1.0}, OverflowError),  # a position beyond double range
+], ids=["power-overflow", "phase-overflow", "position-beyond-double"])
+def test_both_evaluators_fail_alike(coeffs, outcome):
+    """On input beyond double range the two evaluators agree: an infinite
+    deviation, a NaN one, or ``OverflowError`` before any sum."""
+    filt = Filter.from_coeffs(dilation_1d(), coeffs)
+    for evaluate in (_qmf_check_stdlib, _qmf_check_numpy):
+        if outcome is OverflowError:
+            with pytest.raises(OverflowError):
+                evaluate(filt, 64, 0)
+            continue
+        with np.errstate(all="ignore"):
+            value = evaluate(filt, 64, 0)
+        assert value == outcome or (math.isnan(outcome) and math.isnan(value)), evaluate
+
+
+def test_a_nan_phase_after_finite_points_makes_the_deviation_nan():
+    """Seed 1671 draws two points whose first is finite everywhere and whose
+    second has the phase (-10^308) x0 + 10^308 x1 = -inf + inf = NaN at
+    xi + zeta, with no infinite phase anywhere.  np.max keeps the NaN where
+    Python's max would return the first point's deviation."""
+    filt = Filter.from_coeffs(quincunx_matrix(), {(0, 0): 1.0, (10**308, -(10**308)): 1.0})
+    assert not math.isnan(_qmf_check_stdlib(filt, 1, 1671))
+    assert math.isnan(_qmf_check_stdlib(filt, 2, 1671))
+    with np.errstate(all="ignore"):
+        assert math.isnan(_qmf_check_numpy(filt, 2, 1671))
 
 
 def test_qmf_detects_perturbation():
