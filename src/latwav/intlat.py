@@ -343,12 +343,10 @@ def in_dilated_lattice(dil: DilationMatrix, k: LatticePoint) -> bool:
 
 def to_adapted(dil: DilationMatrix, p: LatticePoint) -> LatticePoint:
     """Standard coordinates -> adapted coordinates (exact, unimodular)."""
-    check_dim(p, dil.dim)
     return dil.adapted_basis_inv.vec(p)
 
 
 def from_adapted(dil: DilationMatrix, c: LatticePoint) -> LatticePoint:
     """Adapted coordinates -> standard coordinates (inverse of to_adapted)."""
-    check_dim(c, dil.dim)
     return dil.adapted_basis.vec(c)
 

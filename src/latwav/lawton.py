@@ -24,6 +24,7 @@ import operator
 import warnings
 from collections import defaultdict
 from functools import cached_property
+from itertools import repeat
 from numbers import Complex
 from typing import NamedTuple
 
@@ -91,9 +92,8 @@ class ReducedSystem(NamedTuple):
 
     ``support_order`` fixes the deterministic summation order used by the
     residual evaluator; ``window_exponent`` is the smallest N whose centered
-    window contains all support differences in the adapted chart.  The
-    chart is kept: ``codes`` lists the 1-D code of each point in support
-    order, taken at the adapted minimum ``c_min`` (see ``_chart``).
+    window contains all support differences in the adapted chart.  Both
+    come from the support's ``Chart``.
     """
 
     support: SupportSet
@@ -102,25 +102,32 @@ class ReducedSystem(NamedTuple):
     equations: dict[LatticePoint, Equation]
     window_exponent: int
     support_order: tuple[LatticePoint, ...]
+
+
+class Chart(NamedTuple):
+    """The 1-D chart of a support: ``codes`` lists, in increasing order, the
+    1-D code of each point of ``support_order``, the support-window
+    flattening at exponent ``window_exponent`` of its adapted coordinates
+    less their minimum ``c_min``.  The codes order the support; they are
+    also the points' images on [2] in a one-dimensional transfer."""
+
+    support_order: tuple[LatticePoint, ...]
     codes: tuple[int, ...]
     c_min: LatticePoint
+    window_exponent: int
 
 
-def _chart(support: SupportSet, dil: DilationMatrix):
-    """The 1-D code of every support point, with the adapted minimum c_min
-    and window exponent N it is taken at: ``codes[p]`` is the support-window
-    flattening of to_adapted(p) - c_min.  The codes order the support; they
-    are also the points' images on [2] in a one-dimensional transfer."""
+def _chart(support: SupportSet, dil: DilationMatrix) -> Chart:
     adapted = {p: to_adapted(dil, p) for p in support.points}
     c_min = tuple(map(min, zip(*adapted.values())))
     extent = max(c - m for point in adapted.values() for c, m in zip(point, c_min))
     n_exp = window_exponent_for_extent(extent)
     params = EncodingParams(support.dim, n_exp)
-    codes = {
-        p: encode_support(params, tuple(a - b for a, b in zip(c, c_min)))
+    codes, order = zip(*sorted(  # codes are distinct, so no point is compared
+        (encode_support(params, tuple(a - b for a, b in zip(c, c_min))), p)
         for p, c in adapted.items()
-    }
-    return codes, c_min, n_exp
+    ))
+    return Chart(order, codes, c_min, n_exp)
 
 
 def equations_equal_up_to_conjugation(e1: Equation, e2: Equation) -> bool:
@@ -164,18 +171,16 @@ def build_reduced_system(support: SupportSet, dil: DilationMatrix) -> ReducedSys
     """
     if support.dim != dil.dim:
         raise DimensionMismatchError("support and matrix dimensions differ")
-    codes, c_min, n_exp = _chart(support, dil)
-    order = tuple(sorted(support.points, key=codes.__getitem__))
+    chart = _chart(support, dil)
     classes: tuple[list, list] = ([], [])
     starts = []  # each point's position in its parity class
-    for p in order:
-        same = classes[codes[p] & 1]
+    for c, p in zip(chart.codes, chart.support_order):
+        same = classes[c & 1]
         starts.append(len(same))
-        same.append((codes[p], p))
+        same.append((c, p))
 
     buckets = defaultdict(list)
-    for a, start in zip(order, starts):
-        ca = codes[a]
+    for a, ca, start in zip(chart.support_order, chart.codes, starts):
         for cb, b in classes[ca & 1][start:]:
             buckets[cb - ca].append((a, b))
 
@@ -185,17 +190,22 @@ def build_reduced_system(support: SupportSet, dil: DilationMatrix) -> ReducedSys
         a, b = pairs[0]
         k = tuple(y - x for x, y in zip(a, b))
         equations[k] = Equation(k=k, pairs=tuple(pairs), rhs=1 if v == 0 else 0)
-    index_set = tuple(equations)
-    return ReducedSystem(
-        support=support,
-        matrix=dil,
-        index_set=index_set,
-        equations=equations,
-        window_exponent=n_exp,
-        support_order=order,
-        codes=tuple(codes[p] for p in order),
-        c_min=c_min,
-    )
+    return ReducedSystem(support, dil, tuple(equations), equations, chart.window_exponent,
+                         chart.support_order)
+
+
+def generator_pairs(chart: Chart) -> tuple[tuple[LatticePoint, LatticePoint], ...]:
+    """One pair (a, b) per generator b - a of the chart's reduced system, in
+    index-set order, with no pair list stored: the same-parity scan of
+    ``build_reduced_system`` keeps one code c_a per code difference v, and
+    the sorted differences are its bucket keys."""
+    point = dict(zip(chart.codes, chart.support_order))
+    ca_by_v = {}  # v -> c_a of one pair with c_b - c_a = v
+    for parity in (0, 1):
+        same = [c for c in chart.codes if c & 1 == parity]
+        for i, ca in enumerate(same):
+            ca_by_v.update(zip(map(operator.sub, same[i:], repeat(ca)), repeat(ca)))
+    return tuple((point[ca], point[ca + v]) for v, ca in sorted(ca_by_v.items()))
 
 
 Coefficient = complex | float
@@ -207,7 +217,7 @@ class Filter:
     Coefficients are keyed by standard-coordinate lattice points; exact zeros
     are never stored (the support is by definition the nonzero set).  The
     fields cannot be reassigned and the coefficient dict is not to be
-    mutated: ``support`` and ``system`` are cached.
+    mutated: ``support``, ``chart`` and ``system`` are cached.
     """
 
     def __init__(self, matrix: DilationMatrix, coeffs: dict[LatticePoint, Coefficient]):
@@ -256,9 +266,14 @@ class Filter:
         return SupportSet.from_points(self.coeffs)
 
     @cached_property
+    def chart(self) -> Chart:
+        """The support's 1-D chart, computed on first use: all a transfer reads."""
+        return _chart(self.support, self.matrix)
+
+    @cached_property
     def system(self) -> ReducedSystem:
         """The reduced system of the support, built on first use and shared
-        by every later caller (residuals, cascade, transfer)."""
+        by every later caller (residuals, cascade, ``reduce``)."""
         return build_reduced_system(self.support, self.matrix)
 
 

@@ -3,22 +3,24 @@
 ``to_one_d`` carries a filter over any expansive dyadic matrix onto the
 one-dimensional dilation [2]; ``from_one_d`` is the reverse direction for an
 arbitrary target matrix; ``transfer`` is their composition.  Every step
-returns a TransferReport whose witness the two systems' charts certify: the
+returns a TransferReport whose witness the two filters' charts certify: the
 target system literally is the source system with variables renamed through
 the support map and generators renamed through the index map, so solutions
-(and their residual values) carry over unchanged.  ``verify_isomorphism``
-checks any witness equation by equation.
+(and their residual values) carry over unchanged, and no system is built.
+``verify_isomorphism`` checks any witness equation by equation.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import NamedTuple
 
 from .encode import EncodingParams, decode_support, window_exponent_for_extent
 from .errors import DomainMismatchError, IsomorphismError, NotOneDimensionalError
 from .filters import dilation_1d
 from .intlat import DilationMatrix, LatticePoint, from_adapted
-from .lawton import Equation, Filter, ReducedSystem, equations_equal_up_to_conjugation
+from .lawton import (Chart, Equation, Filter, ReducedSystem, equations_equal_up_to_conjugation,
+                     generator_pairs)
 
 
 class IsoMap(NamedTuple):
@@ -29,18 +31,17 @@ class IsoMap(NamedTuple):
 
 
 class TransferReport(NamedTuple):
-    """Outcome of one transfer: systems, witness, and the transported filter.
+    """Outcome of one transfer: the two filters and the witness.
 
     ``shift`` is the translation removed from the source support before
     encoding (in source standard coordinates); ``window_exponent`` the window
     size the encoding ran at.  A composed transfer keeps its two elementary
     reports in ``stages`` and carries the source-side shift and window.
+    The filters' systems are built only on demand (``Filter.system``).
     """
 
     source_filter: Filter
     target_filter: Filter
-    source_system: ReducedSystem
-    target_system: ReducedSystem
     iso: IsoMap
     shift: LatticePoint
     window_exponent: int
@@ -84,18 +85,18 @@ def verify_isomorphism(sys_a: ReducedSystem, sys_b: ReducedSystem, iso: IsoMap) 
     return _witness_fault(sys_a, sys_b, iso) is None
 
 
-def _chart_fault(sys_a: ReducedSystem, sys_b: ReducedSystem, support_map) -> str | None:
+def _chart_fault(chart_a: Chart, chart_b: Chart, support_map) -> str | None:
     """Where support_map departs from the two charts, as text, or None when
-    it carries sys_a's support order onto sys_b's position by position and
-    moves every code by one constant.  ``build_reduced_system`` buckets pairs
-    by code difference and lists each bucket in support order, so such a map
-    carries each equation onto the target's, pair for pair, and the index
-    sets (both sorted by code difference) pair up in order."""
-    order_a, order_b = sys_a.support_order, sys_b.support_order
+    it carries chart_a's support order onto chart_b's position by position
+    and moves every code by one constant.  ``build_reduced_system`` buckets
+    pairs by code difference and lists each bucket in support order, so such
+    a map carries each equation onto the target's, pair for pair, and each
+    generator b - a onto theta(b) - theta(a)."""
+    order_a, order_b = chart_a.support_order, chart_b.support_order
     if len(support_map) != len(order_a) or len(order_b) != len(order_a):
         return "support map is not a bijection onto the target support"
-    shift = sys_b.codes[0] - sys_a.codes[0]
-    for i, (p, q, ca, cb) in enumerate(zip(order_a, order_b, sys_a.codes, sys_b.codes)):
+    shift = chart_b.codes[0] - chart_a.codes[0]
+    for i, (p, q, ca, cb) in enumerate(zip(order_a, order_b, chart_a.codes, chart_b.codes)):
         if support_map.get(p) != q:
             return f"support position {i}: {p} goes to {support_map.get(p)}, not to {q}"
         if cb - ca != shift:
@@ -105,14 +106,20 @@ def _chart_fault(sys_a: ReducedSystem, sys_b: ReducedSystem, support_map) -> str
 
 def _carry(filt: Filter, target: Filter, support_map, shift: LatticePoint,
            n_exp: int, stages: tuple[TransferReport, ...] = ()) -> TransferReport:
-    """The report that ``support_map`` carries ``filt`` onto ``target``, its
-    generators moving with the support points.  Every report is built here,
-    and its witness is certified by the two charts before it is returned."""
-    sys_a, sys_b = filt.system, target.system
-    if (fault := _chart_fault(sys_a, sys_b, support_map)) is not None:
+    """The report that ``support_map`` carries ``filt`` onto ``target``: a
+    generator b - a goes to theta(b) - theta(a), read off one pair (a, b) per
+    generator, or through the stages' index maps composed.  Every report is
+    built here, its witness certified by the two charts first."""
+    if (fault := _chart_fault(filt.chart, target.chart, support_map)) is not None:
         raise IsomorphismError(f"transfer witness fails: {fault}")
-    iso = IsoMap(support_map=support_map, index_map=dict(zip(sys_a.index_set, sys_b.index_set)))
-    return TransferReport(filt, target, sys_a, sys_b, iso, shift, n_exp, stages)
+    if stages:
+        first, second = (stage.iso.index_map for stage in stages)
+        index_map = {k: second[m] for k, m in first.items()}
+    else:
+        index_map = {tuple(map(operator.sub, b, a)):
+                     tuple(map(operator.sub, support_map[b], support_map[a]))
+                     for a, b in generator_pairs(filt.chart)}
+    return TransferReport(filt, target, IsoMap(support_map, index_map), shift, n_exp, stages)
 
 
 def to_one_d(filt: Filter) -> TransferReport:
@@ -123,11 +130,11 @@ def to_one_d(filt: Filter) -> TransferReport:
     them.  The reported shift is the removed translation expressed in
     standard coordinates.
     """
-    system = filt.system
-    support_map = {p: (c,) for p, c in zip(system.support_order, system.codes)}
+    chart = filt.chart
+    support_map = {p: (c,) for p, c in zip(chart.support_order, chart.codes)}
     target = Filter(dilation_1d(), {support_map[p]: v for p, v in filt.coeffs.items()})
     return _carry(filt, target, support_map,
-                  from_adapted(filt.matrix, system.c_min), system.window_exponent)
+                  from_adapted(filt.matrix, chart.c_min), chart.window_exponent)
 
 
 def from_one_d(filt: Filter, target_matrix: DilationMatrix) -> TransferReport:
@@ -146,20 +153,20 @@ def from_one_d(filt: Filter, target_matrix: DilationMatrix) -> TransferReport:
         # [-2] shares the lattice 2Z but reverses the canonical order; route
         # such sources through to_one_d (transfer() does) instead.
         raise ValueError("from_one_d requires a filter over the dilation [2]")
-    system = filt.system
-    top = system.codes[-1]
+    chart = filt.chart
+    top = chart.codes[-1]
     n_exp = window_exponent_for_extent(top if target_matrix.dim == 1 else top >> 1)
     params = EncodingParams(target_matrix.dim, n_exp)
     support_map = {p: from_adapted(target_matrix, decode_support(params, c))
-                   for p, c in zip(system.support_order, system.codes)}
+                   for p, c in zip(chart.support_order, chart.codes)}
     target = Filter(target_matrix, {support_map[p]: v for p, v in filt.coeffs.items()})
-    return _carry(filt, target, support_map, system.c_min, n_exp)
+    return _carry(filt, target, support_map, chart.c_min, n_exp)
 
 
 def transfer(filt: Filter, target_matrix: DilationMatrix) -> TransferReport:
     """Transfer between arbitrary expansive dyadic matrices via dilation [2].
 
-    The composed support map is certified against the end systems' charts,
+    The composed support map is certified against the end filters' charts,
     so the report is a self-contained certificate of the isomorphism.
     """
     stage1 = to_one_d(filt)

@@ -28,6 +28,14 @@ MUTANTS = [
      "        if cb - ca != shift:",
      "        if cb - ca > shift:",
      "tests/test_transfer.py"),
+    ("transfer.py",
+     "                     tuple(map(operator.sub, support_map[b], support_map[a]))",
+     "                     tuple(map(operator.sub, support_map[a], support_map[b]))",
+     "tests/test_transfer.py"),
+    ("lawton.py",
+     "            ca_by_v.update(zip(map(operator.sub, same[i:], repeat(ca)), repeat(ca)))",
+     "            ca_by_v.update(zip(map(operator.sub, same[i + 1:], repeat(ca)), repeat(ca)))",
+     "tests/test_transfer.py"),
     ("cascade.py",
      "        if diffs[-1] < tol:",
      "        if tol > 0.0:",

@@ -247,7 +247,8 @@ def test_criterion_5_transfer_suite():
         src_res = lawton_residuals(source)
         for target in targets:
             rep = transfer(source, target)
-            if not verify_isomorphism(rep.source_system, rep.target_system, rep.iso):
+            if not verify_isomorphism(rep.source_filter.system, rep.target_filter.system,
+                                      rep.iso):
                 ok, detail = False, f"witness rejected for {make.__name__}"
                 break
             tgt_res = lawton_residuals(rep.target_filter)

@@ -172,6 +172,15 @@ def test_adapted_chart_identity_case():
     assert from_adapted(dil, (-3,)) == (-3,)
 
 
+def test_adapted_chart_refuses_a_point_of_another_dimension():
+    """``IntMatrix.vec`` makes the one dimension check of both directions."""
+    dil = DilationMatrix.from_matrix(QUINCUNX)
+    for chart in (to_adapted, from_adapted):
+        with pytest.raises(DimensionMismatchError,
+                           match=r"^point \(1,\) has dimension 1, expected 2$"):
+            chart(dil, (1,))
+
+
 def test_adapted_round_trip_random():
     rnd = random.Random(7)
     for rows in (QUINCUNX, ANTIDIAG, [[0, 0, -2], [1, 0, 0], [0, 1, 0]]):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from latwav.encode import EncodingParams, radix_encode
-from latwav.errors import NotSubsetError
+from latwav.errors import DimensionMismatchError, DomainMismatchError, NotSubsetError
 from latwav.filters import (
     antidiagonal_matrix,
     companion_3d_matrix,
@@ -15,9 +15,12 @@ from latwav.filters import (
 )
 from latwav.intlat import DilationMatrix, from_adapted, in_dilated_lattice, to_adapted
 from latwav.lawton import (
+    Filter,
     SupportSet,
+    _chart,
     build_reduced_system,
     equations_equal_up_to_conjugation,
+    pair_count,
     restrict_index_set,
 )
 from util import (
@@ -27,6 +30,7 @@ from util import (
     lattice_chart,
     random_dyadic_matrices,
     reference_build_reduced_system,
+    reference_chart,
 )
 
 
@@ -252,10 +256,10 @@ def assert_same_system(got, want):
 
 def test_one_pass_build_matches_reference_build():
     """Differential test against the former two-stage build: the same index
-    set, equation order, pair order, support order and window exponent, on
-    random lattices in d = 1-4 and the bundled matrices, with random supports
-    that are dense or sparse and translated anywhere (negative coordinates
-    included)."""
+    set, equation order, pair order, support order, window exponent and
+    chart, on random lattices in d = 1-4 and the bundled matrices, with
+    random supports that are dense or sparse and translated anywhere
+    (negative coordinates included)."""
     rng = np.random.default_rng(31)
     lattices = [lattice_chart(m) for d, count in ((1, 60), (2, 100), (3, 100), (4, 60))
                 for m in random_dyadic_matrices(rng, d, count)]
@@ -270,4 +274,26 @@ def test_one_pass_build_matches_reference_build():
         support = SupportSet.from_points(pts)
         assert_same_system(build_reduced_system(support, dil),
                            reference_build_reduced_system(support, dil))
+        assert _chart(support, dil) == reference_chart(support, dil)
     assert len(lattices) == 360
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: pair_count(SupportSet.from_points([(0,)]), quincunx_matrix()),
+     DimensionMismatchError, "support and matrix dimensions differ"),
+    (lambda: build_reduced_system(SupportSet.from_points([(0, 0)]), dilation_1d()),
+     DimensionMismatchError, "support and matrix dimensions differ"),
+    (lambda: SupportSet.from_points([]), ValueError, "support must be non-empty"),
+    (lambda: SupportSet.from_points([(0,), (0, 1)]),
+     DimensionMismatchError, "mixed dimensions in support: [1, 2]"),
+    (lambda: Filter.from_coeffs(quincunx_matrix(), {(0,): 1.0}),
+     DomainMismatchError, "coefficient at (0,) has dimension 1, matrix is 2x2"),
+    (lambda: Filter.from_coeffs(dilation_1d(), {(0,): "1"}),
+     TypeError, "coefficient at (0,) is not a number: '1'"),
+    (lambda: Filter.from_coeffs(dilation_1d(), {}), ValueError, "filter support is empty"),
+], ids=["pair_count", "build", "empty_support", "mixed_support", "filter_dimension",
+        "filter_value", "empty_filter"])
+def test_library_guards_pin_their_message(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error and str(raised.value) == message

@@ -91,9 +91,10 @@ def _records() -> dict:
         "U": dil.snf,
         "A": dil,
         "dim": EncodingParams(2, 3),
-        "points": report.source_system.support,
-        "k": report.source_system.equations[(0,)],
-        "support": report.source_system,
+        "points": report.source_filter.support,
+        "k": report.source_filter.system.equations[(0,)],
+        "support": report.source_filter.system,
+        "support_order": report.source_filter.chart,
         "matrix": report.source_filter,
         "support_map": report.iso,
         "source_filter": report,
@@ -139,7 +140,7 @@ def test_repr_and_equality():
     assert config != Config()
 
 
-def test_to_one_d_reads_the_chart_its_system_keeps(monkeypatch):
+def test_to_one_d_reads_the_filter_chart(monkeypatch):
     source = daubechies4_1d()
     filt = Filter(quincunx_matrix(), dict(transfer(source, quincunx_matrix()).target_filter.coeffs))
     calls = []
@@ -151,7 +152,7 @@ def test_to_one_d_reads_the_chart_its_system_keeps(monkeypatch):
 
     monkeypatch.setattr(latwav.lawton, "_chart", counted)
     report = to_one_d(filt)
-    assert calls == [2, 1]  # the two systems' builds, nothing more
-    system = report.source_system
-    assert report.iso.support_map == {p: (c,) for p, c in zip(system.support_order, system.codes)}
-    assert report.window_exponent == system.window_exponent
+    assert calls == [2, 1]  # the two filters' charts, nothing more
+    got = report.source_filter.chart
+    assert report.iso.support_map == {p: (c,) for p, c in zip(got.support_order, got.codes)}
+    assert report.window_exponent == got.window_exponent

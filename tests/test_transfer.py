@@ -4,6 +4,7 @@ import importlib
 import math
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -110,14 +111,19 @@ def test_verify_isomorphism_window_example():
 
 def test_verify_isomorphism_domain_mismatch():
     system = build_reduced_system(SupportSet.from_points([(0,), (1,)]), dilation_1d())
-    with pytest.raises(DomainMismatchError):
+    with pytest.raises(DomainMismatchError,
+                       match="^support map domain does not match the source support$"):
         verify_isomorphism(system, system, IsoMap({(0,): (0,)}, {(0,): (0,)}))
+    identity = {(0,): (0,), (1,): (1,)}
+    with pytest.raises(DomainMismatchError,
+                       match="^index map domain does not match the source index set$"):
+        verify_isomorphism(system, system, IsoMap(identity, {(0,): (0,), (2,): (2,)}))
 
 
 def test_verify_isomorphism_mutation_battery():
     """Corrupting a witness in any single way must be rejected."""
     report = transfer(daubechies4_1d(), quincunx_matrix())
-    sys_a, sys_b = report.source_system, report.target_system
+    sys_a, sys_b = report.source_filter.system, report.target_filter.system
     theta, eta = report.iso.support_map, report.iso.index_map
     assert verify_isomorphism(sys_a, sys_b, report.iso)
 
@@ -149,7 +155,7 @@ def test_witness_fault_says_where():
     generator whose equation does not map."""
     transfer_mod = importlib.import_module("latwav.transfer")
     report = transfer(daubechies4_1d(), quincunx_matrix())
-    sys_a, sys_b, theta, eta = (report.source_system, report.target_system,
+    sys_a, sys_b, theta, eta = (report.source_filter.system, report.target_filter.system,
                                 report.iso.support_map, report.iso.index_map)
     assert transfer_mod._witness_fault(sys_a, sys_b, report.iso) is None
 
@@ -186,13 +192,12 @@ def test_chart_fault_says_where():
     than the first code; a map of another size is not a bijection."""
     transfer_mod = importlib.import_module("latwav.transfer")
 
-    def system(*points):
-        return build_reduced_system(SupportSet.from_points([(n,) for n in points]),
-                                    dilation_1d())
+    def chart(*points):
+        return Filter.from_coeffs(dilation_1d(), {(n,): 1.0 for n in points}).chart
 
-    near, far = system(0, 1, 2, 3), system(0, 1, 2, 5)
+    near, far = chart(0, 1, 2, 3), chart(0, 1, 2, 5)
     assert transfer_mod._chart_fault(near, near, {(n,): (n,) for n in range(4)}) is None
-    shifted = system(7, 8, 9, 10)
+    shifted = chart(7, 8, 9, 10)
     assert transfer_mod._chart_fault(near, shifted, {(n,): (n + 7,) for n in range(4)}) is None
 
     squeeze = {(0,): (0,), (1,): (1,), (2,): (2,), (5,): (3,)}
@@ -206,10 +211,11 @@ def test_chart_fault_says_where():
         "support position 0: (0,) goes to (3,), not to (0,)"
     # the per-equation check accepts the mirror: it maps every equation onto
     # the target's up to transposition
-    assert verify_isomorphism(near, near, IsoMap(mirror, {(0,): (0,), (2,): (2,)}))
+    line = build_reduced_system(SupportSet.from_points([(n,) for n in range(4)]), dilation_1d())
+    assert verify_isomorphism(line, line, IsoMap(mirror, {(0,): (0,), (2,): (2,)}))
     not_onto = "support map is not a bijection onto the target support"
     assert transfer_mod._chart_fault(near, near, {(n,): (n,) for n in range(3)}) == not_onto
-    assert transfer_mod._chart_fault(far, system(0, 1, 2), squeeze) == not_onto
+    assert transfer_mod._chart_fault(far, chart(0, 1, 2), squeeze) == not_onto
 
 
 def test_corrupted_support_map_fails_where_it_departs(monkeypatch, tmp_path, capsys):
@@ -243,7 +249,8 @@ def test_to_one_d_quincunx_haar():
     assert report.window_exponent == 1
     inv = 1.0 / math.sqrt(2.0)
     assert report.target_filter.coeffs == {(0,): inv, (1,): inv}
-    assert verify_isomorphism(report.source_system, report.target_system, report.iso)
+    assert verify_isomorphism(report.source_filter.system, report.target_filter.system,
+                              report.iso)
 
 
 def test_to_one_d_is_identity_for_normalized_1d_input():
@@ -343,7 +350,8 @@ def test_transfer_to_same_matrix_is_shift_normalization():
     report = transfer(filt, dilation_1d())
     normalized, _ = shift_normalize(filt)
     assert report.target_filter.coeffs == normalized.coeffs
-    assert verify_isomorphism(report.source_system, report.target_system, report.iso)
+    assert verify_isomorphism(report.source_filter.system, report.target_filter.system,
+                              report.iso)
 
 
 def test_transfer_coefficient_multiset_preserved():
@@ -447,36 +455,71 @@ def test_transfer_preserves_residuals_for_arbitrary_coefficients():
                     assert tgt.per_index[rep.iso.index_map[k]] == value
 
 
-def test_transfer_builds_each_system_once(monkeypatch, tmp_path):
-    """Source, 1-D and target systems are built once each, from one
-    SupportSet each; the 1-D system from the first stage is reused by the
-    second.  The two stage witnesses and the composed one are all checked.
-    A fresh filter is used because the bundled singletons keep the systems
-    earlier tests built for them.  ``latwav transfer`` does the same work:
-    the input filter's support serves both its pair budget and its build."""
+def test_transfer_builds_no_system(monkeypatch, tmp_path):
+    """A transfer builds no reduced system.  It computes each filter's chart
+    once (source, [2] and target), from one SupportSet each, and makes three
+    chart checks: the two stage witnesses and the composed one.  A fresh
+    filter is used because the bundled singletons keep the charts earlier
+    tests computed for them.  ``latwav transfer`` does the same work: the
+    input filter's support serves both its pair budget and its chart.  The
+    systems are built only on demand, and the witness holds on them."""
     calls = count_work(monkeypatch)
+    lawton_mod = importlib.import_module("latwav.lawton")
+    chart, charts = lawton_mod._chart, []
+
+    def counted_chart(support, dil):
+        charts.append(dil.dim)
+        return chart(support, dil)
+
+    monkeypatch.setattr(lawton_mod, "_chart", counted_chart)
     filt = Filter.from_coeffs(quincunx_matrix(), quincunx_haar().coeffs)
     report = transfer(filt, companion_3d_matrix())
-    assert calls == {"build": 3, "verify": 3, "support": 3}
-    assert report.stages[1].source_system is report.stages[0].target_system
-    assert verify_isomorphism(report.source_system, report.target_system, report.iso)
+    assert (calls, charts) == ({"verify": 3, "support": 3}, [2, 1, 3])
 
-    # again on the same filter: only the new 1-D and target filters build
+    # again on the same filter: only the new [2] and target filters' charts
     calls.clear()
+    charts.clear()
     assert transfer(filt, companion_3d_matrix()) == report
-    assert calls == {"build": 2, "verify": 3, "support": 2}
+    assert (calls, charts) == ({"verify": 3, "support": 2}, [1, 3])
 
     (tmp_path / "filter.json").write_text(canonical_dumps(filter_to_json(filt)))
     (tmp_path / "target.json").write_text(canonical_dumps(matrix_to_json(companion_3d_matrix().A)))
     calls.clear()
+    charts.clear()
     assert main(["transfer", str(tmp_path / "filter.json"),
                  "--target", str(tmp_path / "target.json")]) == 0
-    assert calls == {"build": 3, "verify": 3, "support": 3}
+    assert (calls, charts) == ({"verify": 3, "support": 3}, [2, 1, 3])
+
+    calls.clear()
+    assert verify_isomorphism(report.source_filter.system, report.target_filter.system,
+                              report.iso)
+    assert calls == {"build": 2}
+
+
+def test_transfer_stores_no_pair():
+    """A 1-D -> quincunx transfer of 1024 points stores no pair: its
+    tracemalloc peak is about 1.3 MB, where building the three systems with
+    their pairs took about 52 MB."""
+    rnd = random.Random(7)
+    filt = Filter.from_coeffs(dilation_1d(), {(n,): rnd.uniform(0.1, 1.0)
+                                              for n in rnd.sample(range(2048), 1024)})
+    tracemalloc.start()
+    try:
+        report = transfer(filt, quincunx_matrix())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.iso.index_map) > 1000
+    assert peak < 10 * 2**20
 
 
 def test_reports_share_the_filter_system():
+    """A report keeps the filters it was given and made, so the systems a
+    caller builds from it are the filters' cached ones."""
     filt = Filter.from_coeffs(dilation_1d(), daubechies4_1d().coeffs)
-    report = from_one_d(filt, quincunx_matrix())
-    assert report.source_system is filt.system
-    assert report.target_system is report.target_filter.system
-    assert transfer(filt, quincunx_matrix()).source_system is filt.system
+    assert from_one_d(filt, quincunx_matrix()).source_filter is filt
+    report = transfer(filt, quincunx_matrix())
+    assert report.source_filter is filt
+    assert report.stages[1].source_filter is report.stages[0].target_filter
+    assert report.target_filter is report.stages[1].target_filter
+    assert report.source_filter.system is filt.system

@@ -1,6 +1,8 @@
 """Property tests over random expansive dyadic matrices in d = 1-4: every
-transfer's index map equals the former encode_index/decode_index route, and
-residuals carry over bit for bit; the chart certificate passes on every
+transfer's index map equals the former encode_index/decode_index route and
+the former zip of the built systems' index sets, and residuals carry over
+bit for bit; one pair per generator lists the built index set in order; the
+chart certificate passes on every
 report, fails on corrupted support maps, and passes only where the former
 per-equation check finds no fault; the witness check gives the former
 check's verdict and text on true and corrupted witnesses; and the canonical
@@ -19,13 +21,14 @@ from latwav.jsonio import (  # noqa: E402
     system_to_json,
     transfer_report_to_json,
 )
-from latwav.lawton import SupportSet, build_reduced_system  # noqa: E402
+from latwav.lawton import build_reduced_system, generator_pairs  # noqa: E402
 from latwav.transfer import (  # noqa: E402
     Filter,
     IsoMap,
     _chart_fault,
     _witness_fault,
     transfer,
+    verify_isomorphism,
 )
 from latwav.verify import lawton_residuals  # noqa: E402
 from util import (  # noqa: E402
@@ -33,6 +36,7 @@ from util import (  # noqa: E402
     reference_canonical_dumps,
     reference_index_map,
     reference_witness_fault,
+    reference_zipped_index_map,
 )
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -104,25 +108,44 @@ def test_chart_certificate_is_sound_and_holds_on_every_report(data):
     per-equation check finds no fault."""
     _, report = data.draw(transfers())
     for chosen in (report, *report.stages):
-        sys_a, sys_b, iso = chosen.source_system, chosen.target_system, chosen.iso
-        assert _chart_fault(sys_a, sys_b, iso.support_map) is None
-        assert reference_witness_fault(sys_a, sys_b, iso) is None
+        src, tgt, iso = chosen.source_filter, chosen.target_filter, chosen.iso
+        assert _chart_fault(src.chart, tgt.chart, iso.support_map) is None
+        assert reference_witness_fault(src.system, tgt.system, iso) is None
 
     chosen = data.draw(st.sampled_from((report, *report.stages)))
-    sys_a, sys_b, theta = chosen.source_system, chosen.target_system, chosen.iso.support_map
-    points = data.draw(st.permutations(sys_a.support_order))
+    src, tgt, theta = chosen.source_filter, chosen.target_filter, chosen.iso.support_map
+    points = data.draw(st.permutations(src.chart.support_order))
     p, q = points[0], points[-1]
     if p != q:
         swapped = {**theta, p: theta[q], q: theta[p]}
-        assert _chart_fault(sys_a, sys_b, swapped) is not None
-    step = st.tuples(*[st.integers(-2, 2)] * sys_b.matrix.dim).filter(any)
+        assert _chart_fault(src.chart, tgt.chart, swapped) is not None
+    step = st.tuples(*[st.integers(-2, 2)] * tgt.dim).filter(any)
     moved = {**theta, p: tuple(a + b for a, b in zip(theta[p], data.draw(step)))}
-    assert _chart_fault(sys_a, sys_b, moved) is not None
+    assert _chart_fault(src.chart, tgt.chart, moved) is not None
     if len(set(moved.values())) == len(moved):
-        rebuilt = build_reduced_system(SupportSet.from_points(moved.values()), sys_b.matrix)
-        if _chart_fault(sys_a, rebuilt, moved) is None:
-            eta = dict(zip(sys_a.index_set, rebuilt.index_set))
-            assert reference_witness_fault(sys_a, rebuilt, IsoMap(moved, eta)) is None
+        rebuilt = Filter(tgt.matrix, dict.fromkeys(moved.values(), 1.0))
+        if _chart_fault(src.chart, rebuilt.chart, moved) is None:
+            eta = dict(zip(src.system.index_set, rebuilt.system.index_set))
+            assert reference_witness_fault(src.system, rebuilt.system, IsoMap(moved, eta)) is None
+
+
+@PROPERTY
+@given(data=st.data())
+def test_index_maps_come_from_one_pair_per_generator(data):
+    """The scan's pairs (a, b) give the built system's index set in order,
+    each pair in its generator's equation.  Every stage and composed index
+    map, read from those pairs, is the former zip of the two built systems'
+    index sets, and the witness holds on the systems built on demand."""
+    _, report = data.draw(transfers())
+    for chosen in (report, *report.stages):
+        source = chosen.source_filter
+        pairs = generator_pairs(source.chart)
+        system = build_reduced_system(source.support, source.matrix)
+        assert [tuple(y - x for x, y in zip(a, b)) for a, b in pairs] == list(system.index_set)
+        assert all(pair in system.equations[k].pairs for pair, k in zip(pairs, system.index_set))
+        assert list(chosen.iso.index_map) == list(system.index_set)
+        assert chosen.iso.index_map == reference_zipped_index_map(chosen)
+        assert verify_isomorphism(source.system, chosen.target_filter.system, chosen.iso)
 
 
 def _with_equations(system, change):
@@ -137,7 +160,7 @@ def test_witness_check_matches_the_former_check(data):
     a support map with two points swapped."""
     _, report = data.draw(transfers())
     chosen = data.draw(st.sampled_from((report, *report.stages)))
-    sys_a, sys_b, iso = chosen.source_system, chosen.target_system, chosen.iso
+    sys_a, sys_b, iso = chosen.source_filter.system, chosen.target_filter.system, chosen.iso
     flip = data.draw(st.sampled_from(sys_b.index_set))
     theta = dict(iso.support_map)
     points = data.draw(st.permutations(sorted(theta)))
@@ -163,7 +186,8 @@ def test_witness_check_matches_the_former_check(data):
 @given(data=st.data())
 def test_canonical_dumps_match_the_dump_with_cycle_checks(data):
     _, report = data.draw(transfers())
-    documents = [system_to_json(report.source_system), system_to_json(report.target_system),
+    documents = [system_to_json(report.source_filter.system),
+                 system_to_json(report.target_filter.system),
                  transfer_report_to_json(report),
                  residual_report_to_json(lawton_residuals(report.target_filter))]
     for doc in documents:

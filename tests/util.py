@@ -41,6 +41,7 @@ from latwav.intlat import (
     to_adapted,
 )
 from latwav.lawton import (
+    Chart,
     Equation,
     ReducedSystem,
     SupportSet,
@@ -455,10 +456,18 @@ def reference_build_reduced_system(support: SupportSet, dil: DilationMatrix) -> 
         equations=equations,
         window_exponent=n_exp,
         support_order=order,
-        codes=tuple(encode_support(params, tuple(a - b for a, b in zip(adapted[p], c_min)))
-                    for p in order),
-        c_min=c_min,
     )
+
+
+def reference_chart(support: SupportSet, dil: DilationMatrix) -> Chart:
+    """The chart the former build kept on its system: the reference support
+    order, each point's code at the reference frame, c_min and N."""
+    adapted, c_min, n_exp = _adapted_frame(support, dil)
+    order = _ordered_points(support, adapted, c_min)
+    params = EncodingParams(support.dim, n_exp)
+    codes = tuple(encode_support(params, tuple(a - b for a, b in zip(adapted[p], c_min)))
+                  for p in order)
+    return Chart(order, codes, c_min, n_exp)
 
 
 # Per-generator oracle: the library's former equation builder, which checks
@@ -476,8 +485,7 @@ def generated_equation(support: SupportSet, dil: DilationMatrix,
         raise DimensionMismatchError("support, matrix and generator dimensions differ")
     if not in_dilated_lattice(dil, k):
         raise NotInLatticeError(f"generator {k} is not in A*Z^d")
-    codes = _chart(support, dil)[0]
-    pairs = tuple((n, m) for n in sorted(support.points, key=codes.__getitem__)
+    pairs = tuple((n, m) for n in _chart(support, dil).support_order
                   if (m := tuple(a + b for a, b in zip(n, k))) in support.points)
     if not pairs:
         return None
@@ -490,8 +498,8 @@ def generated_equation(support: SupportSet, dil: DilationMatrix,
 def reference_pair_scan_build(support: SupportSet, dil: DilationMatrix) -> ReducedSystem:
     if support.dim != dil.dim:
         raise DimensionMismatchError("support and matrix dimensions differ")
-    codes, c_min, n_exp = _chart(support, dil)
-    order = tuple(sorted(support.points, key=codes.__getitem__))
+    chart = _chart(support, dil)
+    order, codes = chart.support_order, dict(zip(chart.support_order, chart.codes))
     classes: tuple[list, list] = ([], [])
     for p in order:
         classes[codes[p] & 1].append((codes[p], p))
@@ -520,10 +528,8 @@ def reference_pair_scan_build(support: SupportSet, dil: DilationMatrix) -> Reduc
         matrix=dil,
         index_set=index_set,
         equations=equations,
-        window_exponent=n_exp,
+        window_exponent=chart.window_exponent,
         support_order=order,
-        codes=tuple(codes[p] for p in order),
-        c_min=c_min,
     )
 
 
@@ -570,11 +576,17 @@ def reference_index_map(report, to_line: bool = True) -> dict:
         return {k: second[l] for k, l in first.items()}
     dil = (report.source_filter if to_line else report.target_filter).matrix
     params = EncodingParams(dil.dim, report.window_exponent)
+    index_set = report.source_filter.system.index_set
     if to_line:
-        return {k: (encode_index(params, to_adapted(dil, k)),)
-                for k in report.source_system.index_set}
-    return {k: from_adapted(dil, decode_index(params, k[0]))
-            for k in report.source_system.index_set}
+        return {k: (encode_index(params, to_adapted(dil, k)),) for k in index_set}
+    return {k: from_adapted(dil, decode_index(params, k[0])) for k in index_set}
+
+
+def reference_zipped_index_map(report) -> dict:
+    """The library's former index map of every transfer report: the two
+    built systems' index sets, zipped in order."""
+    return dict(zip(report.source_filter.system.index_set,
+                    report.target_filter.system.index_set))
 
 
 def reference_dual_coset_shift(filt) -> np.ndarray:
