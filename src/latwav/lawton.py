@@ -151,37 +151,45 @@ def pair_count(support: SupportSet, dil: DilationMatrix) -> int:
     return (odd * (odd + 1) + even * (even + 1)) // 2
 
 
+def _same_parity_scan(chart: Chart):
+    """For each point a in support order: a, its code c_a, and the codes c_b
+    and the (c_b, b) of the points b of a's parity class at or after it,
+    which make the pairs (a, b) of the system.
+
+    Only pairs whose codes share a parity (last adapted coordinate) differ
+    by an element of A*Z^d.  For such a, b the code difference is
+    v = (dy/2)*stride + 2*radix(dx) with |2*radix(dx)| < stride/2, so v is
+    injective in k = b - a, and its sign and order are those of radix(k):
+    dy first, then x from right to left.  v >= 0 is thus the canonical-sign
+    test, so each a pairs only with the same-parity points at or after it
+    in code order, and sorting by v lists the index set in radix order.
+    Each a yields at most one pair per generator, so every bucket of v
+    receives its pairs (n, n + k) in support order.
+    """
+    codes, tails = ([], []), ([], [])  # by parity: each class's c, and its (c, p)
+    starts = []  # each point's position in its parity class
+    for c, p in zip(chart.codes, chart.support_order):
+        starts.append(len(codes[c & 1]))
+        codes[c & 1].append(c)
+        tails[c & 1].append((c, p))
+    for a, ca, start in zip(chart.support_order, chart.codes, starts):
+        yield a, ca, codes[ca & 1][start:], tails[ca & 1][start:]
+
+
 def build_reduced_system(support: SupportSet, dil: DilationMatrix) -> ReducedSystem:
     """Construct the reduced system with its canonical index set.
 
     The index set consists of one representative per generator pair {k, -k}:
     the one with nonnegative radix value in the adapted chart, listed in
     increasing radix order (so the zero generator always comes first).
-
-    One pass over pairs builds everything, in the 1-D chart.  Only pairs
-    whose codes share a parity (last adapted coordinate) differ by an
-    element of A*Z^d.  For such a, b the code difference is
-    v = (dy/2)*stride + 2*radix(dx) with |2*radix(dx)| < stride/2, so v is
-    injective in k = b - a, and its sign and order are those of radix(k):
-    dy first, then x from right to left.  v >= 0 is thus the canonical-sign
-    test, so each a pairs only with the same-parity points at or after it
-    in code order, and sorting by v lists the index set in radix order.
-    Iterating a in support order adds at most one pair per generator for
-    each a, so every bucket lists its pairs (n, n + k) in support order.
+    Equation k holds the pairs of ``_same_parity_scan`` of one c_b - c_a.
     """
     if support.dim != dil.dim:
         raise DimensionMismatchError("support and matrix dimensions differ")
     chart = _chart(support, dil)
-    classes: tuple[list, list] = ([], [])
-    starts = []  # each point's position in its parity class
-    for c, p in zip(chart.codes, chart.support_order):
-        same = classes[c & 1]
-        starts.append(len(same))
-        same.append((c, p))
-
     buckets = defaultdict(list)
-    for a, ca, start in zip(chart.support_order, chart.codes, starts):
-        for cb, b in classes[ca & 1][start:]:
+    for a, ca, _, tail in _same_parity_scan(chart):
+        for cb, b in tail:
             buckets[cb - ca].append((a, b))
 
     equations = {}
@@ -196,15 +204,13 @@ def build_reduced_system(support: SupportSet, dil: DilationMatrix) -> ReducedSys
 
 def generator_pairs(chart: Chart) -> tuple[tuple[LatticePoint, LatticePoint], ...]:
     """One pair (a, b) per generator b - a of the chart's reduced system, in
-    index-set order, with no pair list stored: the same-parity scan of
-    ``build_reduced_system`` keeps one code c_a per code difference v, and
-    the sorted differences are its bucket keys."""
+    index-set order, with no pair list stored: it keeps one code c_a per
+    code difference v of ``_same_parity_scan``, and the sorted differences
+    are the build's bucket keys."""
     point = dict(zip(chart.codes, chart.support_order))
     ca_by_v = {}  # v -> c_a of one pair with c_b - c_a = v
-    for parity in (0, 1):
-        same = [c for c in chart.codes if c & 1 == parity]
-        for i, ca in enumerate(same):
-            ca_by_v.update(zip(map(operator.sub, same[i:], repeat(ca)), repeat(ca)))
+    for _, ca, codes, _ in _same_parity_scan(chart):
+        ca_by_v.update(zip(map(operator.sub, codes, repeat(ca)), repeat(ca)))
     return tuple((point[ca], point[ca + v]) for v, ca in sorted(ca_by_v.items()))
 
 
@@ -273,7 +279,7 @@ class Filter:
     @cached_property
     def system(self) -> ReducedSystem:
         """The reduced system of the support, built on first use and shared
-        by every later caller (residuals, cascade, ``reduce``)."""
+        by every later caller (``reduce`` and library callers)."""
         return build_reduced_system(self.support, self.matrix)
 
 

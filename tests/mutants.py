@@ -33,9 +33,14 @@ MUTANTS = [
      "                     tuple(map(operator.sub, support_map[a], support_map[b]))",
      "tests/test_transfer.py"),
     ("lawton.py",
-     "            ca_by_v.update(zip(map(operator.sub, same[i:], repeat(ca)), repeat(ca)))",
-     "            ca_by_v.update(zip(map(operator.sub, same[i + 1:], repeat(ca)), repeat(ca)))",
-     "tests/test_transfer.py"),
+     "        yield a, ca, codes[ca & 1][start:], tails[ca & 1][start:]",
+     "        yield a, ca, codes[ca & 1][start + 1:], tails[ca & 1][start + 1:]",
+     "tests/test_verify.py"),
+    ("lawton.py",
+     "    for a, ca, start in zip(chart.support_order, chart.codes, starts):",
+     "    for a, ca, start in sorted(zip(chart.support_order, chart.codes, starts),"
+     " key=lambda t: t[1] & 1):",
+     "tests/test_exact_properties.py"),
     ("cascade.py",
      "        if diffs[-1] < tol:",
      "        if tol > 0.0:",

@@ -310,23 +310,23 @@ def test_pair_budget_is_checked_before_the_build(workdir, capsys, monkeypatch, c
 
 @pytest.mark.parametrize("argv, want", [
     (["reduce", "{db4}"], {"support": 1, "build": 1, "pairs": [6], "from_matrix": 1}),
-    (["verify", "{db4}"], {"support": 1, "build": 1, "pairs": [6], "from_matrix": 1}),
+    (["verify", "{db4}"], {"support": 1, "from_matrix": 1}),
     (["cascade", "{db4}", "--levels", "8"],
-     {"support": 1, "build": 1, "pairs": [6], "from_matrix": 1,
-      "cells": [4, 10, 22, 46, 94, 190, 382, 766]}),
+     {"support": 1, "from_matrix": 1, "cells": [4, 10, 22, 46, 94, 190, 382, 766]}),
     (["transfer", "{db4}", "--target", "{quincunx}"],
      {"support": 3, "from_matrix": 3, "verify": 3}),
 ], ids=["reduce", "verify", "cascade", "transfer"])
 def test_cli_work_ledger(workdir, capsys, monkeypatch, argv, want):
     """The work a command does, pinned where timings cannot be: one
-    SupportSet, one reduced-system build and one ``from_matrix`` run (the
-    filter's matrix) for the input filter, no witness check, and db4's cells
-    per cascade level.  ``transfer`` builds no system: it makes three
-    SupportSets and ``from_matrix`` runs (source, [2] and target) and three
-    chart checks.  Every build stores the pairs that ``pair_count`` gives
-    for the input.  ``dilation_1d``'s cache is cleared
-    first, so the count does not depend on which tests ran before.  A change
-    that adds work fails here on every machine."""
+    SupportSet and one ``from_matrix`` run (the filter's matrix) for the
+    input filter, no witness check, and db4's cells per cascade level.
+    Only ``reduce`` builds the reduced system, once: ``verify`` and the
+    cascade's residual warning read the filter's chart.  ``transfer`` builds
+    no system either: it makes three SupportSets and ``from_matrix`` runs
+    (source, [2] and target) and three chart checks.  Every build stores
+    the pairs that ``pair_count`` gives for the input.  ``dilation_1d``'s
+    cache is cleared first, so the count does not depend on which tests ran
+    before.  A change that adds work fails here on every machine."""
     db4 = daubechies4_1d()
     pairs = pair_count(db4.support, db4.matrix)
     importlib.import_module("latwav.transfer").dilation_1d.cache_clear()
@@ -476,6 +476,18 @@ def test_input_guards_pin_their_message(workdir, capsys, argv, text, message):
     code, out, err = run(capsys, *(a.format(f=path) for a in argv))
     assert (code, out) == (2, "")
     assert err.splitlines() == [message.format(f=path)]
+
+
+def test_a_filter_of_zeros_is_an_input_error(workdir, capsys):
+    """Every tap exactly zero: the loader drops them all, with a warning,
+    and the library's empty-support error becomes an input error."""
+    path = workdir / "f.json"
+    path.write_text('{"dim": 1, "matrix": {"dim": 1, "rows": [[2]]}, '
+                    '"coeffs": [{"n": [0], "re": 0}]}')
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["warning: dropped 1 exactly-zero coefficient(s)",
+                                f"error: {path}: filter support is empty"]
 
 
 @pytest.mark.parametrize("argv, message", [

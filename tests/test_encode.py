@@ -313,3 +313,6 @@ def test_window_exponent_for_extent():
     assert window_exponent_for_extent(3) == 2
     assert window_exponent_for_extent(4) == 3
     assert window_exponent_for_extent(15) == 4
+    with pytest.raises(ValueError) as raised:
+        window_exponent_for_extent(-1)
+    assert type(raised.value) is ValueError and str(raised.value) == "extent must be nonnegative"

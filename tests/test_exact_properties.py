@@ -2,7 +2,9 @@
 random determinant +/-2 matrices in d = 1-5, decode after encode as the
 identity on the support and index windows in d = 1-4 with N up to 12, the
 reduced-system build equal to the former full pair scan in d = 1-4, its pair
-count known before the build, and its direct dump equal to the encoder's."""
+count known before the build, its direct dump equal to the encoder's, and
+the residuals read off the chart equal, bit for bit, to the former walk over
+the built system's pairs."""
 
 import pytest
 
@@ -21,8 +23,14 @@ from latwav.encode import (  # noqa: E402
 )
 from latwav.intlat import IntMatrix, coset_representative, smith_normal_form  # noqa: E402
 from latwav.jsonio import system_dumps, system_to_json  # noqa: E402
-from latwav.lawton import SupportSet, build_reduced_system, pair_count  # noqa: E402
-from util import lattice_chart, reference_canonical_dumps, reference_pair_scan_build  # noqa: E402
+from latwav.lawton import Filter, SupportSet, build_reduced_system, pair_count  # noqa: E402
+from latwav.verify import lawton_residuals  # noqa: E402
+from util import (  # noqa: E402
+    lattice_chart,
+    reference_canonical_dumps,
+    reference_lawton_residuals,
+    reference_pair_scan_build,
+)
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
 
@@ -164,3 +172,28 @@ def test_system_dumps_match_the_encoder_dump(data):
         (2**63, -(2**63) - 5, 2**64 + 3, -(10**30), 10**40)))
     system = build_reduced_system(support, dil)
     assert system_dumps(system) == reference_canonical_dumps(system_to_json(system))
+
+
+@PROPERTY
+@given(data=st.data())
+def test_residuals_off_the_chart_match_the_system_walk_bit_for_bit(data):
+    """The same generators in the same order, and every residual equal to
+    the last bit, its ``repr`` too, on real and complex taps over dense or
+    sparse supports in d = 1-4."""
+    dil = lattice_chart(data.draw(det_two_matrices(max_dim=4)))
+    support = draw_support(data, dil.dim)
+    rng = data.draw(st.randoms(use_true_random=False))
+
+    def tap() -> float:
+        return rng.uniform(-1, 1) or 1.0  # a shrunk draw may be 0.0, which is no tap
+
+    if data.draw(st.booleans()):
+        taps = [complex(tap(), tap()) for _ in support.points]
+    else:
+        taps = [tap() for _ in support.points]
+    filt = Filter.from_coeffs(dil, dict(zip(sorted(support.points), taps)))
+    got = lawton_residuals(filt)
+    want = reference_lawton_residuals(Filter(dil, filt.coeffs))
+    assert list(got.per_index.items()) == list(want.per_index.items())
+    assert list(map(repr, got.per_index.values())) == list(map(repr, want.per_index.values()))
+    assert (got.sum_residual, got.max_residual) == (want.sum_residual, want.max_residual)

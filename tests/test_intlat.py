@@ -9,6 +9,7 @@ from latwav.errors import DimensionMismatchError, NotDyadicError, NotExpansiveEr
 from latwav.intlat import (
     DilationMatrix,
     IntMatrix,
+    as_point,
     coset_representative,
     from_adapted,
     in_dilated_lattice,
@@ -361,3 +362,22 @@ def test_snf_and_adjugate_match_oracles_on_huge_entries_and_in_32_dimensions():
     assert big.mul(big.adjugate()).rows == tuple(
         tuple(det * (i == j) for j in range(32)) for i in range(32)
     )
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: as_point(()), DimensionMismatchError, "lattice points must have dimension >= 1"),
+    (lambda: IntMatrix(()), DimensionMismatchError, "matrix must be square and non-empty"),
+    (lambda: IntMatrix(((1, 2), (3,))), DimensionMismatchError,
+     "matrix must be square and non-empty"),
+    (lambda: IntMatrix.from_rows([[2]]).mul(IntMatrix.identity(2)), DimensionMismatchError,
+     "matrix dimensions differ"),
+    (lambda: IntMatrix.from_rows([[2]]).power(-1), ValueError,
+     "negative matrix powers are not integral"),
+    (lambda: IntMatrix.from_rows(QUINCUNX).unimodular_inverse(), ValueError,
+     "matrix with det 2 has no integer inverse"),
+], ids=["zero_dim_point", "empty_matrix", "ragged_matrix", "product_dimensions",
+        "negative_power", "det_2_inverse"])
+def test_intlat_guards_pin_their_message(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error and str(raised.value) == message

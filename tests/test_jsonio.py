@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from latwav.cascade import run_cascade
+from latwav.cascade import initial_grid, run_cascade
 from latwav.errors import InputFormatError
 from latwav.filters import daubechies4_1d, quincunx_haar, quincunx_matrix
 from latwav.intlat import smith_normal_form
@@ -155,3 +155,9 @@ def test_grid_exports():
     assert roundtrips(sidecar)
     centers = grid_centers_1d_csv(grid)
     assert centers.startswith("t,phi")
+
+
+def test_centre_export_refuses_a_grid_that_is_not_1d():
+    with pytest.raises(InputFormatError) as raised:
+        grid_centers_1d_csv(initial_grid(quincunx_matrix()))
+    assert str(raised.value) == "center export requires a 1-dimensional grid"

@@ -98,7 +98,7 @@ def _records() -> dict:
         "matrix": report.source_filter,
         "support_map": report.iso,
         "source_filter": report,
-        "system": lawton_residuals(report.source_filter),
+        "filter": lawton_residuals(report.source_filter),
         "level": initial_grid(dil),
         "half_width": support_pattern(1),
     }
@@ -138,6 +138,7 @@ def test_repr_and_equality():
     config = Config()
     config.cell_budget = 3
     assert config != Config()
+    assert Config().__eq__(object()) is NotImplemented and (Config() == object()) is False
 
 
 def test_to_one_d_reads_the_filter_chart(monkeypatch):

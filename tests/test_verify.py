@@ -1,6 +1,8 @@
 """Residual evaluation and the frequency-domain cross-check."""
 
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -257,6 +259,24 @@ def test_transfer_preserves_residuals_bitwise():
 def test_residuals_use_the_filter_system():
     filt = Filter.from_coeffs(dilation_1d(), haar_1d().coeffs)
     assert lawton_residuals(filt).system is filt.system
+
+
+def test_residuals_store_no_pair():
+    """The residuals of 2048 points come off the chart: no system is built
+    (the report builds it on demand) and the tracemalloc peak is about
+    1.1 MiB, where walking the built system's million pairs took 74 MiB."""
+    rnd = random.Random(7)
+    filt = Filter.from_coeffs(dilation_1d(), {(n,): rnd.uniform(-1.0, 1.0)
+                                              for n in rnd.sample(range(4096), 2048)})
+    tracemalloc.start()
+    try:
+        report = lawton_residuals(filt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "system" not in vars(filt) and report.filter is filt
+    assert len(report.per_index) > 2000
+    assert peak < 5 * 2**20
 
 
 def test_complex_filter_residuals():

@@ -49,7 +49,7 @@ from latwav.lawton import (
     equations_equal_up_to_conjugation,
 )
 from latwav.transfer import Filter, IsoMap
-from latwav.verify import SQRT2, _dual_coset_shift
+from latwav.verify import SQRT2, ResidualReport, _dual_coset_shift
 
 def error_line(err: str) -> str:
     """The ``error:`` line that ends the stderr of an exit-2 CLI call.  Every
@@ -587,6 +587,31 @@ def reference_zipped_index_map(report) -> dict:
     built systems' index sets, zipped in order."""
     return dict(zip(report.source_filter.system.index_set,
                     report.target_filter.system.index_set))
+
+
+def reference_lawton_residuals(filt: Filter) -> ResidualReport:
+    """The library's former residual evaluator, which walks the pairs of the
+    filter's built system, equation by equation."""
+    system = filt.system
+    coeffs = filt.coeffs
+    per_index: dict[LatticePoint, float] = {}
+    for k in system.index_set:
+        eq = system.equations[k]
+        acc = 0.0
+        for n, m in eq.pairs:
+            acc = acc + coeffs[n] * coeffs[m].conjugate()
+        per_index[k] = abs(acc - eq.rhs)
+    total = 0.0
+    for n in system.support_order:
+        total = total + coeffs[n]
+    sum_residual = abs(total - SQRT2)
+    max_residual = max(sum_residual, max(per_index.values()))
+    return ResidualReport(
+        filter=filt,
+        per_index=per_index,
+        sum_residual=sum_residual,
+        max_residual=max_residual,
+    )
 
 
 def reference_dual_coset_shift(filt) -> np.ndarray:
