@@ -2,12 +2,13 @@
 transfer of Parseval-frame scaling filters under dyadic dilations.
 
 ``import latwav`` executes no layer.  Each module but ``cli`` is registered
-in ``sys.modules`` unexecuted and runs on the first read of one of its
-attributes (``vars()`` and ``import latwav.x`` included); the public names
-below and the layer attributes (``latwav.lawton``, ...) resolve through the
-module ``__getattr__``.  ``cli`` stays eager, or ``python -m latwav.cli``
-would find it in ``sys.modules`` already and warn.  ``latwav.transfer`` is
-the function, which shadows its module, as an eager import would leave it.
+in ``sys.modules`` unexecuted and runs on the first read, assignment or
+deletion of one of its attributes (``vars()`` and ``import latwav.x``
+included); the public names below and the layer attributes
+(``latwav.lawton``, ...) resolve through the module ``__getattr__``.
+``cli`` stays eager, or ``python -m latwav.cli`` would find it in
+``sys.modules`` already and warn.  ``latwav.transfer`` is the function,
+which shadows its module, as an eager import would leave it.
 """
 
 import sys as _sys
@@ -49,21 +50,32 @@ _RUNNING: set[str] = set()  # layers that the thread holding the lock is executi
 
 
 class _Layer(_ModuleType):
-    """A registered layer that has not executed: the first attribute read
-    executes it in place, then makes it a plain module."""
+    """A registered layer that has not executed: the first attribute read,
+    assignment or deletion executes it in place, then makes it plain."""
 
-    def __getattribute__(self, attr):
+    def _execute(self):
         with _LOCK:
             if type(self) is _Layer:
                 spec = _ModuleType.__getattribute__(self, "__spec__")
-                if spec.name not in _RUNNING:  # else a read from inside its own execution
+                if spec.name not in _RUNNING:  # else an access from inside its own execution
                     _RUNNING.add(spec.name)
                     try:
                         spec.loader.exec_module(self)
                         self.__class__ = _ModuleType
                     finally:
                         _RUNNING.discard(spec.name)
+
+    def __getattribute__(self, attr):
+        _Layer._execute(self)
         return _ModuleType.__getattribute__(self, attr)
+
+    def __setattr__(self, attr, value):
+        _Layer._execute(self)
+        _ModuleType.__setattr__(self, attr, value)
+
+    def __delattr__(self, attr):
+        _Layer._execute(self)
+        _ModuleType.__delattr__(self, attr)
 
 
 def _register_lazily(layers) -> None:

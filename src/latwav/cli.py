@@ -9,8 +9,8 @@ allocate pair tuples, equation buckets and grid cells in bulk (65,892 pairs
 for 512 points in 1-D), and none of these can form a reference cycle, so
 every collector pass over them is wasted: 7-11 ms of such a ``reduce``
 (about 100 passes, 2-core VM).  Reference counting still frees them.  The cost is
-the cyclic garbage of imports (numpy's, in ``verify``), which now stays
-until the process exits: 0.2-0.3 MB of peak RSS.
+that the cyclic garbage of the layers' own imports stays until the process
+exits.
 
 Each handler imports the layers it runs, inside the handler, so a command
 executes only its own part of the package: ``snf`` and ``basis`` run

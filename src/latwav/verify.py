@@ -89,23 +89,10 @@ def _sample_points(samples: int, dim: int, seed: int) -> list[float]:
     Each coordinate is -pi + 2*pi*u, with u from the standard library's
     ``random.Random(seed)``.  Python documents that generator's ``random()``
     stream for an integer seed as the same on every version, so a printed
-    seed reproduces its points across upgrades; numpy makes no such promise
-    for its ``Generator`` streams.
+    seed reproduces its points across upgrades.
     """
     rng = random.Random(seed)
     return [-math.pi + 2.0 * math.pi * rng.random() for _ in range(samples * dim)]
-
-
-# The largest samples x support size that ``qmf_check`` evaluates with cmath
-# and math; above it, numpy evaluates.  This is not a tolerance: both
-# evaluators sample the same points, and the verdict comes from the
-# residuals alone, so it decides only which code runs, never a result.  It
-# is the largest power of two at which the standard-library sum costs no
-# more than numpy's import with one OpenBLAS thread (2-core VM, Python 3.11,
-# numpy 2.4.6, medians): 1024 samples of 64 support points take 34-72 ms
-# for d = 1-4, and of 128 points 67-145 ms, against 80-107 ms for that
-# import (148-181 ms with OpenBLAS's default threads).
-_STDLIB_QMF_MAX_TERMS = 2**16
 
 
 def qmf_check(filt: Filter, samples: int = QMF_SAMPLES, seed: int = QMF_SEED) -> float:
@@ -114,70 +101,34 @@ def qmf_check(filt: Filter, samples: int = QMF_SAMPLES, seed: int = QMF_SEED) ->
     m0 is the frequency response 2^(-1/2) * sum h_n exp(-i n.xi) and zeta the
     dual-lattice coset shift; for an exact solution the deviation vanishes up
     to roundoff.  The points xi come from ``random.Random(seed)`` (see
-    ``_sample_points``).  A small check runs on the standard library, since
-    numpy's import costs more than the whole sum; a large one runs on numpy
-    and loads only what ``import numpy`` loads, no random-number module of
-    numpy's.  Either way a coordinate beyond double range raises
-    ``OverflowError``, and a phase that overflows makes the deviation NaN.
-    """
-    if samples * len(filt.coeffs) <= _STDLIB_QMF_MAX_TERMS:
-        return _qmf_check_stdlib(filt, samples, seed)
-    return _qmf_check_numpy(filt, samples, seed)
-
-
-def _qmf_check_stdlib(filt: Filter, samples: int, seed: int) -> float:
-    """``qmf_check`` on cmath and math, one support point at a time.
-
-    Column j holds coordinate j of every xi, then of every xi + zeta, so
-    each support point adds its term at all 2 x ``samples`` points in one
-    pass; every sum runs in sorted support order.
+    ``_sample_points``).  Column j holds coordinate j of every xi, then of
+    every xi + zeta, so each support point, in sorted order, adds its term at
+    all 2 x ``samples`` points in one pass.  A coordinate beyond double range
+    raises ``OverflowError``; an overflowing phase makes the deviation NaN.
     """
     dim = filt.dim
     zeta = _dual_coset_shift(filt)
     flat = _sample_points(samples, dim, seed)
     cols = [flat[j::dim] + [x + zeta[j] for x in flat[j::dim]] for j in range(dim)]
-    # -n as floats, all converted before any sum, as numpy's array is.
+    # -n as floats: a position beyond double range raises before any sum.
     terms = [([-float(c) for c in n], complex(h)) for n, h in sorted(filt.coeffs.items())]
     acc = [0j] * (2 * samples)
     try:
         for neg, h in terms:
-            phase = list(map(operator.mul, cols[0], repeat(neg[0])))
+            phase = map(operator.mul, cols[0], repeat(neg[0]))
             for col, c in zip(cols[1:], neg[1:]):
-                phase = list(map(operator.add, phase, map(operator.mul, col, repeat(c))))
-            acc = list(map(operator.add, acc,
-                           map(operator.mul, repeat(h), map(cmath.rect, repeat(1.0), phase))))
-    except ValueError:  # an infinite phase, where numpy's exp gives NaN
+                phase = map(operator.add, phase, map(operator.mul, col, repeat(c)))
+            if h.imag or not h.real:
+                term = map(operator.mul, repeat(h), map(cmath.rect, repeat(1.0), phase))
+            else:  # h * rect(1, p) is rect(h, p), the sign of a zero aside: one pass less
+                term = map(cmath.rect, repeat(h.real), phase)
+            acc = list(map(operator.add, acc, term))
+    except ValueError:  # an infinite phase: its exponential is undefined
         return math.nan
     power = []
     for z in acc:
         re, im = z.real / SQRT2, z.imag / SQRT2
         power.append(re * re + im * im)  # no ** 2: it raises on overflow
     dev = [abs(p + q - 1.0) for p, q in zip(power[:samples], power[samples:])]
-    # np.max propagates NaN; Python's max may skip it.
+    # A NaN deviation anywhere makes the result NaN; Python's max may skip it.
     return math.nan if any(map(math.isnan, dev)) else max(dev)
-
-
-def _qmf_check_numpy(filt: Filter, samples: int, seed: int) -> float:
-    """``qmf_check`` on numpy, all points at once."""
-    import numpy as np
-
-    pts = sorted(filt.coeffs)
-    n_mat = np.array(pts, dtype=float)
-    values = np.array([filt.coeffs[p] for p in pts], dtype=complex)
-    zeta = np.array(_dual_coset_shift(filt))
-
-    xi = np.array(_sample_points(samples, filt.dim, seed)).reshape(samples, filt.dim)
-
-    def m0(points: np.ndarray) -> np.ndarray:
-        # exp(-i n.xi) from the real product n.xi, in one complex buffer:
-        # exp over the complex product (-1j * points) @ n_mat.T is several
-        # times slower, and a temporary for -1j * (n.xi) raises peak memory.
-        # The buffer holds exactly the value -1j * (n.xi) would, 0 - i n.xi.
-        phases = np.empty((len(points), len(pts)), dtype=complex)
-        phases.real = 0.0
-        np.negative(points @ n_mat.T, out=phases.imag)
-        np.exp(phases, out=phases)
-        return phases @ values / SQRT2
-
-    dev = np.abs(m0(xi)) ** 2 + np.abs(m0(xi + zeta)) ** 2 - 1.0
-    return float(np.max(np.abs(dev)))

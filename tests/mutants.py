@@ -50,11 +50,15 @@ MUTANTS = [
      "        return self.max_residual < tolerance",
      "tests/test_cli.py"),
     ("verify.py",
-     "    if samples * len(filt.coeffs) <= _STDLIB_QMF_MAX_TERMS:",
-     "    if samples * len(filt.coeffs) < _STDLIB_QMF_MAX_TERMS:",
+     "        power.append(re * re + im * im)  # no ** 2: it raises on overflow",
+     "        power.append(re * re)",
      "tests/test_verify.py"),
     ("verify.py",
-     "    except ValueError:  # an infinite phase, where numpy's exp gives NaN",
+     "                term = map(cmath.rect, repeat(h.real), phase)",
+     "                term = map(cmath.rect, repeat(abs(h.real)), phase)",
+     "tests/test_verify.py"),
+    ("verify.py",
+     "    except ValueError:  # an infinite phase: its exponential is undefined",
      "    except ZeroDivisionError:",
      "tests/test_verify.py"),
     ("verify.py",

@@ -1,17 +1,13 @@
 """Import budget: the package and its CLI load neither numpy nor scipy,
 and each command executes only the layers it runs.
 
-Only ``verify`` (its frequency-domain QMF check) imports numpy, and only
-when it runs on a filter whose samples x support size exceeds the check's
-standard-library cutoff; every other command, and ``verify`` of a small
-filter such as db4, needs the standard library alone.  Even a large
-``verify`` loads no numpy module beyond those a bare ``import numpy`` loads:
-its sample points come from the standard library's ``random``, so
-``numpy.random`` stays out wherever numpy loads it lazily.  Nor
-do they load ``dataclasses`` (with ``inspect``) or ``fractions`` (with
-``decimal``): the records are tuples and plain classes, and the one exact
-quotient is an integer true division.  The check runs in a fresh
-interpreter so the test suite's own imports do not hide an eager import.
+Every command, ``verify`` of any size included, needs the standard library
+alone: the QMF check sums with ``cmath`` and ``math``, and its sample points
+come from the standard library's ``random``.  Nor do they load
+``dataclasses`` (with ``inspect``) or ``fractions`` (with ``decimal``): the
+records are tuples and plain classes, and the one exact quotient is an
+integer true division.  The check runs in a fresh interpreter so the test
+suite's own imports do not hide an eager import.
 
 ``import latwav`` executes no layer: the layers wait in ``sys.modules`` as
 placeholders, whose type is a subclass of ``types.ModuleType``, and each
@@ -23,6 +19,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -30,20 +27,19 @@ import pytest
 import latwav
 from latwav.filters import daubechies4_1d
 from latwav.jsonio import canonical_dumps, filter_to_json
-from latwav.verify import _STDLIB_QMF_MAX_TERMS, QMF_SAMPLES
 
 SRC = str(Path(latwav.__file__).resolve().parents[1])
 
 
-def _fresh_run(args: list[str], cwd: Path) -> subprocess.CompletedProcess:
-    """A fresh interpreter run with ``args`` in ``cwd``, exit code 0."""
+def _fresh_run(args: list[str], cwd: Path, code: int = 0) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with ``args`` in ``cwd``, exit code ``code``."""
     env = dict(os.environ, LATWAV_OUTPUT_DIR=str(cwd))
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, *args], env=env, cwd=cwd,
         capture_output=True, text=True, timeout=120,
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == code, proc.stderr
     return proc
 
 
@@ -87,58 +83,62 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert main(["verify", "db4.json"]) == 0
 print(heavy())
 
-def numpy_modules():
-    return sorted(m for m in sys.modules if m == 'numpy' or m.startswith('numpy.'))
-
-import numpy
-print(numpy_modules())
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(["verify", "big.json"]) == 1
-print(numpy_modules())
+print(heavy())
 """
+
+# 65 taps of 0.1, not a solution: 66,560 terms at the default 1024 samples.
+BIG = {"dim": 1, "matrix": {"dim": 1, "rows": [[2]]},
+       "coeffs": [{"n": [i], "re": 0.1} for i in range(65)]}
 
 
 @pytest.fixture(scope="module")
 def budget_lines(tmp_path_factory):
-    """The script's five printed lines, from one fresh interpreter.
-
-    ``big.json`` has just enough taps that, at the default samples, its QMF
-    check lies above the standard-library cutoff."""
+    """The script's four printed lines, from one fresh interpreter."""
     tmp_path = tmp_path_factory.mktemp("budget")
-    taps = [{"n": [i], "re": 0.1} for i in range(_STDLIB_QMF_MAX_TERMS // QMF_SAMPLES + 1)]
-    big = {"dim": 1, "matrix": {"dim": 1, "rows": [[2]]}, "coeffs": taps}
-    (tmp_path / "big.json").write_text(json.dumps(big))
+    (tmp_path / "big.json").write_text(json.dumps(BIG))
     return _fresh_python(SCRIPT, tmp_path)
 
 
 def test_import_and_commands_other_than_verify_load_neither_numpy_nor_scipy(budget_lines):
-    after_import, after_commands, _, _, _ = budget_lines
+    after_import, after_commands, _, _ = budget_lines
     assert after_import == "[]"
     assert after_commands == "[]"
 
 
 def test_verify_of_a_small_filter_loads_no_numpy(budget_lines):
-    _, _, after_db4, _, _ = budget_lines
+    _, _, after_db4, _ = budget_lines
     assert after_db4 == "[]"
 
 
-def test_verify_loads_only_the_numpy_modules_of_a_bare_numpy_import(budget_lines):
-    """A filter above the cutoff, so that numpy evaluates."""
-    _, _, _, bare_numpy, after_verify = budget_lines
-    assert "'numpy'" in bare_numpy
-    assert after_verify == bare_numpy
+def test_verify_of_a_large_filter_loads_no_numpy(budget_lines):
+    _, _, _, after_big = budget_lines
+    assert after_big == "[]"
+
+
+def _cli_verify_heavy_imports(tmp_path: Path, name: str, code: int) -> list[str]:
+    """The numpy and scipy modules among those ``python -m latwav.cli verify
+    name`` imports, as ``-X importtime`` lists them; the run exits ``code``."""
+    proc = _fresh_run(["-X", "importtime", "-m", "latwav.cli", "verify", name], tmp_path, code)
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert json.loads(proc.stdout)["pass"] is (code == 0)
+    assert "latwav" in imported
+    return [m for m in imported if m.split(".")[0] in ("numpy", "scipy")]
 
 
 def test_python_m_cli_verify_of_db4_imports_no_numpy(tmp_path):
-    """End to end: ``python -m latwav.cli verify db4.json``, whose imports
-    ``-X importtime`` lists, imports no numpy module."""
+    """End to end: ``python -m latwav.cli verify db4.json`` imports no numpy
+    module."""
     (tmp_path / "db4.json").write_text(canonical_dumps(filter_to_json(daubechies4_1d())))
-    proc = _fresh_run(["-X", "importtime", "-m", "latwav.cli", "verify", "db4.json"], tmp_path)
-    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
-                if line.startswith("import time:")]
-    assert json.loads(proc.stdout)["pass"] is True
-    assert "latwav" in imported
-    assert [m for m in imported if m.split(".")[0] in ("numpy", "scipy")] == []
+    assert _cli_verify_heavy_imports(tmp_path, "db4.json", 0) == []
+
+
+def test_python_m_cli_verify_of_a_large_filter_imports_no_numpy(tmp_path):
+    """The same for ``big.json``, which is no solution: the run exits 1."""
+    (tmp_path / "big.json").write_text(json.dumps(BIG))
+    assert _cli_verify_heavy_imports(tmp_path, "big.json", 1) == []
 
 
 def test_public_names_and_layer_attributes_resolve_through_the_package():
@@ -183,6 +183,37 @@ def inputs(tmp_path_factory):
 
 def test_import_latwav_executes_no_layer(inputs):
     assert _fresh_python(EXECUTED.format(run="import latwav"), inputs) == ["[]"]
+
+
+WRITES = """
+import latwav, types
+verify, quincunx = latwav.verify, latwav.quincunx
+verify.QMF_SAMPLES = 7
+print(type(verify) is types.ModuleType, verify.QMF_SAMPLES)
+del quincunx.shannon_coeff
+print(type(quincunx) is types.ModuleType, hasattr(quincunx, "shannon_coeff"))
+"""
+
+
+def test_a_write_to_a_fresh_layer_runs_the_layer_first(inputs):
+    """An assignment to, or a deletion from, an unexecuted layer executes it
+    first, as a read does; else the layer's own code would undo the
+    assignment, and the deletion would find no name to delete."""
+    assert _fresh_python(WRITES, inputs) == ["True 7", "True False"]
+
+
+def test_a_write_to_a_placeholder_in_this_process_runs_it_first():
+    """The same on a placeholder made here, a second copy of ``quincunx``
+    that is not in ``sys.modules``."""
+    from importlib.util import find_spec, module_from_spec
+
+    for write in (lambda m: setattr(m, "shannon_coeff", None),
+                  lambda m: delattr(m, "shannon_coeff")):
+        module = module_from_spec(find_spec("latwav.quincunx"))
+        module.__class__ = latwav._Layer
+        write(module)
+        assert type(module) is types.ModuleType
+        assert getattr(module, "shannon_coeff", None) is None
 
 
 @pytest.mark.parametrize("argv, layers", [

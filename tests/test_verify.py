@@ -7,7 +7,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from latwav import verify
 from latwav.filters import (
     antidiagonal_matrix,
     companion_3d_matrix,
@@ -20,16 +19,13 @@ from latwav.filters import (
 )
 from latwav.transfer import Filter, transfer
 from latwav.verify import (
-    _STDLIB_QMF_MAX_TERMS,
     SQRT2,
     _dual_coset_shift,
-    _qmf_check_numpy,
-    _qmf_check_stdlib,
     _sample_points,
     lawton_residuals,
     qmf_check,
 )
-from util import lattice_chart, random_dyadic_matrices, reference_qmf_check
+from util import lattice_chart, plain_qmf_check, random_dyadic_matrices, reference_qmf_check
 
 BUNDLED = (haar_1d, daubechies4_1d, quincunx_haar, quincunx_daubechies4)
 
@@ -86,20 +82,8 @@ def _random_filters(dims):
             yield Filter.from_coeffs(lattice_chart(m), dict(zip(sorted(pts), values.tolist())))
 
 
-def test_qmf_real_phases_match_reference_bitwise():
-    """The numpy evaluator's real phase product gives the same deviation,
-    bit for bit, as the former complex product: on the bundled filters and
-    on random real and complex filters over random lattices in d = 1-3."""
-    for make in BUNDLED:
-        filt = make()
-        assert _qmf_check_numpy(filt, 1024, 0) == reference_qmf_check(filt)
-        assert _qmf_check_numpy(filt, 64, 5) == reference_qmf_check(filt, 64, 5)
-    for filt in _random_filters((1, 2, 3)):
-        assert _qmf_check_numpy(filt, 1024, 0) == reference_qmf_check(filt), filt.matrix.A.rows
-
-
 def _evaluator_gap_bound(filt) -> float:
-    """A bound on |stdlib deviation - reference deviation|; the derivation
+    """A bound on |qmf_check deviation - reference deviation|; the derivation
     is in ``test_qmf_stdlib_evaluator_matches_reference_within_roundoff``."""
     u = 2.0**-53
 
@@ -119,8 +103,9 @@ def _evaluator_gap_bound(filt) -> float:
 
 
 def test_qmf_stdlib_evaluator_matches_reference_within_roundoff():
-    """The standard-library evaluator against the former numpy check, on
-    the bundled filters and on the random draws above, d = 1-4.
+    """``qmf_check`` against the independent numpy evaluator of
+    ``tests/util.py``, on the bundled filters and on the random draws above,
+    d = 1-4, L up to 256: 262,144 terms at the default samples.
 
     Both sample the same float points x (xi, and xi + zeta added in float
     the same way), so they differ only in roundoff.  With u = 2^-53,
@@ -149,27 +134,19 @@ def test_qmf_stdlib_evaluator_matches_reference_within_roundoff():
     """
     filters = [make() for make in BUNDLED] + list(_random_filters((1, 2, 3, 4)))
     for filt in filters:
-        gap = abs(_qmf_check_stdlib(filt, 1024, 0) - reference_qmf_check(filt))
+        gap = abs(qmf_check(filt, 1024, 0) - reference_qmf_check(filt))
         assert gap <= _evaluator_gap_bound(filt), (filt.dim, len(filt.coeffs), gap)
 
 
-def test_qmf_check_takes_the_stdlib_path_up_to_the_cutoff(monkeypatch):
-    """At ``samples`` x L = the cutoff the standard library evaluates; one
-    term above it, numpy does."""
-    taken = []
-
-    def recorded(name, evaluate):
-        def wrapper(*args):
-            taken.append(name)
-            return evaluate(*args)
-        return wrapper
-
-    for name in ("_qmf_check_stdlib", "_qmf_check_numpy"):
-        monkeypatch.setattr(verify, name, recorded(name, getattr(verify, name)))
-    one_tap = Filter.from_coeffs(dilation_1d(), {(0,): 1.0})  # |m0|^2 = 1/2 everywhere
-    assert qmf_check(one_tap, samples=_STDLIB_QMF_MAX_TERMS) < 1e-15
-    assert qmf_check(one_tap, samples=_STDLIB_QMF_MAX_TERMS + 1) < 1e-15
-    assert taken == ["_qmf_check_stdlib", "_qmf_check_numpy"]
+def test_qmf_check_equals_the_plain_loop_bitwise():
+    """A real tap adds rect(h, phase) in place of h * rect(1, phase);
+    the deviation is the same to the last bit, on the bundled filters (every
+    tap real, db4's of both signs) and on the random real and complex draws,
+    d = 1-3."""
+    for make in BUNDLED:
+        assert qmf_check(make()) == plain_qmf_check(make())
+    for filt in _random_filters((1, 2, 3)):
+        assert qmf_check(filt, 128, 1) == plain_qmf_check(filt, 128, 1), filt.matrix.A.rows
 
 
 @pytest.mark.parametrize("coeffs, outcome", [
@@ -178,10 +155,11 @@ def test_qmf_check_takes_the_stdlib_path_up_to_the_cutoff(monkeypatch):
     ({(10**308,): 1.0, (10**400,): 1.0}, OverflowError),  # a position beyond double range
 ], ids=["power-overflow", "phase-overflow", "position-beyond-double"])
 def test_both_evaluators_fail_alike(coeffs, outcome):
-    """On input beyond double range the two evaluators agree: an infinite
-    deviation, a NaN one, or ``OverflowError`` before any sum."""
+    """On input beyond double range ``qmf_check`` and the independent numpy
+    evaluator agree: an infinite deviation, a NaN one, or ``OverflowError``
+    before any sum."""
     filt = Filter.from_coeffs(dilation_1d(), coeffs)
-    for evaluate in (_qmf_check_stdlib, _qmf_check_numpy):
+    for evaluate in (qmf_check, reference_qmf_check):
         if outcome is OverflowError:
             with pytest.raises(OverflowError):
                 evaluate(filt, 64, 0)
@@ -197,10 +175,10 @@ def test_a_nan_phase_after_finite_points_makes_the_deviation_nan():
     xi + zeta, with no infinite phase anywhere.  np.max keeps the NaN where
     Python's max would return the first point's deviation."""
     filt = Filter.from_coeffs(quincunx_matrix(), {(0, 0): 1.0, (10**308, -(10**308)): 1.0})
-    assert not math.isnan(_qmf_check_stdlib(filt, 1, 1671))
-    assert math.isnan(_qmf_check_stdlib(filt, 2, 1671))
+    assert not math.isnan(qmf_check(filt, 1, 1671))
+    assert math.isnan(qmf_check(filt, 2, 1671))
     with np.errstate(all="ignore"):
-        assert math.isnan(_qmf_check_numpy(filt, 2, 1671))
+        assert math.isnan(reference_qmf_check(filt, 2, 1671))
 
 
 def test_qmf_detects_perturbation():

@@ -1,5 +1,6 @@
 """Shared helpers for the test suite."""
 
+import cmath
 import importlib
 import json
 import math
@@ -49,7 +50,7 @@ from latwav.lawton import (
     equations_equal_up_to_conjugation,
 )
 from latwav.transfer import Filter, IsoMap
-from latwav.verify import SQRT2, ResidualReport, _dual_coset_shift
+from latwav.verify import SQRT2, ResidualReport, _dual_coset_shift, _sample_points
 
 def error_line(err: str) -> str:
     """The ``error:`` line that ends the stderr of an exit-2 CLI call.  Every
@@ -647,6 +648,31 @@ def reference_qmf_check(filt, samples: int = 1024, seed: int = 0) -> float:
 
     dev = np.abs(m0(xi)) ** 2 + np.abs(m0(xi + zeta)) ** 2 - 1.0
     return float(np.max(np.abs(dev)))
+
+
+def plain_qmf_check(filt, samples: int = 1024, seed: int = 0) -> float:
+    """``qmf_check`` as a plain loop over points, then support points, with
+    every term h * rect(1, phase): the sums, in the library's order (sorted
+    support, from 0j; each phase x_0 * -n_0 + x_1 * -n_1 + ... from the
+    left), that its one-pass-per-support-point form must equal bit for bit.
+    """
+    dim, zeta = filt.dim, _dual_coset_shift(filt)
+    flat = _sample_points(samples, dim, seed)
+    points = [flat[i * dim:(i + 1) * dim] for i in range(samples)]
+    points += [[x + z for x, z in zip(p, zeta)] for p in points]
+    terms = [([-float(c) for c in n], complex(h)) for n, h in sorted(filt.coeffs.items())]
+    power = []
+    for x in points:
+        m0 = 0j
+        for neg, h in terms:
+            phase = x[0] * neg[0]
+            for xj, c in zip(x[1:], neg[1:]):
+                phase = phase + xj * c
+            m0 = m0 + h * cmath.rect(1.0, phase)
+        re, im = m0.real / SQRT2, m0.imag / SQRT2
+        power.append(re * re + im * im)
+    dev = [abs(p + q - 1.0) for p, q in zip(power[:samples], power[samples:])]
+    return math.nan if any(map(math.isnan, dev)) else max(dev)
 
 
 def support_decode_table(params: EncodingParams) -> dict[int, LatticePoint]:
