@@ -27,12 +27,13 @@ _ORIGIN = {
                    "encode_index", "encode_support", "flatten_point", "radix_encode"),
         "intlat": ("DilationMatrix", "IntMatrix", "SnfFactorization", "from_adapted",
                    "in_dilated_lattice", "is_expansive", "smith_normal_form", "to_adapted"),
-        "lawton": ("Equation", "Filter", "ReducedSystem", "SupportSet", "build_reduced_system",
-                   "equations_equal_up_to_conjugation", "restrict_index_set"),
+        "lawton": ("Equation", "Filter", "ReducedSystem", "ResidualReport", "SupportSet",
+                   "build_reduced_system", "equations_equal_up_to_conjugation",
+                   "lawton_residuals", "restrict_index_set"),
         "quincunx": ("shannon_coeff", "sublattice_premise", "support_pattern"),
         "transfer": ("IsoMap", "TransferReport", "from_one_d", "to_one_d", "transfer",
                      "verify_isomorphism"),
-        "verify": ("ResidualReport", "lawton_residuals", "qmf_check"),
+        "verify": ("qmf_check",),
     }.items()
     for name in names
 }

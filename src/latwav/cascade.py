@@ -25,8 +25,7 @@ from typing import NamedTuple
 from .config import DEFAULT_CELL_BUDGET, DEFAULT_LEVEL_CAP, DEFAULT_TOLERANCE
 from .errors import LevelBudgetExceededError
 from .intlat import DilationMatrix, IntMatrix, LatticePoint
-from .lawton import SQRT2, Coefficient, Filter
-from .verify import lawton_residuals
+from .lawton import SQRT2, Coefficient, Filter, lawton_residuals
 
 
 class CascadeGrid(NamedTuple):

@@ -119,8 +119,8 @@ def _require(ok: bool, message: str) -> None:
 
 
 def _load_filter(path: str, config: Config):
-    """The filter in ``path``, refused before its reduced system is built
-    when that system would hold more pairs than the pair budget."""
+    """The filter in ``path``, refused before any pair is scanned or stored
+    when its reduced system would hold more pairs than the pair budget."""
     from .lawton import pair_count
 
     filt = jsonio.filter_from_json(jsonio.load_json(path), path)
@@ -148,7 +148,8 @@ def _cmd_reduce(args, config: Config) -> int:
 
 
 def _cmd_verify(args, config: Config) -> int:
-    from .verify import QMF_SAMPLES, QMF_SEED, lawton_residuals, qmf_check
+    from .lawton import lawton_residuals
+    from .verify import QMF_SAMPLES, QMF_SEED, qmf_check
 
     filt = _load_filter(args.filter, config)
     tolerance = args.tolerance if args.tolerance is not None else config.tolerance

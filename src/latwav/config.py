@@ -13,7 +13,7 @@ DEFAULT_CELL_BUDGET = 5_000_000
 DEFAULT_PAIR_BUDGET = 5_000_000
 
 
-def _is_int(x) -> bool:
+def is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
@@ -27,12 +27,12 @@ class Config:
                  cascade_level_cap: int = DEFAULT_LEVEL_CAP,
                  cell_budget: int = DEFAULT_CELL_BUDGET, output_dir: str = ".",
                  pair_budget: int = DEFAULT_PAIR_BUDGET):
-        if not (_is_int(tolerance) or isinstance(tolerance, float)) \
+        if not (is_int(tolerance) or isinstance(tolerance, float)) \
                 or not math.isfinite(tolerance) or tolerance <= 0:
             raise InputFormatError(f"tolerance must be a positive number, got {tolerance!r}")
         for name, value in (("cascade_level_cap", cascade_level_cap),
                             ("cell_budget", cell_budget), ("pair_budget", pair_budget)):
-            if not _is_int(value) or value <= 0:
+            if not is_int(value) or value <= 0:
                 raise InputFormatError(f"{name} must be a positive integer, got {value!r}")
         if not isinstance(output_dir, str):
             raise InputFormatError(f"output_dir must be a string, got {output_dir!r}")

@@ -11,15 +11,14 @@ import math
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .config import _is_int
+from .config import is_int
 from .errors import InputFormatError, LatwavError
 from .intlat import DilationMatrix, IntMatrix, SnfFactorization, coset_representative
 
 if TYPE_CHECKING:  # annotations only: the wire format loads none of these layers
     from .cascade import CascadeGrid
-    from .lawton import Filter, ReducedSystem
+    from .lawton import Filter, ReducedSystem, ResidualReport
     from .transfer import TransferReport
-    from .verify import ResidualReport
 
 
 def canonical_dumps(obj) -> str:
@@ -53,7 +52,7 @@ def matrix_from_json(data, where: str = "matrix") -> IntMatrix:
             raise InputFormatError(f"{where}: missing field '{key}'")
     rows = data["rows"]
     dim = data["dim"]
-    if not _is_int(dim):
+    if not is_int(dim):
         raise InputFormatError(f"{where}: 'dim' = {dim!r} is not an integer")
     if not isinstance(rows, list) or len(rows) != dim:
         raise InputFormatError(f"{where}: 'rows' must be a list of {dim} rows")
@@ -61,7 +60,7 @@ def matrix_from_json(data, where: str = "matrix") -> IntMatrix:
         if not isinstance(row, list) or len(row) != dim:
             raise InputFormatError(f"{where}: row {i} must have {dim} entries")
         for j, x in enumerate(row):
-            if not _is_int(x):
+            if not is_int(x):
                 raise InputFormatError(f"{where}: entry ({i},{j}) = {x!r} is not an integer")
     return IntMatrix.from_rows(rows)
 
@@ -123,7 +122,7 @@ def filter_from_json(data, where: str = "filter") -> Filter:
         if key not in data:
             raise InputFormatError(f"{where}: missing field '{key}'")
     dil = dilation_from_json(data["matrix"], f"{where}.matrix")
-    if not _is_int(data["dim"]):
+    if not is_int(data["dim"]):
         raise InputFormatError(f"{where}: 'dim' = {data['dim']!r} is not an integer")
     if data["dim"] != dil.dim:
         raise InputFormatError(
@@ -137,7 +136,7 @@ def filter_from_json(data, where: str = "filter") -> Filter:
         if not isinstance(e, dict) or "n" not in e or "re" not in e:
             raise InputFormatError(f"{where}: coeffs[{idx}] needs fields 'n' and 're'")
         n = e["n"]
-        if not isinstance(n, (list, tuple)) or len(n) != dil.dim or not all(map(_is_int, n)):
+        if not isinstance(n, (list, tuple)) or len(n) != dil.dim or not all(map(is_int, n)):
             raise InputFormatError(
                 f"{where}: coeffs[{idx}].n = {n!r} is not a length-{dil.dim} integer point"
             )

@@ -1,4 +1,4 @@
-"""Filters, finite supports, generated equations, and reduced Lawton systems.
+"""Filters, supports, generated equations, reduced Lawton systems and their residuals.
 
 A finite support L and a dilation matrix A determine the reduced system
 
@@ -11,10 +11,10 @@ the canonical index set keeps the representative whose adapted-chart radix
 value is nonnegative; that convention makes index sets of window supports
 coincide with the encoding module's index windows without translation.
 
-Everything is in standard coordinates.  Internally one chart decides the
-canonical signs and the deterministic summation order: the 1-D code of each
-point (the flattening of its shift-normalized adapted coordinates), which is
-exactly the point's image in a one-dimensional transfer.
+Everything is in standard coordinates.  Internally one chart, which the
+build and the residual evaluator both read, decides the canonical signs and
+the summation order: the 1-D code of each point (the flattening of its
+shift-normalized adapted coordinates), its image in a 1-D transfer.
 """
 
 from __future__ import annotations
@@ -212,6 +212,55 @@ def generator_pairs(chart: Chart) -> tuple[tuple[LatticePoint, LatticePoint], ..
     for _, ca, codes, _ in _same_parity_scan(chart):
         ca_by_v.update(zip(map(operator.sub, codes, repeat(ca)), repeat(ca)))
     return tuple((point[ca], point[ca + v]) for v, ca in sorted(ca_by_v.items()))
+
+
+class ResidualReport(NamedTuple):
+    """Per-generator residuals plus the linear normalization residual.
+
+    ``max_residual`` is the maximum over all per-index residuals and
+    ``sum_residual``.
+    """
+
+    filter: Filter
+    per_index: dict[LatticePoint, float]
+    sum_residual: float
+    max_residual: float
+
+    @property
+    def system(self) -> ReducedSystem:
+        """The filter's reduced system, built on first use (``Filter.system``)."""
+        return self.filter.system
+
+    def passes(self, tolerance: float) -> bool:
+        return self.max_residual <= tolerance
+
+
+def lawton_residuals(filt: Filter) -> ResidualReport:
+    """Evaluate every equation of the filter's reduced system off its chart,
+    with no system built and no pair stored.
+
+    Each pair (a, b) of ``_same_parity_scan`` adds h_a * conj(h_b) to the
+    sum of v = c_b - c_a, from 0.0, in the build's pair order: support
+    order, which transfers map onto each other, so a transferred filter
+    reproduces its source's residuals bit for bit, the sum of the taps too.
+    Sorted v is index-set order, and the right-hand side is 1 at v = 0 only.
+    """
+    coeffs = filt.coeffs
+    conj = {n: h.conjugate() for n, h in coeffs.items()}
+    total, sums, gens = 0.0, {}, {}  # by v: the running sum, and b - a of its first pair
+    for a, ca, _, tail in _same_parity_scan(filt.chart):
+        ha = coeffs[a]
+        total = total + ha
+        for cb, b in tail:
+            v = cb - ca
+            acc = sums.get(v)
+            if acc is None:
+                gens[v], acc = tuple(map(operator.sub, b, a)), 0.0
+            sums[v] = acc + ha * conj[b]
+    per_index = {gens[v]: abs(sums[v] - (1 if v == 0 else 0)) for v in sorted(sums)}
+    sum_residual = abs(total - SQRT2)
+    max_residual = max(sum_residual, max(per_index.values()))
+    return ResidualReport(filt, per_index, sum_residual, max_residual)
 
 
 Coefficient = complex | float

@@ -1,4 +1,4 @@
-"""Numerical verification that a filter solves its reduced Lawton system."""
+"""The frequency-domain check of a filter: its QMF condition, sampled."""
 
 from __future__ import annotations
 
@@ -7,62 +7,13 @@ import math
 import operator
 import random
 from itertools import repeat
-from typing import NamedTuple
 
-from .intlat import LatticePoint, coset_representative, smith_normal_form
-from .lawton import SQRT2, Filter, ReducedSystem, _same_parity_scan
+from .intlat import coset_representative, smith_normal_form
+# lawton_residuals is re-exported: perfbench/launcher.py times it as verify.lawton_residuals.
+from .lawton import SQRT2, Filter, lawton_residuals
 
 QMF_SAMPLES = 1024
 QMF_SEED = 0
-
-
-class ResidualReport(NamedTuple):
-    """Per-generator residuals plus the linear normalization residual.
-
-    ``max_residual`` is the maximum over all per-index residuals and
-    ``sum_residual``.
-    """
-
-    filter: Filter
-    per_index: dict[LatticePoint, float]
-    sum_residual: float
-    max_residual: float
-
-    @property
-    def system(self) -> ReducedSystem:
-        """The filter's reduced system, built on first use (``Filter.system``)."""
-        return self.filter.system
-
-    def passes(self, tolerance: float) -> bool:
-        return self.max_residual <= tolerance
-
-
-def lawton_residuals(filt: Filter) -> ResidualReport:
-    """Evaluate every equation of the filter's reduced system off its chart,
-    with no system built and no pair stored.
-
-    Each pair (a, b) of ``_same_parity_scan`` adds h_a * conj(h_b) to the
-    sum of v = c_b - c_a, from 0.0, in the build's pair order: support
-    order, which transfers map onto each other, so a transferred filter
-    reproduces its source's residuals bit for bit, the sum of the taps too.
-    Sorted v is index-set order, and the right-hand side is 1 at v = 0 only.
-    """
-    coeffs = filt.coeffs
-    conj = {n: h.conjugate() for n, h in coeffs.items()}
-    total, sums, gens = 0.0, {}, {}  # by v: the running sum, and b - a of its first pair
-    for a, ca, _, tail in _same_parity_scan(filt.chart):
-        ha = coeffs[a]
-        total = total + ha
-        for cb, b in tail:
-            v = cb - ca
-            acc = sums.get(v)
-            if acc is None:
-                gens[v], acc = tuple(map(operator.sub, b, a)), 0.0
-            sums[v] = acc + ha * conj[b]
-    per_index = {gens[v]: abs(sums[v] - (1 if v == 0 else 0)) for v in sorted(sums)}
-    sum_residual = abs(total - SQRT2)
-    max_residual = max(sum_residual, max(per_index.values()))
-    return ResidualReport(filt, per_index, sum_residual, max_residual)
 
 
 def _dual_coset_shift(filt: Filter) -> tuple[float, ...]:

@@ -39,9 +39,8 @@ LEDGER = [
      _POSTCONDITION),
     ("filters.py", "from .lawton import Filter", _ANNOTATION),
     ("jsonio.py", "from .cascade import CascadeGrid", _ANNOTATION),
-    ("jsonio.py", "from .lawton import Filter, ReducedSystem", _ANNOTATION),
+    ("jsonio.py", "from .lawton import Filter, ReducedSystem, ResidualReport", _ANNOTATION),
     ("jsonio.py", "from .transfer import TransferReport", _ANNOTATION),
-    ("jsonio.py", "from .verify import ResidualReport", _ANNOTATION),
     ("quincunx.py", "from .lawton import SupportSet", _ANNOTATION),
     ("cli.py", "sys.exit(main())",
      "the body of the __main__ guard: it runs under python -m latwav.cli, in a child process"),

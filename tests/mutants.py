@@ -45,10 +45,14 @@ MUTANTS = [
      "        if diffs[-1] < tol:",
      "        if tol > 0.0:",
      "tests/test_cascade.py"),
-    ("verify.py",
+    ("lawton.py",
      "        return self.max_residual <= tolerance",
      "        return self.max_residual < tolerance",
      "tests/test_cli.py"),
+    ("lawton.py",
+     "            sums[v] = acc + ha * conj[b]",
+     "            sums[v] = acc + ha * coeffs[b]",
+     "tests/test_verify.py"),
     ("verify.py",
      "        power.append(re * re + im * im)  # no ** 2: it raises on overflow",
      "        power.append(re * re)",

@@ -31,10 +31,10 @@ from latwav.filters import (
     quincunx_matrix,
 )
 from latwav.intlat import in_dilated_lattice_exact, smith_normal_form
-from latwav.lawton import SupportSet, build_reduced_system
+from latwav.lawton import SupportSet, build_reduced_system, lawton_residuals
 from latwav.quincunx import shannon_coeff, support_pattern, sublattice_premise
 from latwav.transfer import from_one_d, to_one_d, transfer, verify_isomorphism
-from latwav.verify import lawton_residuals, qmf_check
+from latwav.verify import qmf_check
 from util import enumerate_windows, random_dyadic_matrices
 
 BUNDLED = (haar_1d, daubechies4_1d, quincunx_haar, quincunx_daubechies4)

@@ -20,10 +20,9 @@ from latwav.jsonio import (
 )
 from latwav.filters import daubechies4_1d, haar_1d, quincunx_matrix
 from latwav.intlat import DilationMatrix
-from latwav.lawton import pair_count
+from latwav.lawton import lawton_residuals, pair_count
 from latwav.quincunx import support_pattern
 from latwav.transfer import Filter
-from latwav.verify import lawton_residuals
 from util import count_work, error_line, reference_canonical_dumps
 
 

@@ -23,8 +23,13 @@ from latwav.encode import (  # noqa: E402
 )
 from latwav.intlat import IntMatrix, coset_representative, smith_normal_form  # noqa: E402
 from latwav.jsonio import system_dumps, system_to_json  # noqa: E402
-from latwav.lawton import Filter, SupportSet, build_reduced_system, pair_count  # noqa: E402
-from latwav.verify import lawton_residuals  # noqa: E402
+from latwav.lawton import (  # noqa: E402
+    Filter,
+    SupportSet,
+    build_reduced_system,
+    lawton_residuals,
+    pair_count,
+)
 from util import (  # noqa: E402
     lattice_chart,
     reference_canonical_dumps,

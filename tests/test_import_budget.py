@@ -15,6 +15,7 @@ command executes exactly its own set.  Every command executes ``filters``,
 whose ``BUNDLED_FILTERS`` the argument parser reads for its choices.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -225,13 +226,44 @@ def test_a_write_to_a_placeholder_in_this_process_runs_it_first():
     (["reduce", "db4.json"], {"encode", "lawton"}),
     (["verify", "db4.json"], {"encode", "lawton", "verify"}),
     (["transfer", "db4.json", "--target", "q.json"], {"encode", "lawton", "transfer"}),
-    (["cascade", "db4.json", "--levels", "4"], {"encode", "lawton", "verify", "cascade"}),
+    (["cascade", "db4.json", "--levels", "4"], {"encode", "lawton", "cascade"}),
 ], ids=["snf", "basis", "encode", "quincunx", "bundled", "reduce", "verify", "transfer",
         "cascade"])
 def test_each_command_executes_only_its_own_layers(inputs, argv, layers):
     run = RUN_COMMAND.format(argv=argv)
     executed = _fresh_python(EXECUTED.format(run=run), inputs)
     assert executed == [str(sorted(f"latwav.{name}" for name in PARSER | layers))]
+
+
+RESIDUALS = """
+import latwav
+print(latwav.lawton_residuals is sys.modules["latwav.lawton"].lawton_residuals)
+"""
+
+
+def test_the_residual_evaluator_executes_lawton_alone(inputs):
+    """``lawton_residuals`` lives in ``lawton``, beside the pair scan it
+    reads: reading it executes ``lawton`` (and what ``lawton`` imports)
+    but not ``verify``, which re-exports the same object under its own
+    name for the benchmark launcher."""
+    lines = _fresh_python(EXECUTED.format(run=RESIDUALS), inputs)
+    assert lines == ["True", str(["latwav.encode", "latwav.errors", "latwav.intlat",
+                                  "latwav.lawton"])]
+    assert latwav.verify.lawton_residuals is latwav.lawton.lawton_residuals
+
+
+def test_no_layer_imports_another_layers_private_name():
+    """A relative ``from .x import _name`` reaches into another layer's
+    private code: a decision that two modules must know belongs behind a
+    public name of one of them."""
+    found = []
+    for path in sorted(Path(SRC, "latwav").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                found += [f"{path.name}: from {'.' * node.level}{node.module or ''} "
+                          f"import {alias.name}"
+                          for alias in node.names if alias.name.startswith("_")]
+    assert found == []
 
 
 # Dependencies first, so every layer is still unexecuted when its turn

@@ -8,7 +8,7 @@ from latwav.cascade import initial_grid, run_cascade
 from latwav.errors import InputFormatError
 from latwav.filters import daubechies4_1d, quincunx_haar, quincunx_matrix
 from latwav.intlat import smith_normal_form
-from latwav.lawton import SupportSet, build_reduced_system
+from latwav.lawton import SupportSet, build_reduced_system, lawton_residuals
 from latwav.jsonio import (
     basis_to_json,
     canonical_dumps,
@@ -27,7 +27,6 @@ from latwav.jsonio import (
     transfer_report_to_json,
 )
 from latwav.transfer import Filter, transfer
-from latwav.verify import lawton_residuals
 
 
 def roundtrips(data) -> bool:

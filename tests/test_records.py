@@ -17,10 +17,10 @@ from latwav.encode import EncodingParams
 from latwav.errors import DimensionMismatchError, DimensionTooSmallError, InputFormatError
 from latwav.filters import BUNDLED_FILTERS, BUNDLED_MATRICES, daubechies4_1d, quincunx_matrix
 from latwav.intlat import DilationMatrix, IntMatrix
-from latwav.lawton import SupportSet
+from latwav.lawton import SupportSet, lawton_residuals
 from latwav.quincunx import support_pattern
 from latwav.transfer import Filter, to_one_d, transfer
-from latwav.verify import _dual_coset_shift, lawton_residuals
+from latwav.verify import _dual_coset_shift
 from util import companion, lattice_chart, random_dyadic_matrices, reference_dual_coset_shift
 
 

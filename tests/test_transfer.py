@@ -22,7 +22,7 @@ from latwav.filters import (
 )
 from latwav.intlat import DilationMatrix, from_adapted
 from latwav.jsonio import canonical_dumps, filter_to_json, matrix_to_json
-from latwav.lawton import SupportSet, build_reduced_system
+from latwav.lawton import SupportSet, build_reduced_system, lawton_residuals
 from latwav.transfer import (
     Filter,
     IsoMap,
@@ -31,7 +31,6 @@ from latwav.transfer import (
     transfer,
     verify_isomorphism,
 )
-from latwav.verify import lawton_residuals
 from util import count_work, enumerate_windows, shift_normalize
 
 

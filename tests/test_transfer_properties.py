@@ -21,7 +21,7 @@ from latwav.jsonio import (  # noqa: E402
     system_to_json,
     transfer_report_to_json,
 )
-from latwav.lawton import build_reduced_system, generator_pairs  # noqa: E402
+from latwav.lawton import build_reduced_system, generator_pairs, lawton_residuals  # noqa: E402
 from latwav.transfer import (  # noqa: E402
     Filter,
     IsoMap,
@@ -30,7 +30,6 @@ from latwav.transfer import (  # noqa: E402
     transfer,
     verify_isomorphism,
 )
-from latwav.verify import lawton_residuals  # noqa: E402
 from util import (  # noqa: E402
     companion,
     reference_canonical_dumps,

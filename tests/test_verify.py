@@ -17,14 +17,9 @@ from latwav.filters import (
     quincunx_haar,
     quincunx_matrix,
 )
+from latwav.lawton import lawton_residuals
 from latwav.transfer import Filter, transfer
-from latwav.verify import (
-    SQRT2,
-    _dual_coset_shift,
-    _sample_points,
-    lawton_residuals,
-    qmf_check,
-)
+from latwav.verify import SQRT2, _dual_coset_shift, _sample_points, qmf_check
 from util import lattice_chart, plain_qmf_check, random_dyadic_matrices, reference_qmf_check
 
 BUNDLED = (haar_1d, daubechies4_1d, quincunx_haar, quincunx_daubechies4)

@@ -45,12 +45,13 @@ from latwav.lawton import (
     Chart,
     Equation,
     ReducedSystem,
+    ResidualReport,
     SupportSet,
     _chart,
     equations_equal_up_to_conjugation,
 )
 from latwav.transfer import Filter, IsoMap
-from latwav.verify import SQRT2, ResidualReport, _dual_coset_shift, _sample_points
+from latwav.verify import SQRT2, _dual_coset_shift, _sample_points
 
 def error_line(err: str) -> str:
     """The ``error:`` line that ends the stderr of an exit-2 CLI call.  Every
