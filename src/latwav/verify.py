@@ -8,7 +8,6 @@ import operator
 import random
 from itertools import repeat
 
-from .intlat import coset_representative, smith_normal_form
 # lawton_residuals is re-exported: perfbench/launcher.py times it as verify.lawton_residuals.
 from .lawton import SQRT2, Filter, lawton_residuals
 
@@ -17,21 +16,12 @@ QMF_SEED = 0
 
 
 def _dual_coset_shift(filt: Filter) -> tuple[float, ...]:
-    """The frequency shift 2*pi*(A^T)^-1*q with q outside A^T*Z^d.
+    """The dual coset shift zeta = pi*(u mod 2), u the last row of U^-1.
 
-    q is the coset representative obtained from the Smith normal form of the
-    transpose; the solve is exact (adjugate over determinant) up to the
-    integer true division, which rounds each quotient correctly.  The
-    denominator is made positive first, so a zero quotient is +0.0.
-    det(A^T) = det(A) and adj(A^T) = adj(A)^T are read off the matrix.
+    exp(-i n.zeta) = (-1)^(u.n), and u.n, the last adapted coordinate of n,
+    is even exactly on A*Z^d; u, a row of a unimodular matrix, is not all even.
     """
-    dil = filt.matrix
-    q = coset_representative(smith_normal_form(dil.A.transpose()))
-    det = dil.det
-    num = dil.adj.transpose().vec(q)
-    if det < 0:
-        det, num = -det, [-x for x in num]
-    return tuple(2.0 * math.pi * (x / det) for x in num)
+    return tuple(math.pi * (x & 1) for x in filt.matrix.adapted_basis_inv.rows[-1])
 
 
 def _sample_points(samples: int, dim: int, seed: int) -> list[float]:

@@ -54,6 +54,14 @@ MUTANTS = [
      "            sums[v] = acc + ha * coeffs[b]",
      "tests/test_verify.py"),
     ("verify.py",
+     "    return tuple(math.pi * (x & 1) for x in filt.matrix.adapted_basis_inv.rows[-1])",
+     "    return tuple(math.pi * x for x in filt.matrix.adapted_basis_inv.rows[-1])",
+     "tests/test_records.py"),
+    ("verify.py",
+     "    return tuple(math.pi * (x & 1) for x in filt.matrix.adapted_basis_inv.rows[-1])",
+     "    return tuple(math.pi * (x & 1) for x in filt.matrix.adapted_basis_inv.rows[0])",
+     "tests/test_verify.py"),
+    ("verify.py",
      "        power.append(re * re + im * im)  # no ** 2: it raises on overflow",
      "        power.append(re * re)",
      "tests/test_verify.py"),

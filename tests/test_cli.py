@@ -6,6 +6,7 @@ import hashlib
 import importlib
 import json
 import math
+import sys
 
 import pytest
 
@@ -308,17 +309,20 @@ def test_pair_budget_is_checked_before_the_build(workdir, capsys, monkeypatch, c
 
 
 @pytest.mark.parametrize("argv, want", [
-    (["reduce", "{db4}"], {"support": 1, "build": 1, "pairs": [6], "from_matrix": 1}),
-    (["verify", "{db4}"], {"support": 1, "from_matrix": 1}),
+    (["reduce", "{db4}"], {"support": 1, "build": 1, "pairs": [6], "from_matrix": 1, "snf": 1}),
+    (["verify", "{db4}"], {"support": 1, "from_matrix": 1, "snf": 1}),
     (["cascade", "{db4}", "--levels", "8"],
-     {"support": 1, "from_matrix": 1, "cells": [4, 10, 22, 46, 94, 190, 382, 766]}),
+     {"support": 1, "from_matrix": 1, "snf": 1, "cells": [4, 10, 22, 46, 94, 190, 382, 766]}),
     (["transfer", "{db4}", "--target", "{quincunx}"],
-     {"support": 3, "from_matrix": 3, "verify": 3}),
+     {"support": 3, "from_matrix": 3, "snf": 3, "verify": 3}),
 ], ids=["reduce", "verify", "cascade", "transfer"])
 def test_cli_work_ledger(workdir, capsys, monkeypatch, argv, want):
     """The work a command does, pinned where timings cannot be: one
     SupportSet and one ``from_matrix`` run (the filter's matrix) for the
     input filter, no witness check, and db4's cells per cascade level.
+    Each ``smith_normal_form`` call ("snf") is counted wherever a layer binds
+    the name: each ``from_matrix`` runs one and nothing else does, since
+    ``verify``'s QMF shift reads the adapted basis that ``from_matrix`` keeps.
     Only ``reduce`` builds the reduced system, once: ``verify`` and the
     cascade's residual warning read the filter's chart.  ``transfer`` builds
     no system either: it makes three SupportSets and ``from_matrix`` runs
@@ -334,6 +338,7 @@ def test_cli_work_ledger(workdir, capsys, monkeypatch, argv, want):
     cascade_mod = importlib.import_module("latwav.cascade")
     build, step = lawton_mod.build_reduced_system, cascade_mod.cascade_step
     from_matrix = DilationMatrix.from_matrix.__func__
+    snf = importlib.import_module("latwav.intlat").smith_normal_form
 
     def build_reduced_system(*args, **kwargs):
         system = build(*args, **kwargs)
@@ -345,6 +350,10 @@ def test_cli_work_ledger(workdir, capsys, monkeypatch, argv, want):
         counts["from_matrix"] = counts.get("from_matrix", 0) + 1
         return from_matrix(cls, *args, **kwargs)
 
+    def counted_snf(*args, **kwargs):
+        counts["snf"] = counts.get("snf", 0) + 1
+        return snf(*args, **kwargs)
+
     def cascade_step(*args, **kwargs):
         grid = step(*args, **kwargs)
         counts.setdefault("cells", []).append(len(grid.cells))
@@ -353,6 +362,9 @@ def test_cli_work_ledger(workdir, capsys, monkeypatch, argv, want):
     monkeypatch.setattr(lawton_mod, "build_reduced_system", build_reduced_system)
     monkeypatch.setattr(DilationMatrix, "from_matrix", classmethod(counted_from_matrix))
     monkeypatch.setattr(cascade_mod, "cascade_step", cascade_step)
+    for module in [m for name, m in sys.modules.items() if name.startswith("latwav.")]:
+        if getattr(module, "smith_normal_form", None) is snf:
+            monkeypatch.setattr(module, "smith_normal_form", counted_snf)
     code, _, err = run(capsys, *(a.format(db4=workdir / "db4.json",
                                           quincunx=workdir / "quincunx.json") for a in argv))
     assert code == 0, err

@@ -1,9 +1,10 @@
-"""The records: construction checks, immutability, repr, and the exact
-quotient that replaced the ``Fraction`` route in the QMF check."""
+"""The records: construction checks, immutability, repr, and the
+QMF shift read off the adapted basis."""
 
 import copy
 import json
 import math
+import operator
 import pickle
 import random
 
@@ -16,7 +17,7 @@ from latwav.config import Config
 from latwav.encode import EncodingParams
 from latwav.errors import DimensionMismatchError, DimensionTooSmallError, InputFormatError
 from latwav.filters import BUNDLED_FILTERS, BUNDLED_MATRICES, daubechies4_1d, quincunx_matrix
-from latwav.intlat import DilationMatrix, IntMatrix
+from latwav.intlat import DilationMatrix, IntMatrix, in_dilated_lattice
 from latwav.lawton import SupportSet, lawton_residuals
 from latwav.quincunx import support_pattern
 from latwav.transfer import Filter, to_one_d, transfer
@@ -46,14 +47,23 @@ def _matrices():
     return out
 
 
-def test_dual_coset_shift_matches_the_fraction_route():
-    # Equal floats, and a zero component keeps the sign Fraction gives it (+0.0).
+def test_dual_coset_shift_is_pi_times_the_last_adapted_row_mod_2():
+    """zeta = pi (u mod 2), u the last row of U^-1: each coordinate is +0.0
+    or pi; zeta equals the former shift 2 pi (A^T)^-1 q mod 2 pi, compared in
+    integers; and k.zeta / pi is odd exactly off A*Z^d."""
+    rnd = random.Random(33)
     filts = [Filter.from_coeffs(dil, {(0,) * dil.dim: 1.0}) for dil in _matrices()]
     filts += [make() for make in BUNDLED_FILTERS.values()]
     for filt in filts:
-        shift, reference = _dual_coset_shift(filt), tuple(reference_dual_coset_shift(filt).tolist())
-        assert shift == reference
-        assert [math.copysign(1.0, x) for x in shift] == [math.copysign(1.0, x) for x in reference]
+        dil, shift = filt.matrix, _dual_coset_shift(filt)
+        assert all(z in (0.0, math.pi) and math.copysign(1.0, z) == 1.0 for z in shift), shift
+        w = [int(z == math.pi) for z in shift]
+        reference = reference_dual_coset_shift(filt)
+        assert all(x.denominator == 1 for x in reference), reference
+        assert [(x.numerator - wj) % 2 for x, wj in zip(reference, w)] == [0] * dil.dim
+        for _ in range(20):
+            k = tuple(rnd.randint(-50, 50) for _ in range(dil.dim))
+            assert (sum(map(operator.mul, w, k)) % 2 == 1) == (not in_dilated_lattice(dil, k))
 
 
 def test_construction_checks_raise_the_same_errors(tmp_path):

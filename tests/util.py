@@ -616,14 +616,14 @@ def reference_lawton_residuals(filt: Filter) -> ResidualReport:
     )
 
 
-def reference_dual_coset_shift(filt) -> np.ndarray:
-    """The library's former dual coset shift, which converts each exact
-    quotient through ``float(Fraction(x, det))``."""
+def reference_dual_coset_shift(filt) -> tuple[Fraction, ...]:
+    """The library's former dual coset shift 2 pi (A^T)^-1 q, over pi and
+    exact: q is the coset representative of A^T's Smith normal form, and
+    coordinate j is 2 (adj(A^T) q)_j / det(A), an integer since det = +/-2."""
     at = filt.matrix.A.transpose()
     q = coset_representative(smith_normal_form(at))
     det = at.det()
-    num = at.adjugate().vec(q)
-    return np.array([2.0 * math.pi * float(Fraction(x, det)) for x in num])
+    return tuple(Fraction(2 * x, det) for x in at.adjugate().vec(q))
 
 
 def reference_qmf_check(filt, samples: int = 1024, seed: int = 0) -> float:
