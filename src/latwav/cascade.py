@@ -81,20 +81,22 @@ def _image_box(rows, lo, hi) -> tuple[list[int], list[int]]:
             [sum(max(r * l, r * h) for r, l, h in zip(row, lo, hi)) for row in rows])
 
 
+def _two_inverse(matrix: DilationMatrix) -> IntMatrix:
+    """M = sign(det A) adj(A) = 2 A^-1, exact, as |det A| = 2."""
+    sign = 1 if matrix.det > 0 else -1
+    return IntMatrix(tuple(tuple(sign * x for x in row) for row in matrix.adj.rows))
+
+
 def _centre_digits(matrix: DilationMatrix) -> tuple[LatticePoint, ...]:
     """S = {j : floor(A^-1 (j + 1/2)) = 0}, the fine cells whose centers lie
-    in coarse cell 0, with the exact test 0 <= sign * adj(A) (2j + 1) < 2 |det A|
-    on every row.  j + 1/2 lies in A [0,1)^d, so lo <= j <= hi - 1 for the
+    in coarse cell 0, with the exact test 0 <= M (2j + 1) < 4 on every row,
+    M = 2 A^-1.  j + 1/2 lies in A [0,1)^d, so lo <= j <= hi - 1 for the
     integer box [lo, hi] of A [0,1]^d, and only that box is scanned."""
-    det = matrix.det
-    sign = 1 if det > 0 else -1
-    adj_rows = [[sign * x for x in row] for row in matrix.adj.rows]
-    det2 = 2 * abs(det)
+    rows = _two_inverse(matrix).rows
     lo, hi = _image_box(matrix.A.rows, (0,) * matrix.dim, (1,) * matrix.dim)
     return tuple(
         j for j in product(*map(range, lo, hi))
-        if all(0 <= sum(a * (2 * c + 1) for a, c in zip(row, j)) < det2
-               for row in adj_rows)
+        if all(0 <= sum(a * (2 * c + 1) for a, c in zip(row, j)) < 4 for row in rows)
     )
 
 
@@ -187,8 +189,7 @@ def support_bounding_box(filt: Filter) -> tuple[tuple[float, ...], tuple[float, 
     in the box when 0 is in box(S) (every bundled filter); the rest of a cell,
     and early cells of a translated support, can lie outside it.
     """
-    sign = 1 if filt.matrix.det > 0 else -1
-    m = IntMatrix(tuple(tuple(sign * x for x in row) for row in filt.matrix.adj.rows))
+    m = _two_inverse(filt.matrix)
     s_lo = [min(c) for c in zip(*filt.coeffs)]
     s_hi = [max(c) for c in zip(*filt.coeffs)]
     bits = sys.float_info.mant_dig

@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 verification failure, 2 input error.  Errors and
-library warnings go to stderr as single ``error: ...`` / ``warning: ...`` lines.
+Exit codes: 0 success, 1 verification failure (or stdout closed early, with
+no message), 2 input error.  Errors and library warnings go to stderr as
+single ``error: ...`` / ``warning: ...`` lines.
 
 A command runs with the cyclic garbage collector paused, and ``main``
 restores the collector's previous state when it returns.  The commands
@@ -315,6 +316,11 @@ def main(argv=None) -> int:
     except LatwavError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the reader closed stdout early; the exit flush must not raise
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     finally:
         if gc_was_enabled:
             gc.enable()

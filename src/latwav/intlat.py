@@ -92,25 +92,8 @@ class IntMatrix(_IntMatrixFields):
         return out
 
     def det(self) -> int:
-        """Exact determinant by fraction-free (Bareiss) elimination."""
-        n = self.dim
-        a = [list(row) for row in self.rows]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
+        """Exact determinant, from the charpoly recursion (see ``_leverrier``)."""
+        return self._leverrier()[1]
 
     def adjugate(self) -> "IntMatrix":
         """adj(M) with M * adj(M) = det(M) * I, exact (see ``_leverrier``)."""
@@ -216,11 +199,9 @@ def smith_normal_form(A: IntMatrix) -> SnfFactorization:
     Pivoting is deterministic: the smallest nonzero absolute value in the
     working submatrix wins, ties broken by lowest row index then lowest
     column index.  The (unique) invariant factor 2 is moved to the last
-    diagonal slot.
+    diagonal slot.  The pivots refuse any other A: they are positive with
+    product |det A|, and a singular A leaves a zero block.
     """
-    det_a = A.det()
-    if abs(det_a) != 2:
-        raise NotDyadicError(f"determinant is {det_a}, expected +/-2")
     d = A.dim
     a = [list(row) for row in A.rows]
     ut = [list(row) for row in IntMatrix.identity(d).rows]
@@ -236,8 +217,8 @@ def smith_normal_form(A: IntMatrix) -> SnfFactorization:
         while True:
             best = min(((abs(a[i][j]), i, j) for i in range(s, d) for j in range(s, d)
                         if a[i][j]), default=None)
-            if best is None:
-                raise AssertionError("singular block in a nonsingular matrix")
+            if best is None:  # a zero block: A is singular
+                break
             _, pi, pj = best
             _pivot_rows(a, ut, s, pi, pj)
             at = [list(col) for col in zip(*a)]
@@ -248,7 +229,7 @@ def smith_normal_form(A: IntMatrix) -> SnfFactorization:
 
     diag = [a[s][s] for s in range(d)]
     if sorted(diag) != [1] * (d - 1) + [2]:
-        raise AssertionError(f"unexpected invariant factors {diag}")
+        raise NotDyadicError(f"determinant is {A.det()}, expected +/-2")
     t = diag.index(2)
     for m in (ut, v):
         m[t], m[-1] = m[-1], m[t]
@@ -277,7 +258,8 @@ def in_dilated_lattice_exact(A: IntMatrix, u_inverse: IntMatrix,
     coordinate.  Disagreement would mean a broken factorization, so it is an
     assertion failure rather than a recoverable error.
     """
-    return _membership(A.det(), A.adjugate(), u_inverse, p)
+    _, det_a, adj = A._leverrier()
+    return _membership(det_a, adj, u_inverse, p)
 
 
 def _membership(det_a: int, adj: IntMatrix, u_inverse: IntMatrix, p: LatticePoint) -> bool:

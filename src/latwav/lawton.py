@@ -152,9 +152,9 @@ def pair_count(support: SupportSet, dil: DilationMatrix) -> int:
 
 
 def _same_parity_scan(chart: Chart):
-    """For each point a in support order: a, its code c_a, and the codes c_b
-    and the (c_b, b) of the points b of a's parity class at or after it,
-    which make the pairs (a, b) of the system.
+    """For each point a in support order: a, its code c_a, and the (c_b, b)
+    of the points b of a's parity class at or after it, which make the
+    pairs (a, b) of the system.
 
     Only pairs whose codes share a parity (last adapted coordinate) differ
     by an element of A*Z^d.  For such a, b the code difference is
@@ -166,14 +166,13 @@ def _same_parity_scan(chart: Chart):
     Each a yields at most one pair per generator, so every bucket of v
     receives its pairs (n, n + k) in support order.
     """
-    codes, tails = ([], []), ([], [])  # by parity: each class's c, and its (c, p)
+    tails = ([], [])  # by parity: each class's (c, p)
     starts = []  # each point's position in its parity class
     for c, p in zip(chart.codes, chart.support_order):
-        starts.append(len(codes[c & 1]))
-        codes[c & 1].append(c)
+        starts.append(len(tails[c & 1]))
         tails[c & 1].append((c, p))
     for a, ca, start in zip(chart.support_order, chart.codes, starts):
-        yield a, ca, codes[ca & 1][start:], tails[ca & 1][start:]
+        yield a, ca, tails[ca & 1][start:]
 
 
 def build_reduced_system(support: SupportSet, dil: DilationMatrix) -> ReducedSystem:
@@ -188,7 +187,7 @@ def build_reduced_system(support: SupportSet, dil: DilationMatrix) -> ReducedSys
         raise DimensionMismatchError("support and matrix dimensions differ")
     chart = _chart(support, dil)
     buckets = defaultdict(list)
-    for a, ca, _, tail in _same_parity_scan(chart):
+    for a, ca, tail in _same_parity_scan(chart):
         for cb, b in tail:
             buckets[cb - ca].append((a, b))
 
@@ -209,8 +208,8 @@ def generator_pairs(chart: Chart) -> tuple[tuple[LatticePoint, LatticePoint], ..
     are the build's bucket keys."""
     point = dict(zip(chart.codes, chart.support_order))
     ca_by_v = {}  # v -> c_a of one pair with c_b - c_a = v
-    for _, ca, codes, _ in _same_parity_scan(chart):
-        ca_by_v.update(zip(map(operator.sub, codes, repeat(ca)), repeat(ca)))
+    for _, ca, tail in _same_parity_scan(chart):
+        ca_by_v.update(zip([cb - ca for cb, _ in tail], repeat(ca)))
     return tuple((point[ca], point[ca + v]) for v, ca in sorted(ca_by_v.items()))
 
 
@@ -248,7 +247,7 @@ def lawton_residuals(filt: Filter) -> ResidualReport:
     coeffs = filt.coeffs
     conj = {n: h.conjugate() for n, h in coeffs.items()}
     total, sums, gens = 0.0, {}, {}  # by v: the running sum, and b - a of its first pair
-    for a, ca, _, tail in _same_parity_scan(filt.chart):
+    for a, ca, tail in _same_parity_scan(filt.chart):
         ha = coeffs[a]
         total = total + ha
         for cb, b in tail:

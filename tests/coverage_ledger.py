@@ -29,9 +29,6 @@ _ANNOTATION = "an import for annotations only, under TYPE_CHECKING"
 # (module, line as written, stripped, reason it may stay unrun)
 LEDGER = [
     ("intlat.py", 'raise AssertionError("trace recursion lost exactness")', _POSTCONDITION),
-    ("intlat.py", 'raise AssertionError("singular block in a nonsingular matrix")',
-     _POSTCONDITION),
-    ("intlat.py", 'raise AssertionError(f"unexpected invariant factors {diag}")', _POSTCONDITION),
     ("intlat.py", 'raise AssertionError("SNF postcondition U*D*V == A failed")', _POSTCONDITION),
     ("intlat.py", 'raise AssertionError(f"lattice membership routes disagree at {p}")',
      _POSTCONDITION),

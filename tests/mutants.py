@@ -33,8 +33,8 @@ MUTANTS = [
      "                     tuple(map(operator.sub, support_map[a], support_map[b]))",
      "tests/test_transfer.py"),
     ("lawton.py",
-     "        yield a, ca, codes[ca & 1][start:], tails[ca & 1][start:]",
-     "        yield a, ca, codes[ca & 1][start + 1:], tails[ca & 1][start + 1:]",
+     "        yield a, ca, tails[ca & 1][start:]",
+     "        yield a, ca, tails[ca & 1][start + 1:]",
      "tests/test_verify.py"),
     ("lawton.py",
      "    for a, ca, start in zip(chart.support_order, chart.codes, starts):",
@@ -45,6 +45,18 @@ MUTANTS = [
      "        if diffs[-1] < tol:",
      "        if tol > 0.0:",
      "tests/test_cascade.py"),
+    ("cascade.py",
+     "    sign = 1 if matrix.det > 0 else -1",
+     "    sign = 1",
+     "tests/test_cascade.py"),
+    ("intlat.py",
+     "    if sorted(diag) != [1] * (d - 1) + [2]:",
+     "    if 2 not in diag:",
+     "tests/test_intlat.py"),
+    ("intlat.py",
+     "            if best is None:  # a zero block: A is singular",
+     "            if best is None and s + 1 < d:",
+     "tests/test_intlat.py"),
     ("lawton.py",
      "        return self.max_residual <= tolerance",
      "        return self.max_residual < tolerance",

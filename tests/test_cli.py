@@ -6,7 +6,10 @@ import hashlib
 import importlib
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -774,3 +777,34 @@ def test_library_warnings_print_as_one_warning_line(workdir, capsys):
     assert code == 0 and json.loads(out)["level"] == 2
     assert err == ("warning: filter residual 3.100e-01 exceeds 1.0e-10; "
                    "cascade convergence is not guaranteed\n")
+
+
+def test_stdout_closed_early_in_process(workdir, capsys, monkeypatch):
+    """The same in process: a write to a pipe whose reader is gone returns
+    1 from ``main`` with nothing on stderr, and the later flush is silent."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    # Line-buffered, so the command's print writes to the pipe at once.
+    with open(write_end, "w", buffering=1) as closed, monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", closed)
+        code = main(["reduce", str(workdir / "db4.json")])
+        print("more")
+    assert (code, capsys.readouterr().err) == (1, "")
+
+
+def test_stdout_closed_early_exits_1_with_no_message(tmp_path):
+    """A reader that closes stdout after 10 bytes, as ``latwav reduce big.json
+    | head -c 10`` does, leaves exit 1 and an empty stderr: no traceback."""
+    big = Filter.from_coeffs(haar_1d().matrix, {(n,): math.sin(n + 1) for n in range(512)})
+    (tmp_path / "big.json").write_text(canonical_dumps(filter_to_json(big)))
+    src = Path(latwav.jsonio.__file__).resolve().parents[1]
+    proc = subprocess.Popen([sys.executable, "-m", "latwav.cli", "reduce", "big.json"],
+                            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = proc.stdout.read(10)
+    proc.stdout.close()  # the output is megabytes: the child is still writing
+    code = proc.wait(timeout=120)
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert head == b'{"equation'
+    assert (code, err) == (1, b"")

@@ -19,6 +19,7 @@ from latwav.intlat import (
     to_adapted,
 )
 from util import (
+    _reference_det,
     companion,
     float_is_expansive,
     lattice_window,
@@ -66,6 +67,25 @@ def test_snf_rejects_non_dyadic():
         smith_normal_form(IntMatrix.from_rows([[3]]))
     with pytest.raises(NotDyadicError):
         smith_normal_form(IntMatrix.from_rows([[1, 0], [0, 4]]))
+
+
+@pytest.mark.parametrize("rows, det", [
+    ([[0]], 0),
+    ([[1, 2], [2, 4]], 0),
+    ([[1, 2, 3], [4, 5, 6], [7, 8, 9]], 0),
+    ([[2, 0], [0, 2]], 4),
+    ([[0, 1], [-4, 0]], 4),
+    ([[1, 0, 0], [0, -1, 0], [0, 0, 4]], -4),
+    ([[2, 1], [1, 2]], 3),
+], ids=["singular_1d", "singular_2d", "singular_3d", "twice_identity", "det_4_rotation",
+        "det_minus_4", "det_3"])
+def test_snf_refuses_by_its_invariant_factors(rows, det):
+    """A singular matrix leaves a zero block and a non-dyadic one pivots
+    other than 1, ..., 1, 2: either way the one refusal names det A."""
+    with pytest.raises(NotDyadicError) as raised:
+        smith_normal_form(IntMatrix.from_rows(rows))
+    assert type(raised.value) is NotDyadicError
+    assert str(raised.value) == f"determinant is {det}, expected +/-2"
 
 
 def test_snf_deterministic():
@@ -233,7 +253,7 @@ def _random_expansive(rnd, dim: int) -> IntMatrix:
 
 def test_held_det_and_adjugate_match_the_exact_membership_oracle():
     """A DilationMatrix keeps det(A) and adj(A) from its one charpoly run:
-    they equal Bareiss's determinant and the cofactor adjugate, and
+    they equal A's determinant and the cofactor adjugate, and
     in_dilated_lattice decides as in_dilated_lattice_exact, which computes
     both afresh, on random points in d = 1-4."""
     rnd = random.Random(17)
@@ -251,8 +271,9 @@ def test_held_det_and_adjugate_match_the_exact_membership_oracle():
 
 
 def test_from_matrix_runs_each_exact_routine_once(monkeypatch):
-    """Building a DilationMatrix runs the charpoly recursion and Bareiss
-    once each on A, and membership tests run neither again."""
+    """Building a DilationMatrix runs the charpoly recursion once on A and
+    never asks for its determinant, membership tests run neither again,
+    and the Smith normal form of a dyadic A runs neither."""
     a = IntMatrix.from_rows([[0, 0, -2], [1, 0, 0], [0, 1, 0]])
     calls = []
 
@@ -270,7 +291,10 @@ def test_from_matrix_runs_each_exact_routine_once(monkeypatch):
     dil = DilationMatrix.from_matrix(a)
     for p in lattice_window(3, 2):
         in_dilated_lattice(dil, p)
-    assert sorted(calls) == ["_leverrier", "det"]
+    assert sorted(calls) == ["_leverrier"]
+    calls.clear()
+    smith_normal_form(a)
+    assert calls == []
 
 
 def test_matrix_power_and_adjugate():
@@ -329,7 +353,7 @@ def _oracle_sample(rnd, d: int, kind: int) -> IntMatrix:
 def test_adjugate_charpoly_det_and_snf_match_oracles():
     """The adjugate and charpoly of one charpoly-recursion run and the
     one-routine SNF are == to the former implementations on 10,200 seeded
-    matrices in d = 1-6; the run's det equals Bareiss's, and
+    matrices in d = 1-6; the run's det equals the Bareiss oracle's, and
     A * adj(A) = det(A) * I."""
     rnd = random.Random(13)
     factored = 0
@@ -337,7 +361,7 @@ def test_adjugate_charpoly_det_and_snf_match_oracles():
         for kind in range(1700):
             m = _oracle_sample(rnd, d, kind)
             charpoly, det, adj = m._leverrier()
-            assert det == m.det(), m.rows
+            assert det == _reference_det([list(row) for row in m.rows]), m.rows
             assert adj == reference_adjugate(m), m.rows
             assert charpoly == reference_charpoly(m), m.rows
             assert m.mul(adj).rows == tuple(

@@ -183,7 +183,7 @@ def companion(poly) -> IntMatrix:
 # mirrored each elementary step on U or V through five helper closures.  The
 # adjugate and charpoly oracles work on plain list rows.
 def _reference_det(a: list[list[int]]) -> int:
-    """Bareiss elimination, as in ``IntMatrix.det``, on rows it overwrites."""
+    """Bareiss elimination, the library's former ``IntMatrix.det``, on rows it overwrites."""
     n = len(a)
     sign = 1
     prev = 1
