@@ -1,17 +1,19 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 verification failure (or stdout closed early, with
-no message), 2 input error.  Errors and library warnings go to stderr as
-single ``error: ...`` / ``warning: ...`` lines.
+no message, or output that the final flush cannot write), 2 input error.
+Errors and library warnings go to stderr as single ``error: ...`` /
+``warning: ...`` lines.
 
 A command runs with the cyclic garbage collector paused, and ``main``
 restores the collector's previous state when it returns.  The commands
 allocate pair tuples, equation buckets and grid cells in bulk (65,892 pairs
 for 512 points in 1-D), and none of these can form a reference cycle, so
 every collector pass over them is wasted: 7-11 ms of such a ``reduce``
-(about 100 passes, 2-core VM).  Reference counting still frees them.  The cost is
-that the cyclic garbage of the layers' own imports stays until the process
-exits.
+(about 100 passes, 2-core VM).  Reference counting still frees them.  The
+cyclic garbage of the layers' own imports is never collected: the process
+entry ``run`` flushes stdout and stderr after ``main`` and leaves through
+``os._exit``, with no module clean-up and no final collection.
 
 Each handler imports the layers it runs, inside the handler, so a command
 executes only its own part of the package: ``snf`` and ``basis`` run
@@ -326,5 +328,26 @@ def main(argv=None) -> int:
             gc.enable()
 
 
+def run() -> None:
+    """The process entry (``latwav`` and ``python -m latwav.cli``): ``main``,
+    then stdout and stderr flushed, then ``os._exit`` with its code, so the
+    process skips the interpreter's teardown, 5-7 ms of each call (2-core
+    VM).  A flush that fails exits 1: silently when the reader closed the
+    output, as ``main`` does for a write, and with one error line otherwise."""
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse's exit: --help (0) or a usage error (2)
+        code = exc.code
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:
+        code = 1  # the reader closed the output: no message, as in main
+    except OSError as exc:  # a full disk, say: the output is lost
+        print(f"error: the output cannot be written: {exc.strerror}", file=sys.stderr)
+        code = 1
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -175,17 +175,20 @@ def _same_parity_scan(chart: Chart):
         yield a, ca, tails[ca & 1][start:]
 
 
-def build_reduced_system(support: SupportSet, dil: DilationMatrix) -> ReducedSystem:
+def build_reduced_system(support: SupportSet, dil: DilationMatrix, *,
+                         _held: Chart | None = None) -> ReducedSystem:
     """Construct the reduced system with its canonical index set.
 
     The index set consists of one representative per generator pair {k, -k}:
     the one with nonnegative radix value in the adapted chart, listed in
     increasing radix order (so the zero generator always comes first).
     Equation k holds the pairs of ``_same_parity_scan`` of one c_b - c_a.
+    ``Filter.system`` passes its held chart as ``_held``, so a filter's
+    chart is computed once.
     """
     if support.dim != dil.dim:
         raise DimensionMismatchError("support and matrix dimensions differ")
-    chart = _chart(support, dil)
+    chart = _chart(support, dil) if _held is None else _held
     buckets = defaultdict(list)
     for a, ca, tail in _same_parity_scan(chart):
         for cb, b in tail:
@@ -328,7 +331,7 @@ class Filter:
     def system(self) -> ReducedSystem:
         """The reduced system of the support, built on first use and shared
         by every later caller (``reduce`` and library callers)."""
-        return build_reduced_system(self.support, self.matrix)
+        return build_reduced_system(self.support, self.matrix, _held=self.chart)
 
 
 def restrict_index_set(parent: ReducedSystem, sub: SupportSet) -> tuple[LatticePoint, ...]:

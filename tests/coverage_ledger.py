@@ -39,7 +39,7 @@ LEDGER = [
     ("jsonio.py", "from .lawton import Filter, ReducedSystem, ResidualReport", _ANNOTATION),
     ("jsonio.py", "from .transfer import TransferReport", _ANNOTATION),
     ("quincunx.py", "from .lawton import SupportSet", _ANNOTATION),
-    ("cli.py", "sys.exit(main())",
+    ("cli.py", "run()",
      "the body of the __main__ guard: it runs under python -m latwav.cli, in a child process"),
 ]
 

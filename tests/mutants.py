@@ -109,6 +109,14 @@ MUTANTS = [
      "    _require((2 * args.width + 1) ** 2 <= config.cell_budget,",
      "    _require((2 * args.width) ** 2 <= config.cell_budget,",
      "tests/test_cli.py"),
+    ("cli.py",
+     "        sys.stdout.flush()",
+     "        pass",
+     "tests/test_cli.py"),
+    ("cli.py",
+     "        code = 1  # the reader closed the output: no message, as in main",
+     "        code = 0  # the reader closed the output: no message, as in main",
+     "tests/test_cli.py"),
 ]
 
 

@@ -1,9 +1,11 @@
 """End-to-end CLI behavior: pipelines, artifacts, exit codes."""
 
 import cmath
+import errno
 import gc
 import hashlib
 import importlib
+import io
 import json
 import math
 import os
@@ -13,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import latwav.cli
 import latwav.jsonio
 from latwav.cli import main
 from latwav.jsonio import (
@@ -792,15 +795,27 @@ def test_stdout_closed_early_in_process(workdir, capsys, monkeypatch):
     assert (code, capsys.readouterr().err) == (1, "")
 
 
+def _big_filter(tmp_path) -> Path:
+    """A 1-D filter of 512 taps, whose reduced system prints megabytes."""
+    big = Filter.from_coeffs(haar_1d().matrix, {(n,): math.sin(n + 1) for n in range(512)})
+    (tmp_path / "big.json").write_text(canonical_dumps(filter_to_json(big)))
+    return tmp_path / "big.json"
+
+
+def _child(argv, cwd, stdout=subprocess.PIPE) -> subprocess.Popen:
+    """``python -m latwav.cli`` with ``argv`` in a child process, its stdout
+    block-buffered as in a shell pipe: ``PYTHONUNBUFFERED`` is removed from
+    its environment."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(latwav.jsonio.__file__).resolve().parents[1])
+    return subprocess.Popen([sys.executable, "-m", "latwav.cli", *argv], cwd=cwd, env=env,
+                            stdout=stdout, stderr=subprocess.PIPE)
+
+
 def test_stdout_closed_early_exits_1_with_no_message(tmp_path):
     """A reader that closes stdout after 10 bytes, as ``latwav reduce big.json
     | head -c 10`` does, leaves exit 1 and an empty stderr: no traceback."""
-    big = Filter.from_coeffs(haar_1d().matrix, {(n,): math.sin(n + 1) for n in range(512)})
-    (tmp_path / "big.json").write_text(canonical_dumps(filter_to_json(big)))
-    src = Path(latwav.jsonio.__file__).resolve().parents[1]
-    proc = subprocess.Popen([sys.executable, "-m", "latwav.cli", "reduce", "big.json"],
-                            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)),
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc = _child(["reduce", _big_filter(tmp_path).name], tmp_path)
     head = proc.stdout.read(10)
     proc.stdout.close()  # the output is megabytes: the child is still writing
     code = proc.wait(timeout=120)
@@ -808,3 +823,80 @@ def test_stdout_closed_early_exits_1_with_no_message(tmp_path):
     proc.stderr.close()
     assert head == b'{"equation'
     assert (code, err) == (1, b"")
+
+
+@pytest.mark.parametrize("argv", [["bundled", "db4"], ["--help"]])
+def test_buffered_output_closed_before_the_exit_flush_exits_1_with_no_message(tmp_path, argv):
+    """A small output stays in stdout's buffer until the exit flush.  When the
+    reader has already gone, as in ``latwav bundled db4 | true``, that flush
+    fails, and the process still exits 1 with an empty stderr; so does
+    argparse's ``--help``."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _child(argv, tmp_path, stdout=write_end)
+    finally:
+        os.close(write_end)
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (1, b"")
+
+
+def test_buffered_output_reaches_the_reader_in_full(tmp_path, capsys):
+    """The process ends only after its output is flushed: a child's ``reduce``
+    of 512 taps, read to the end, is byte for byte ``main``'s output."""
+    path = _big_filter(tmp_path)
+    assert main(["reduce", str(path)]) == 0
+    want = capsys.readouterr().out.encode()
+    out, err = _child(["reduce", path.name], tmp_path).communicate(timeout=120)
+    assert (err, out) == (b"", want)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_output_to_a_full_disk_exits_1_with_one_error_line(tmp_path):
+    """An exit flush that fails for want of space prints one error line and
+    exits 1, never 0, with no traceback."""
+    with open("/dev/full", "wb") as full:
+        proc = _child(["bundled", "db4"], tmp_path, stdout=full)
+        _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert err.decode() == "error: the output cannot be written: No space left on device\n"
+
+
+@pytest.mark.parametrize("fault, code, err", [
+    (None, 0, ""),
+    (BrokenPipeError(errno.EPIPE, "Broken pipe"), 1, ""),
+    (OSError(errno.ENOSPC, "No space left on device"), 1,
+     "error: the output cannot be written: No space left on device\n"),
+])
+def test_run_flushes_stdout_then_exits_with_the_code(monkeypatch, capsys, fault, code, err):
+    """``run`` flushes stdout before ``os._exit``, which gets ``main``'s code,
+    or 1 when the flush fails: silently for a closed reader, with one error
+    line for any other fault."""
+    class Sink(io.BytesIO):
+        def write(self, data):
+            if self.fault:
+                raise self.fault
+            return super().write(data)
+
+    sink, exits = Sink(), []
+    sink.fault = fault
+    monkeypatch.setattr(sys, "argv", ["latwav", "bundled", "db4"])
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(sink, encoding="utf-8"))
+    monkeypatch.setattr(os, "_exit", lambda status: exits.append((status, sink.getvalue())))
+    latwav.cli.run()
+    printed = canonical_dumps(filter_to_json(daubechies4_1d())) + "\n"
+    assert exits == [(code, b"" if fault else printed.encode())]
+    assert capsys.readouterr().err == err
+    sink.fault = None  # so the stream's close writes without raising
+
+
+@pytest.mark.parametrize("argv, code, stream", [(["--help"], 0, "out"), (["snf"], 2, "err")])
+def test_run_ends_argparse_exits_the_same_way(monkeypatch, capsys, argv, code, stream):
+    """``--help`` and a usage error leave ``main`` through argparse's
+    SystemExit; ``run`` passes its status to ``os._exit`` like any code."""
+    exits = []
+    monkeypatch.setattr(sys, "argv", ["latwav", *argv])
+    monkeypatch.setattr(os, "_exit", exits.append)
+    latwav.cli.run()
+    assert exits == [code]
+    assert getattr(capsys.readouterr(), stream).startswith("usage: latwav")

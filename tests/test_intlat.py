@@ -253,7 +253,7 @@ def _random_expansive(rnd, dim: int) -> IntMatrix:
 
 def test_held_det_and_adjugate_match_the_exact_membership_oracle():
     """A DilationMatrix keeps det(A) and adj(A) from its one charpoly run:
-    they equal A's determinant and the cofactor adjugate, and
+    they equal the Bareiss determinant and the cofactor adjugate, and
     in_dilated_lattice decides as in_dilated_lattice_exact, which computes
     both afresh, on random points in d = 1-4."""
     rnd = random.Random(17)
@@ -261,7 +261,7 @@ def test_held_det_and_adjugate_match_the_exact_membership_oracle():
         for _ in range(25):
             a = _random_expansive(rnd, dim)
             dil = DilationMatrix.from_matrix(a)
-            assert dil.det == a.det() and abs(dil.det) == 2
+            assert dil.det == _reference_det([list(r) for r in a.rows]) and abs(dil.det) == 2
             assert dil.adj == a.adjugate() == reference_adjugate(a)
             for bound in (3, 10**6):
                 for _ in range(100):

@@ -495,6 +495,27 @@ def test_transfer_builds_no_system(monkeypatch, tmp_path):
     assert calls == {"build": 2}
 
 
+def test_system_after_a_transfer_builds_off_the_held_chart(monkeypatch):
+    """``Filter.system`` builds off the chart the filter holds: after a
+    transfer has computed a fresh filter's chart, its system computes the
+    chart no second time, and equals a build from scratch."""
+    lawton_mod = importlib.import_module("latwav.lawton")
+    chart, charts = lawton_mod._chart, []
+
+    def counted_chart(support, dil):
+        charts.append(support)
+        return chart(support, dil)
+
+    monkeypatch.setattr(lawton_mod, "_chart", counted_chart)
+    filt = Filter.from_coeffs(dilation_1d(), daubechies4_1d().coeffs)
+    transfer(filt, quincunx_matrix())
+    charts.clear()
+    system = filt.system
+    assert charts == []
+    assert system == build_reduced_system(filt.support, filt.matrix)
+    assert charts == [filt.support]
+
+
 def test_transfer_stores_no_pair():
     """A 1-D -> quincunx transfer of 1024 points stores no pair: its
     tracemalloc peak is about 1.3 MB, where building the three systems with
