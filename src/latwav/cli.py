@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 verification failure (or stdout closed early, with
-no message, or output that the final flush cannot write), 2 input error.
-Errors and library warnings go to stderr as single ``error: ...`` /
-``warning: ...`` lines.
+Exit codes: 0 success, 1 verification failure or a failed write (to stdout
+or of an artifact: one error line, none when the reader closed stdout), 2
+input error.  Errors and library warnings go to stderr as single
+``error: ...`` / ``warning: ...`` lines.
 
 A command runs with the cyclic garbage collector paused, and ``main``
 restores the collector's previous state when it returns.  The commands
@@ -112,6 +112,35 @@ def _out_dir(config: Config) -> Path:
     return path
 
 
+def _write_artifacts(files: dict[Path, str]) -> None:
+    """Write each text to its path, all or none: each goes to a temporary
+    name beside its path, and all are renamed only after every write has
+    succeeded.  A failed write unlinks the temporaries and raises its
+    ``OSError`` again with the final path as ``filename``."""
+    renames = []
+    for path, text in files.items():
+        temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            temp.write_text(text)
+        except OSError as exc:
+            for stale in [temp, *(t for t, _ in renames)]:
+                stale.unlink(missing_ok=True)
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
+        renames.append((temp, path))
+    for temp, path in renames:
+        os.replace(temp, path)
+
+
+def _write_failed(exc: OSError) -> int:
+    """The exit code of a failed write, 1: with no message when the reader
+    closed stdout, else with one line naming the artifact (the error's
+    ``filename``) or the output."""
+    if not isinstance(exc, BrokenPipeError):
+        print(f"error: {exc.filename or 'the output'} cannot be written: {exc.strerror}",
+              file=sys.stderr)
+    return 1
+
+
 def _emit(data) -> None:
     print(jsonio.canonical_dumps(data))
 
@@ -203,7 +232,7 @@ def _cmd_cascade(args, config: Config) -> int:
         residual_warn_tolerance=config.tolerance,
     )
     # Rendered in full before any is written, so a cell that cannot be
-    # written leaves no partial artifacts.
+    # rendered leaves no partial artifacts.
     try:
         artifacts = {
             "grid.csv": jsonio.grid_to_csv(grid),
@@ -218,8 +247,7 @@ def _cmd_cascade(args, config: Config) -> int:
     except ValueError as exc:
         raise InputFormatError(f"a cell position is too long to print: {exc}") from exc
     stem = Path(args.filter).stem
-    for name, text in artifacts.items():
-        (out / f"{stem}.{name}").write_text(text)
+    _write_artifacts({out / f"{stem}.{name}": text for name, text in artifacts.items()})
     _emit({
         "level": grid.level,
         "cells": len(grid.cells),
@@ -240,7 +268,7 @@ def _cmd_quincunx(args, config: Config) -> int:
     out = _out_dir(config)
     report = support_pattern(args.width)
     rows = "".join(f"{m},{n},{s!r}\n" for (m, n), s in report.values.items())
-    (out / f"quincunx_pattern_w{args.width}.csv").write_text("m,n,s\n" + rows)
+    _write_artifacts({out / f"quincunx_pattern_w{args.width}.csv": "m,n,s\n" + rows})
     _emit({
         "half_width": report.half_width,
         "min_odd_magnitude": report.min_odd_magnitude,
@@ -318,11 +346,12 @@ def main(argv=None) -> int:
     except LatwavError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:  # the reader closed stdout early; the exit flush must not raise
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return 1
+    except OSError as exc:  # a failed write: to stdout, or of an artifact (its filename)
+        if exc.filename is None:  # stdout's: the exit flush must not fail again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return _write_failed(exc)
     finally:
         if gc_was_enabled:
             gc.enable()
@@ -332,8 +361,7 @@ def run() -> None:
     """The process entry (``latwav`` and ``python -m latwav.cli``): ``main``,
     then stdout and stderr flushed, then ``os._exit`` with its code, so the
     process skips the interpreter's teardown, 5-7 ms of each call (2-core
-    VM).  A flush that fails exits 1: silently when the reader closed the
-    output, as ``main`` does for a write, and with one error line otherwise."""
+    VM).  A flush that fails ends as a write that fails in ``main``."""
     try:
         code = main()
     except SystemExit as exc:  # argparse's exit: --help (0) or a usage error (2)
@@ -341,11 +369,8 @@ def run() -> None:
     try:
         sys.stdout.flush()
         sys.stderr.flush()
-    except BrokenPipeError:
-        code = 1  # the reader closed the output: no message, as in main
-    except OSError as exc:  # a full disk, say: the output is lost
-        print(f"error: the output cannot be written: {exc.strerror}", file=sys.stderr)
-        code = 1
+    except OSError as exc:
+        code = _write_failed(exc)
     os._exit(code)
 
 

@@ -113,9 +113,21 @@ MUTANTS = [
      "        sys.stdout.flush()",
      "        pass",
      "tests/test_cli.py"),
+    # killed by test_run_flushes_stdout_then_exits_with_the_code
     ("cli.py",
-     "        code = 1  # the reader closed the output: no message, as in main",
-     "        code = 0  # the reader closed the output: no message, as in main",
+     "    return 1",
+     "    return 0",
+     "tests/test_cli.py"),
+    # killed by test_a_failed_artifact_write_leaves_no_file (a traceback, not exit 1)
+    ("cli.py",
+     "    except OSError as exc:  # a failed write: to stdout, or of an artifact (its filename)",
+     "    except BrokenPipeError as exc:",
+     "tests/test_cli.py"),
+    # killed by test_a_failed_artifact_write_leaves_no_file[cascade-phi]: each artifact is
+    # renamed as soon as it is written, so three land before phi.csv fails
+    ("cli.py",
+     "        renames.append((temp, path))",
+     "        os.replace(temp, path)",
      "tests/test_cli.py"),
 ]
 

@@ -802,14 +802,15 @@ def _big_filter(tmp_path) -> Path:
     return tmp_path / "big.json"
 
 
-def _child(argv, cwd, stdout=subprocess.PIPE) -> subprocess.Popen:
+def _child(argv, cwd, stdout=subprocess.PIPE, preexec_fn=None, **env) -> subprocess.Popen:
     """``python -m latwav.cli`` with ``argv`` in a child process, its stdout
     block-buffered as in a shell pipe: ``PYTHONUNBUFFERED`` is removed from
-    its environment."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    its environment unless ``env`` sets it.  ``env`` adds to the environment,
+    and ``preexec_fn`` runs in the child before it starts Python."""
+    env = {**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}, **env}
     env["PYTHONPATH"] = str(Path(latwav.jsonio.__file__).resolve().parents[1])
     return subprocess.Popen([sys.executable, "-m", "latwav.cli", *argv], cwd=cwd, env=env,
-                            stdout=stdout, stderr=subprocess.PIPE)
+                            stdout=stdout, stderr=subprocess.PIPE, preexec_fn=preexec_fn)
 
 
 def test_stdout_closed_early_exits_1_with_no_message(tmp_path):
@@ -852,14 +853,110 @@ def test_buffered_output_reaches_the_reader_in_full(tmp_path, capsys):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-def test_output_to_a_full_disk_exits_1_with_one_error_line(tmp_path):
-    """An exit flush that fails for want of space prints one error line and
-    exits 1, never 0, with no traceback."""
+@pytest.mark.parametrize("argv, env", [
+    (["bundled", "db4"], {}),
+    (["bundled", "db4"], {"PYTHONUNBUFFERED": "1"}),
+    (["reduce", "big.json"], {}),
+], ids=["exit-flush", "unbuffered-print", "buffered-megabytes"])
+def test_output_to_a_full_disk_exits_1_with_one_error_line(tmp_path, argv, env):
+    """A write to stdout that fails for want of space prints one error line
+    and exits 1, never 0, with no traceback: at the exit flush of a small
+    buffered output, or inside the command, at an unbuffered ``print`` or
+    once a buffered output outgrows stdout's buffer (``reduce`` of 512 taps)."""
+    _big_filter(tmp_path)
     with open("/dev/full", "wb") as full:
-        proc = _child(["bundled", "db4"], tmp_path, stdout=full)
+        proc = _child(argv, tmp_path, stdout=full, **env)
         _, err = proc.communicate(timeout=120)
     assert proc.returncode == 1
     assert err.decode() == "error: the output cannot be written: No space left on device\n"
+
+
+def test_a_print_to_a_full_disk_in_process_exits_1_with_one_error_line(workdir, capsys,
+                                                                        monkeypatch):
+    """In process: a ``print`` inside a command that fails for want of space
+    returns 1 from ``main`` with one error line, and points stdout's file at
+    the null device, so the later flush neither fails nor writes."""
+    class Full(io.FileIO):
+        full = True
+
+        def write(self, data):
+            if self.full:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return super().write(data)
+
+    raw = Full(workdir / "stdout.txt", "w")
+    # Line-buffered, so the command's print writes at once.
+    with io.TextIOWrapper(io.BufferedWriter(raw), line_buffering=True) as stdout, \
+            monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", stdout)
+        code = main(["bundled", "db4"])
+        raw.full = False  # the file under the descriptor is now the null device
+        stdout.flush()
+    assert (code, capsys.readouterr().err) == (
+        1, "error: the output cannot be written: No space left on device\n")
+    assert (workdir / "stdout.txt").read_text() == ""
+
+
+def _fail_writing(monkeypatch, name):
+    """``Path.write_text`` of a file whose name holds ``name`` writes half of
+    its text, then raises ``EFBIG``, as a write past the file-size limit does."""
+    write_text = Path.write_text
+
+    def write(self, text, *args, **kwargs):
+        if name in self.name:
+            write_text(self, text[:len(text) // 2], *args, **kwargs)
+            raise OSError(errno.EFBIG, "File too large")
+        return write_text(self, text, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", write)
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["cascade", "db4.json", "--levels", "6"], "db4.phi.csv"),
+    (["quincunx", "pattern", "--width", "3"], "quincunx_pattern_w3.csv"),
+], ids=["cascade-phi", "quincunx"])
+def test_a_failed_artifact_write_leaves_no_file(workdir, capsys, monkeypatch, argv, name):
+    """An artifact that cannot be written ends the command with exit 1, one
+    error line naming it and no summary, and the output directory holds
+    neither that command's files under their final names nor a temporary:
+    ``cascade``'s ``phi.csv`` is its last artifact, after three that were
+    written in full."""
+    monkeypatch.chdir(workdir)
+    before = sorted(os.listdir(workdir))
+    _fail_writing(monkeypatch, name)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {workdir / name} cannot be written: File too large\n"
+    assert sorted(os.listdir(workdir)) == before
+
+
+def _limit_file_size():
+    """In a child before it starts Python: files stop growing at 20,000
+    bytes, and a write past that fails with ``EFBIG``, not ``SIGXFSZ``."""
+    import resource
+    import signal
+
+    resource.setrlimit(resource.RLIMIT_FSIZE,
+                       (20_000, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+    signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs RLIMIT_FSIZE")
+@pytest.mark.parametrize("argv, name", [
+    (["cascade", "db4.json", "--levels", "8"], "db4.phi.csv"),
+    (["quincunx", "pattern", "--width", "200"], "quincunx_pattern_w200.csv"),
+], ids=["cascade", "quincunx"])
+def test_an_artifact_past_the_file_size_limit_exits_1_with_one_line_and_no_file(tmp_path,
+                                                                               argv, name):
+    """A child whose file-size limit (lowered in that child only) stops an
+    artifact exits 1 with one error line, prints no summary, and leaves no
+    file in its output directory but its input."""
+    (tmp_path / "db4.json").write_text(canonical_dumps(filter_to_json(daubechies4_1d())))
+    proc = _child(argv, tmp_path, preexec_fn=_limit_file_size)
+    out, err = proc.communicate(timeout=120)
+    assert (proc.returncode, out) == (1, b"")
+    assert err.decode() == f"error: {name} cannot be written: File too large\n"
+    assert os.listdir(tmp_path) == ["db4.json"]
 
 
 @pytest.mark.parametrize("fault, code, err", [
