@@ -3,7 +3,10 @@
 Exit codes: 0 success, 1 verification failure or a failed write (to stdout
 or of an artifact: one error line, none when the reader closed stdout), 2
 input error.  Errors and library warnings go to stderr as single
-``error: ...`` / ``warning: ...`` lines.
+``error: ...`` / ``warning: ...`` lines by ``_say``; a line that cannot be
+written is lost, and the exit code stands.  A handler writes nothing: it
+returns its exit code, its stdout document and any artifacts, and ``main``
+writes the artifacts, all or none, before it prints the document.
 
 A command runs with the cyclic garbage collector paused, and ``main``
 restores the collector's previous state when it returns.  The commands
@@ -12,8 +15,8 @@ for 512 points in 1-D), and none of these can form a reference cycle, so
 every collector pass over them is wasted: 7-11 ms of such a ``reduce``
 (about 100 passes, 2-core VM).  Reference counting still frees them.  The
 cyclic garbage of the layers' own imports is never collected: the process
-entry ``run`` flushes stdout and stderr after ``main`` and leaves through
-``os._exit``, with no module clean-up and no final collection.
+entry ``run`` flushes stdout after ``main`` and leaves through ``os._exit``,
+with no module clean-up and no final collection.
 
 Each handler imports the layers it runs, inside the handler, so a command
 executes only its own part of the package: ``snf`` and ``basis`` run
@@ -115,20 +118,29 @@ def _out_dir(config: Config) -> Path:
 def _write_artifacts(files: dict[Path, str]) -> None:
     """Write each text to its path, all or none: each goes to a temporary
     name beside its path, and all are renamed only after every write has
-    succeeded.  A failed write unlinks the temporaries and raises its
-    ``OSError`` again with the final path as ``filename``."""
-    renames = []
-    for path, text in files.items():
-        temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        try:
-            temp.write_text(text)
-        except OSError as exc:
-            for stale in [temp, *(t for t, _ in renames)]:
-                stale.unlink(missing_ok=True)
-            raise OSError(exc.errno, exc.strerror, str(path)) from exc
-        renames.append((temp, path))
-    for temp, path in renames:
-        os.replace(temp, path)
+    succeeded.  A failed write or rename unlinks every temporary and every
+    artifact renamed so far, and raises its ``OSError`` again with the final
+    path as ``filename``."""
+    temps = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in files}
+    renamed = []
+    try:
+        for path, temp in temps.items():
+            temp.write_text(files[path])
+        for path, temp in temps.items():
+            os.replace(temp, path)
+            renamed.append(path)
+    except OSError as exc:
+        for stale in [*temps.values(), *renamed]:
+            stale.unlink(missing_ok=True)
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
+
+
+def _say(line: str) -> None:
+    """Print ``line`` to stderr; a line that cannot be written is lost."""
+    try:
+        print(line, file=sys.stderr)
+    except OSError:
+        pass
 
 
 def _write_failed(exc: OSError) -> int:
@@ -136,13 +148,8 @@ def _write_failed(exc: OSError) -> int:
     closed stdout, else with one line naming the artifact (the error's
     ``filename``) or the output."""
     if not isinstance(exc, BrokenPipeError):
-        print(f"error: {exc.filename or 'the output'} cannot be written: {exc.strerror}",
-              file=sys.stderr)
+        _say(f"error: {exc.filename or 'the output'} cannot be written: {exc.strerror}")
     return 1
-
-
-def _emit(data) -> None:
-    print(jsonio.canonical_dumps(data))
 
 
 def _require(ok: bool, message: str) -> None:
@@ -163,23 +170,21 @@ def _load_filter(path: str, config: Config):
     return filt
 
 
-def _cmd_factor(args, config: Config) -> int:
+def _cmd_factor(args, config: Config) -> tuple:
     """``snf`` and ``basis``: the matrix's Smith normal form, rendered by
     the ``render`` its subparser sets."""
     from .intlat import smith_normal_form
 
     matrix = jsonio.matrix_from_json(jsonio.load_json(args.matrix), args.matrix)
-    _emit(args.render(smith_normal_form(matrix)))
-    return 0
+    return 0, jsonio.canonical_dumps(args.render(smith_normal_form(matrix)))
 
 
-def _cmd_reduce(args, config: Config) -> int:
+def _cmd_reduce(args, config: Config) -> tuple:
     filt = _load_filter(args.filter, config)
-    print(jsonio.system_dumps(filt.system))
-    return 0
+    return 0, jsonio.system_dumps(filt.system)
 
 
-def _cmd_verify(args, config: Config) -> int:
+def _cmd_verify(args, config: Config) -> tuple:
     from .lawton import lawton_residuals
     from .verify import QMF_SAMPLES, QMF_SEED, qmf_check
 
@@ -202,21 +207,19 @@ def _cmd_verify(args, config: Config) -> int:
         "tolerance": tolerance,
         "pass": passed,
     })
-    _emit(data)
-    return 0 if passed else 1
+    return 0 if passed else 1, jsonio.canonical_dumps(data)
 
 
-def _cmd_transfer(args, config: Config) -> int:
+def _cmd_transfer(args, config: Config) -> tuple:
     from .transfer import transfer
 
     filt = _load_filter(args.filter, config)
     target = jsonio.dilation_from_json(jsonio.load_json(args.target), args.target)
     report = transfer(filt, target)
-    _emit(jsonio.transfer_report_to_json(report))
-    return 0
+    return 0, jsonio.canonical_dumps(jsonio.transfer_report_to_json(report))
 
 
-def _cmd_cascade(args, config: Config) -> int:
+def _cmd_cascade(args, config: Config) -> tuple:
     from .cascade import run_cascade
 
     filt = _load_filter(args.filter, config)
@@ -227,12 +230,12 @@ def _cmd_cascade(args, config: Config) -> int:
     _require(levels <= config.cascade_level_cap,
              f"--levels {levels} exceeds the configured cap {config.cascade_level_cap}")
     out = _out_dir(config)
-    grid, diffs = run_cascade(
-        filt, max_level=levels, tol=args.tol, cell_budget=config.cell_budget,
-        residual_warn_tolerance=config.tolerance,
-    )
-    # Rendered in full before any is written, so a cell that cannot be
-    # rendered leaves no partial artifacts.
+    try:
+        grid, diffs = run_cascade(filt, max_level=levels, tol=args.tol,
+                                  cell_budget=config.cell_budget,
+                                  residual_warn_tolerance=config.tolerance)
+    except OverflowError as exc:
+        raise InputFormatError(f"{args.filter}: a level difference is beyond double range") from exc
     try:
         artifacts = {
             "grid.csv": jsonio.grid_to_csv(grid),
@@ -247,18 +250,16 @@ def _cmd_cascade(args, config: Config) -> int:
     except ValueError as exc:
         raise InputFormatError(f"a cell position is too long to print: {exc}") from exc
     stem = Path(args.filter).stem
-    _write_artifacts({out / f"{stem}.{name}": text for name, text in artifacts.items()})
-    _emit({
+    return 0, jsonio.canonical_dumps({
         "level": grid.level,
         "cells": len(grid.cells),
         "integral": float(abs(grid.integral())),
         "differences": diffs,
         "output_dir": str(out),
-    })
-    return 0
+    }), {out / f"{stem}.{name}": text for name, text in artifacts.items()}
 
 
-def _cmd_quincunx(args, config: Config) -> int:
+def _cmd_quincunx(args, config: Config) -> tuple:
     from .quincunx import support_pattern
 
     _require(args.width >= 1, f"--width must be >= 1, got {args.width}")
@@ -268,18 +269,16 @@ def _cmd_quincunx(args, config: Config) -> int:
     out = _out_dir(config)
     report = support_pattern(args.width)
     rows = "".join(f"{m},{n},{s!r}\n" for (m, n), s in report.values.items())
-    _write_artifacts({out / f"quincunx_pattern_w{args.width}.csv": "m,n,s\n" + rows})
-    _emit({
+    return 0 if report.pattern_holds else 1, jsonio.canonical_dumps({
         "half_width": report.half_width,
         "min_odd_magnitude": report.min_odd_magnitude,
         "max_even_magnitude": report.max_even_magnitude,
         "pattern_holds": report.pattern_holds,
         "output_dir": str(out),
-    })
-    return 0 if report.pattern_holds else 1
+    }), {out / f"quincunx_pattern_w{args.width}.csv": "m,n,s\n" + rows}
 
 
-def _cmd_encode(args, config: Config) -> int:
+def _cmd_encode(args, config: Config) -> tuple:
     from .encode import (
         EncodingParams,
         encode_index,
@@ -314,18 +313,16 @@ def _cmd_encode(args, config: Config) -> int:
         data["flatten_value"] = flatten_point(params, point)
     data["support_code"] = encode_support(params, point) if data["in_support_window"] else None
     data["index_code"] = encode_index(params, point) if data["in_index_window"] else None
-    _emit(data)
-    return 0
+    return 0, jsonio.canonical_dumps(data)
 
 
-def _cmd_bundled(args, config: Config) -> int:
+def _cmd_bundled(args, config: Config) -> tuple:
     filt = filters_mod.BUNDLED_FILTERS[args.name]()
-    _emit(jsonio.filter_to_json(filt))
-    return 0
+    return 0, jsonio.canonical_dumps(jsonio.filter_to_json(filt))
 
 
 def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
-    print(f"warning: {message}", file=sys.stderr)
+    _say(f"warning: {message}")
 
 
 def main(argv=None) -> int:
@@ -336,15 +333,19 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning  # one line, like the error lines
             config = Config.from_file(args.config) if args.config else Config()
-            return args.run(args, config)
+            code, text, *files = args.run(args, config)
+            if files:  # in place before the summary that names them is printed
+                _write_artifacts(*files)
+            print(text)
+            return code
     except InputFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}")
         return 2
     except IsomorphismError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}")
         return 1
     except LatwavError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        _say(f"error: {type(exc).__name__}: {exc}")
         return 2
     except OSError as exc:  # a failed write: to stdout, or of an artifact (its filename)
         if exc.filename is None:  # stdout's: the exit flush must not fail again
@@ -359,16 +360,16 @@ def main(argv=None) -> int:
 
 def run() -> None:
     """The process entry (``latwav`` and ``python -m latwav.cli``): ``main``,
-    then stdout and stderr flushed, then ``os._exit`` with its code, so the
-    process skips the interpreter's teardown, 5-7 ms of each call (2-core
-    VM).  A flush that fails ends as a write that fails in ``main``."""
+    then stdout flushed, then ``os._exit`` with its code, so the process
+    skips the interpreter's teardown, 5-7 ms of each call (2-core VM).  A
+    flush that fails ends as a write that fails in ``main``.  stderr is
+    line-buffered and each of its lines ends in a newline: it holds nothing."""
     try:
         code = main()
     except SystemExit as exc:  # argparse's exit: --help (0) or a usage error (2)
         code = exc.code
     try:
         sys.stdout.flush()
-        sys.stderr.flush()
     except OSError as exc:
         code = _write_failed(exc)
     os._exit(code)

@@ -467,6 +467,20 @@ def test_integers_beyond_float_or_print_range_are_input_errors(workdir, capsys, 
     assert sorted(workdir.iterdir()) == before
 
 
+def test_cascade_whose_level_difference_overflows_is_an_input_error(workdir, capsys):
+    """Taps of 1e300 keep every cell finite for three levels, but the square
+    in a level difference overflows: exit 2 with one error line after the
+    residual warning, no traceback and no artifact."""
+    big = Filter.from_coeffs(haar_1d().matrix, {(0,): 1e300, (1,): 1e300})
+    (workdir / "big.json").write_text(canonical_dumps(filter_to_json(big)))
+    before = sorted(workdir.iterdir())
+    code, out, err = run(capsys, "cascade", str(workdir / "big.json"), "--levels", "3")
+    assert (code, out) == (2, "")
+    assert error_line(err) == (f"error: {workdir / 'big.json'}: "
+                               "a level difference is beyond double range")
+    assert sorted(workdir.iterdir()) == before
+
+
 def test_verify_of_a_phase_beyond_double_range_is_an_input_error(workdir, capsys):
     """A position that fits a double, 10^308, whose phase n.xi overflows at
     most sample points: the deviation is NaN, which strict JSON refuses."""
@@ -760,9 +774,11 @@ def test_golden_documents_dump_as_with_cycle_checks(tmp_path, capsys, monkeypatc
     assert len(systems) == 4  # one reduce per golden filter
 
 
-def _zero_tap_filter(workdir):
-    data = json.loads(canonical_dumps(filter_to_json(haar_1d())))
-    data["coeffs"].append({"n": [2], "re": 0.0})
+def _zero_tap_filter(workdir, filt=None):
+    """A 1-D ``filt`` (Haar by default) with one more tap, exactly zero, past
+    its last, in ``zero.json``."""
+    data = json.loads(canonical_dumps(filter_to_json(filt or haar_1d())))
+    data["coeffs"].append({"n": [len(data["coeffs"])], "re": 0.0})
     (workdir / "zero.json").write_text(json.dumps(data))
     return workdir / "zero.json"
 
@@ -802,7 +818,8 @@ def _big_filter(tmp_path) -> Path:
     return tmp_path / "big.json"
 
 
-def _child(argv, cwd, stdout=subprocess.PIPE, preexec_fn=None, **env) -> subprocess.Popen:
+def _child(argv, cwd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, preexec_fn=None,
+           **env) -> subprocess.Popen:
     """``python -m latwav.cli`` with ``argv`` in a child process, its stdout
     block-buffered as in a shell pipe: ``PYTHONUNBUFFERED`` is removed from
     its environment unless ``env`` sets it.  ``env`` adds to the environment,
@@ -810,7 +827,7 @@ def _child(argv, cwd, stdout=subprocess.PIPE, preexec_fn=None, **env) -> subproc
     env = {**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}, **env}
     env["PYTHONPATH"] = str(Path(latwav.jsonio.__file__).resolve().parents[1])
     return subprocess.Popen([sys.executable, "-m", "latwav.cli", *argv], cwd=cwd, env=env,
-                            stdout=stdout, stderr=subprocess.PIPE, preexec_fn=preexec_fn)
+                            stdout=stdout, stderr=stderr, preexec_fn=preexec_fn)
 
 
 def test_stdout_closed_early_exits_1_with_no_message(tmp_path):
@@ -897,6 +914,61 @@ def test_a_print_to_a_full_disk_in_process_exits_1_with_one_error_line(workdir, 
     assert (workdir / "stdout.txt").read_text() == ""
 
 
+class _FullStream(io.TextIOBase):
+    """A text stream on a full disk: each write keeps its text in ``tried``,
+    then raises ``ENOSPC``."""
+
+    def __init__(self):
+        self.tried = []
+
+    def write(self, text):
+        self.tried.append(text)
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+FULL_STDERR_CASES = pytest.mark.parametrize("argv, code", [
+    (["snf", "missing.json"], 2),
+    (["verify", "db4.json", "--tolerance", "-1"], 2),
+    (["verify", "zero.json"], 0),
+], ids=["snf-missing", "verify-tolerance", "verify-zero-tap"])
+
+
+@FULL_STDERR_CASES
+def test_a_stderr_that_cannot_be_written_keeps_the_exit_code(workdir, capsys, monkeypatch,
+                                                             argv, code):
+    """In process, with every write to stderr failing: the error or warning
+    line is lost, and nothing else changes.  An input error still returns 2,
+    and a ``verify`` whose only stderr line is a warning still returns 0 with
+    its stdout unchanged."""
+    monkeypatch.chdir(workdir)
+    _zero_tap_filter(workdir, daubechies4_1d())
+    want = run(capsys, *argv)
+    assert want[0] == code and want[2].count("\n") == 1
+    full = _FullStream()
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stderr", full)
+        got = main(argv)
+    assert (got, capsys.readouterr().out) == want[:2]
+    assert [line + "\n" for line in full.tried] == [want[2]]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("env", [{}, {"PYTHONUNBUFFERED": "1"}], ids=["buffered", "unbuffered"])
+@FULL_STDERR_CASES
+def test_a_child_whose_stderr_is_a_full_disk_keeps_the_exit_code(workdir, capsys, monkeypatch,
+                                                                  argv, code, env):
+    """The same in a child with stderr on ``/dev/full``, whether its streams
+    are buffered or not: no exit 120 from a failed flush at exit, and no
+    exit 1 from a traceback that cannot be printed."""
+    monkeypatch.chdir(workdir)
+    _zero_tap_filter(workdir, daubechies4_1d())
+    want = run(capsys, *argv)[1]
+    with open("/dev/full", "wb") as full:
+        proc = _child(argv, workdir, stderr=full, **env)
+        out, _ = proc.communicate(timeout=120)
+    assert (proc.returncode, out.decode()) == (code, want)
+
+
 def _fail_writing(monkeypatch, name):
     """``Path.write_text`` of a file whose name holds ``name`` writes half of
     its text, then raises ``EFBIG``, as a write past the file-size limit does."""
@@ -928,6 +1000,20 @@ def test_a_failed_artifact_write_leaves_no_file(workdir, capsys, monkeypatch, ar
     assert (code, out) == (1, "")
     assert err == f"error: {workdir / name} cannot be written: File too large\n"
     assert sorted(os.listdir(workdir)) == before
+
+
+def test_a_failed_rename_leaves_the_output_directory_as_it_was(workdir, capsys, monkeypatch):
+    """A directory under ``phi.csv``'s final name fails its rename after the
+    three artifacts before it are renamed: exit 1 with one line naming the
+    final path, not the temporary, and the output directory holds that
+    directory alone again."""
+    out = workdir / "out"
+    (out / "db4.phi.csv").mkdir(parents=True)
+    monkeypatch.setenv("LATWAV_OUTPUT_DIR", str(out))
+    code, stdout, err = run(capsys, "cascade", str(workdir / "db4.json"), "--levels", "3")
+    assert (code, stdout) == (1, "")
+    assert err == f"error: {out / 'db4.phi.csv'} cannot be written: {os.strerror(errno.EISDIR)}\n"
+    assert os.listdir(out) == ["db4.phi.csv"]
 
 
 def _limit_file_size():
