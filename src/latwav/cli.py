@@ -163,7 +163,7 @@ def _load_filter(path: str, config: Config):
     from .lawton import pair_count
 
     filt = jsonio.filter_from_json(jsonio.load_json(path), path)
-    pairs = pair_count(filt.support, filt.matrix)
+    pairs = pair_count(filt.chart)
     _require(pairs <= config.pair_budget,
              f"{path}: the reduced system needs {pairs} pairs, "
              f"pair budget is {config.pair_budget}")

@@ -138,16 +138,13 @@ def equations_equal_up_to_conjugation(e1: Equation, e2: Equation) -> bool:
     return s1 == s2 or s1 == frozenset((b, a) for a, b in s2)
 
 
-def pair_count(support: SupportSet, dil: DilationMatrix) -> int:
-    """The number of pairs ``build_reduced_system`` stores, in O(L) before
-    any bucket exists: each point pairs with the points of its parity class
-    (the parity of its last adapted coordinate) at or after it, so a class
-    of n points makes n(n + 1)/2 pairs."""
-    if support.dim != dil.dim:
-        raise DimensionMismatchError("support and matrix dimensions differ")
-    last = dil.adapted_basis_inv.rows[-1]
-    odd = sum(sum(map(operator.mul, last, p)) & 1 for p in support.points)
-    even = len(support) - odd
+def pair_count(chart: Chart) -> int:
+    """The number of pairs ``build_reduced_system`` stores for the chart's
+    support, in O(L) before any bucket exists: each point pairs with the
+    points of its code's parity class at or after it (``_same_parity_scan``),
+    so a class of n points makes n(n + 1)/2 pairs."""
+    odd = sum(c & 1 for c in chart.codes)
+    even = len(chart.codes) - odd
     return (odd * (odd + 1) + even * (even + 1)) // 2
 
 

@@ -41,6 +41,10 @@ MUTANTS = [
      "    for a, ca, start in sorted(zip(chart.support_order, chart.codes, starts),"
      " key=lambda t: t[1] & 1):",
      "tests/test_exact_properties.py"),
+    ("lawton.py",
+     "    odd = sum(c & 1 for c in chart.codes)",
+     "    odd = sum(c & 2 for c in chart.codes)",
+     "tests/test_exact_properties.py"),
     ("cascade.py",
      "        if diffs[-1] < tol:",
      "        if tol > 0.0:",

@@ -337,7 +337,7 @@ def test_cli_work_ledger(workdir, capsys, monkeypatch, argv, want):
     cache is cleared first, so the count does not depend on which tests ran
     before.  A change that adds work fails here on every machine."""
     db4 = daubechies4_1d()
-    pairs = pair_count(db4.support, db4.matrix)
+    pairs = pair_count(db4.chart)
     importlib.import_module("latwav.transfer").dilation_1d.cache_clear()
     counts = count_work(monkeypatch)
     lawton_mod = importlib.import_module("latwav.lawton")
@@ -1014,6 +1014,30 @@ def test_a_failed_rename_leaves_the_output_directory_as_it_was(workdir, capsys, 
     assert (code, stdout) == (1, "")
     assert err == f"error: {out / 'db4.phi.csv'} cannot be written: {os.strerror(errno.EISDIR)}\n"
     assert os.listdir(out) == ["db4.phi.csv"]
+
+
+def test_a_failed_rename_over_an_earlier_run_leaves_no_file_of_this_run(workdir, capsys,
+                                                                         monkeypatch):
+    """The same over the four artifacts of an earlier run, its ``phi.csv``
+    since replaced by a directory: exit 1 with the one line, no temporary
+    left, and no file of this run under a final name.  The earlier run's
+    files under the three names this run had already renamed onto are
+    removed too: each rename replaced one, and the unlink that takes this
+    run's file back leaves nothing under that name."""
+    out = workdir / "out"
+    monkeypatch.setenv("LATWAV_OUTPUT_DIR", str(out))
+    db4 = str(workdir / "db4.json")
+    assert run(capsys, "cascade", db4, "--levels", "3")[0] == 0
+    earlier = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert len(earlier) == 4
+    (out / "db4.phi.csv").unlink()
+    (out / "db4.phi.csv").mkdir()
+    code, stdout, err = run(capsys, "cascade", db4, "--levels", "4")
+    assert (code, stdout) == (1, "")
+    assert err == f"error: {out / 'db4.phi.csv'} cannot be written: {os.strerror(errno.EISDIR)}\n"
+    assert not [name for name in os.listdir(out) if name.endswith(".tmp")]
+    assert all(path.read_bytes() == earlier[path.name]
+               for path in out.iterdir() if path.is_file())
 
 
 def _limit_file_size():

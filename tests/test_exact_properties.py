@@ -26,6 +26,7 @@ from latwav.jsonio import system_dumps, system_to_json  # noqa: E402
 from latwav.lawton import (  # noqa: E402
     Filter,
     SupportSet,
+    _chart,
     build_reduced_system,
     lawton_residuals,
     pair_count,
@@ -164,7 +165,8 @@ def test_pair_count_matches_the_stored_build(data):
     dil = lattice_chart(data.draw(det_two_matrices(max_dim=4)))
     support = draw_support(data, dil.dim)
     system = build_reduced_system(support, dil)
-    assert pair_count(support, dil) == sum(len(eq.pairs) for eq in system.equations.values())
+    chart = _chart(support, dil)
+    assert pair_count(chart) == sum(len(eq.pairs) for eq in system.equations.values())
 
 
 @PROPERTY

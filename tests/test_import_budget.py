@@ -142,6 +142,48 @@ def test_python_m_cli_verify_of_a_large_filter_imports_no_numpy(tmp_path):
     assert _cli_verify_heavy_imports(tmp_path, "big.json", 1) == []
 
 
+NUMPY_BLOCKED = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+from latwav.cli import main
+from latwav.filters import daubechies4_1d
+from latwav.verify import qmf_check
+
+for path in sys.argv[1:]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", path])
+    report = json.loads(out.getvalue())
+    print(path, code, report["pass"], report["qmf_deviation"] <= 1e-10)
+print(qmf_check(daubechies4_1d(), samples=2**15) < 1e-10)
+"""
+
+
+def test_verify_and_a_large_qmf_check_run_with_numpy_blocked(tmp_path):
+    """With numpy made unimportable: ``verify`` passes db4, the bundled
+    quincunx_db4 and db4 transferred onto companion3d (QMF shift
+    (pi, 0, 0)), each with a QMF deviation of at most 1e-10, and a QMF check
+    of 2^15 samples (131,072 terms) stays below 1e-10."""
+    from latwav.filters import companion_3d_matrix, quincunx_daubechies4
+    from latwav.transfer import transfer
+
+    filters = {"db4.json": daubechies4_1d(), "quincunx_db4.json": quincunx_daubechies4(),
+               "db4_on_companion3d.json":
+                   transfer(daubechies4_1d(), companion_3d_matrix()).target_filter}
+    for name, filt in filters.items():
+        (tmp_path / name).write_text(canonical_dumps(filter_to_json(filt)))
+    lines = _fresh_run(["-c", NUMPY_BLOCKED, *filters], tmp_path).stdout.splitlines()
+    assert lines == [f"{name} 0 True True" for name in filters] + ["True"]
+
+
+def test_python_m_cli_under_w_error_prints_nothing_on_stderr(tmp_path):
+    """``python -W error -m latwav.cli`` runs with no warning: runpy warns
+    when ``latwav.cli`` is in ``sys.modules`` before it runs as ``__main__``,
+    so ``import latwav`` must not register it."""
+    assert _fresh_run(["-W", "error", "-m", "latwav.cli", "bundled", "db4"],
+                      tmp_path).stderr == ""
+
+
 def test_public_names_and_layer_attributes_resolve_through_the_package():
     """``latwav.transfer`` stays the function that shadows its module, each
     public name is its layer's object, and each layer attribute is the

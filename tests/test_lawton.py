@@ -20,7 +20,6 @@ from latwav.lawton import (
     _chart,
     build_reduced_system,
     equations_equal_up_to_conjugation,
-    pair_count,
     restrict_index_set,
 )
 from util import (
@@ -279,8 +278,6 @@ def test_one_pass_build_matches_reference_build():
 
 
 @pytest.mark.parametrize("call, error, message", [
-    (lambda: pair_count(SupportSet.from_points([(0,)]), quincunx_matrix()),
-     DimensionMismatchError, "support and matrix dimensions differ"),
     (lambda: build_reduced_system(SupportSet.from_points([(0, 0)]), dilation_1d()),
      DimensionMismatchError, "support and matrix dimensions differ"),
     (lambda: SupportSet.from_points([]), ValueError, "support must be non-empty"),
@@ -291,7 +288,7 @@ def test_one_pass_build_matches_reference_build():
     (lambda: Filter.from_coeffs(dilation_1d(), {(0,): "1"}),
      TypeError, "coefficient at (0,) is not a number: '1'"),
     (lambda: Filter.from_coeffs(dilation_1d(), {}), ValueError, "filter support is empty"),
-], ids=["pair_count", "build", "empty_support", "mixed_support", "filter_dimension",
+], ids=["build", "empty_support", "mixed_support", "filter_dimension",
         "filter_value", "empty_filter"])
 def test_library_guards_pin_their_message(call, error, message):
     with pytest.raises(error) as raised:

@@ -140,6 +140,7 @@ def test_repr_and_equality():
     assert SupportSet.from_points([(0,), (1,)]) == SupportSet(frozenset({(0,), (1,)}), 1)
     assert SupportSet.from_points([(0,)]) != (frozenset({(0,)}), 1)
     assert len({SupportSet.from_points([(0,)]), SupportSet.from_points([(0,)])}) == 1
+    assert len(SupportSet.from_points([(0,), (1,), (0,)])) == 2  # a repeated point counts once
     a, b = daubechies4_1d(), Filter(daubechies4_1d().matrix, dict(daubechies4_1d().coeffs))
     assert a == b and a != (a.matrix, a.coeffs)
     assert b.system == a.system and a == b  # the cached system is not a field

@@ -1,0 +1,45 @@
+"""Checks that read the package's source and the README rather than a
+command's output: ``src/latwav`` holds no tuned threshold and no numpy
+import, and the README's library example runs and ends by printing
+``True``."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import latwav
+
+PACKAGE = Path(latwav.__file__).resolve().parent
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+@pytest.mark.parametrize("pattern", [
+    r"_TOL\b|_ITER\b|THRESHOLD",
+    r"import numpy|from numpy|np\.random|numpy\.random|default_rng",
+], ids=["tuned-threshold", "numpy"])
+def test_no_source_line_matches(pattern):
+    """No tuned threshold (the only tolerances are the user's) and no numpy
+    (latwav runs on the standard library; numpy is test-only)."""
+    found = [f"{path.name}:{number}: {line.strip()}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for number, line in enumerate(path.read_text().splitlines(), 1)
+             if re.search(pattern, line)]
+    assert found == []
+
+
+def test_readme_library_example_prints_true_last(tmp_path):
+    """The README's library example, run as a script in a fresh interpreter,
+    exits 0 and prints ``True`` last: the transfer's witness verifies."""
+    text = README.read_text()
+    example = re.search(r"^## Library example\n.*?^```python\n(.*?)^```$", text,
+                        re.MULTILINE | re.DOTALL).group(1)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(PACKAGE.parent), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", example], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "True"
