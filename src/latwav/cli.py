@@ -26,6 +26,7 @@ executes only its own part of the package: ``snf`` and ``basis`` run
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import math
 import os
@@ -116,14 +117,18 @@ def _out_dir(config: Config) -> Path:
 
 
 def _write_artifacts(files: dict[Path, str]) -> None:
-    """Write each text to its path, all or none: each goes to a temporary
-    name beside its path, and all are renamed only after every write has
-    succeeded.  A failed write or rename unlinks every temporary and every
+    """Write each text to its path, all or none: a directory under a path
+    (not a symlink to one) is refused before anything is written; each text
+    goes to a temporary name beside its path, and all are renamed only after
+    every write has succeeded.  A failure unlinks every temporary and every
     artifact renamed so far, and raises its ``OSError`` again with the final
     path as ``filename``."""
     temps = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in files}
     renamed = []
     try:
+        for path in temps:
+            if os.path.isdir(path) and not os.path.islink(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         for path, temp in temps.items():
             temp.write_text(files[path])
         for path, temp in temps.items():

@@ -72,12 +72,6 @@ class SupportSet:
             raise DimensionMismatchError(f"mixed dimensions in support: {sorted(dims)}")
         return cls(points=points, dim=dims.pop())
 
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def issubset(self, other: "SupportSet") -> bool:
-        return self.points <= other.points
-
 
 class Equation(NamedTuple):
     """One generated equation: ordered pairs (n, n+k) with both in the support."""
@@ -334,7 +328,7 @@ class Filter:
 def restrict_index_set(parent: ReducedSystem, sub: SupportSet) -> tuple[LatticePoint, ...]:
     """The unique sub-index-set of the parent that indexes the sub-support's
     system: generators of the parent that still pair points inside ``sub``."""
-    if not sub.issubset(parent.support):
+    if not sub.points <= parent.support.points:
         raise NotSubsetError("sub-support is not contained in the parent support")
     pts = sub.points
     kept = []

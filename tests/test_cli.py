@@ -26,11 +26,10 @@ from latwav.jsonio import (
     system_to_json,
 )
 from latwav.filters import daubechies4_1d, haar_1d, quincunx_matrix
-from latwav.intlat import DilationMatrix
 from latwav.lawton import lawton_residuals, pair_count
 from latwav.quincunx import support_pattern
 from latwav.transfer import Filter
-from util import count_work, error_line, reference_canonical_dumps
+from util import child_env, count_work, error_line, reference_canonical_dumps
 
 
 @pytest.fixture
@@ -315,62 +314,38 @@ def test_pair_budget_is_checked_before_the_build(workdir, capsys, monkeypatch, c
 
 
 @pytest.mark.parametrize("argv, want", [
-    (["reduce", "{db4}"], {"support": 1, "build": 1, "pairs": [6], "from_matrix": 1, "snf": 1}),
-    (["verify", "{db4}"], {"support": 1, "from_matrix": 1, "snf": 1}),
+    (["reduce", "{db4}"],
+     {"support": 1, "chart": [1], "build": 1, "pairs": [6], "from_matrix": 1, "snf": 1}),
+    (["verify", "{db4}"], {"support": 1, "chart": [1], "from_matrix": 1, "snf": 1}),
     (["cascade", "{db4}", "--levels", "8"],
-     {"support": 1, "from_matrix": 1, "snf": 1, "cells": [4, 10, 22, 46, 94, 190, 382, 766]}),
+     {"support": 1, "chart": [1], "from_matrix": 1, "snf": 1,
+      "cells": [4, 10, 22, 46, 94, 190, 382, 766]}),
     (["transfer", "{db4}", "--target", "{quincunx}"],
-     {"support": 3, "from_matrix": 3, "snf": 3, "verify": 3}),
-], ids=["reduce", "verify", "cascade", "transfer"])
+     {"support": 3, "chart": [1, 1, 2], "from_matrix": 3, "snf": 3, "verify": 3}),
+    (["snf", "{quincunx}"], {"snf": 1}),
+    (["basis", "{quincunx}"], {"snf": 1}),
+    (["encode", "eval", "--d", "2", "--N", "1", "--point", "1,2"], {}),
+    (["quincunx", "pattern", "--width", "2"], {}),
+    (["bundled", "db4"], {"from_matrix": 1, "snf": 1}),
+], ids=["reduce", "verify", "cascade", "transfer", "snf", "basis", "encode", "quincunx",
+        "bundled"])
 def test_cli_work_ledger(workdir, capsys, monkeypatch, argv, want):
     """The work a command does, pinned where timings cannot be: one
-    SupportSet and one ``from_matrix`` run (the filter's matrix) for the
-    input filter, no witness check, and db4's cells per cascade level.
-    Each ``smith_normal_form`` call ("snf") is counted wherever a layer binds
-    the name: each ``from_matrix`` runs one and nothing else does, since
+    SupportSet, one chart and one ``from_matrix`` run (the filter's matrix)
+    for the input filter, no witness check, and db4's cells per cascade
+    level.  Each ``from_matrix`` runs one SNF; besides them only ``snf`` and
+    ``basis`` run one, on a matrix they never make a DilationMatrix of, and
     ``verify``'s QMF shift reads the adapted basis that ``from_matrix`` keeps.
-    Only ``reduce`` builds the reduced system, once: ``verify`` and the
-    cascade's residual warning read the filter's chart.  ``transfer`` builds
-    no system either: it makes three SupportSets and ``from_matrix`` runs
-    (source, [2] and target) and three chart checks.  Every build stores
-    the pairs that ``pair_count`` gives for the input.  ``dilation_1d``'s
-    cache is cleared first, so the count does not depend on which tests ran
-    before.  A change that adds work fails here on every machine."""
-    db4 = daubechies4_1d()
-    pairs = pair_count(db4.chart)
-    importlib.import_module("latwav.transfer").dilation_1d.cache_clear()
+    Only ``reduce`` builds the reduced system, once, off the chart that the
+    pair budget computed: ``verify`` and the cascade's residual warning read
+    that chart.  ``transfer`` builds no system either: it makes three
+    SupportSets, charts and ``from_matrix`` runs (source, [2] and target)
+    and three chart checks.  ``bundled db4`` makes [2] and no chart;
+    ``encode eval`` and ``quincunx pattern`` do none of this work.  Every
+    build stores the pairs that ``pair_count`` gives for the input.  A change
+    that adds work fails here on every machine."""
+    pairs = pair_count(daubechies4_1d().chart)
     counts = count_work(monkeypatch)
-    lawton_mod = importlib.import_module("latwav.lawton")
-    cascade_mod = importlib.import_module("latwav.cascade")
-    build, step = lawton_mod.build_reduced_system, cascade_mod.cascade_step
-    from_matrix = DilationMatrix.from_matrix.__func__
-    snf = importlib.import_module("latwav.intlat").smith_normal_form
-
-    def build_reduced_system(*args, **kwargs):
-        system = build(*args, **kwargs)
-        counts.setdefault("pairs", []).append(
-            sum(len(eq.pairs) for eq in system.equations.values()))
-        return system
-
-    def counted_from_matrix(cls, *args, **kwargs):
-        counts["from_matrix"] = counts.get("from_matrix", 0) + 1
-        return from_matrix(cls, *args, **kwargs)
-
-    def counted_snf(*args, **kwargs):
-        counts["snf"] = counts.get("snf", 0) + 1
-        return snf(*args, **kwargs)
-
-    def cascade_step(*args, **kwargs):
-        grid = step(*args, **kwargs)
-        counts.setdefault("cells", []).append(len(grid.cells))
-        return grid
-
-    monkeypatch.setattr(lawton_mod, "build_reduced_system", build_reduced_system)
-    monkeypatch.setattr(DilationMatrix, "from_matrix", classmethod(counted_from_matrix))
-    monkeypatch.setattr(cascade_mod, "cascade_step", cascade_step)
-    for module in [m for name, m in sys.modules.items() if name.startswith("latwav.")]:
-        if getattr(module, "smith_normal_form", None) is snf:
-            monkeypatch.setattr(module, "smith_normal_form", counted_snf)
     code, _, err = run(capsys, *(a.format(db4=workdir / "db4.json",
                                           quincunx=workdir / "quincunx.json") for a in argv))
     assert code == 0, err
@@ -824,9 +799,8 @@ def _child(argv, cwd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, preexec_fn
     block-buffered as in a shell pipe: ``PYTHONUNBUFFERED`` is removed from
     its environment unless ``env`` sets it.  ``env`` adds to the environment,
     and ``preexec_fn`` runs in the child before it starts Python."""
-    env = {**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}, **env}
-    env["PYTHONPATH"] = str(Path(latwav.jsonio.__file__).resolve().parents[1])
-    return subprocess.Popen([sys.executable, "-m", "latwav.cli", *argv], cwd=cwd, env=env,
+    return subprocess.Popen([sys.executable, "-m", "latwav.cli", *argv], cwd=cwd,
+                            env=child_env(**{"PYTHONUNBUFFERED": None, **env}),
                             stdout=stdout, stderr=stderr, preexec_fn=preexec_fn)
 
 
@@ -1003,10 +977,9 @@ def test_a_failed_artifact_write_leaves_no_file(workdir, capsys, monkeypatch, ar
 
 
 def test_a_failed_rename_leaves_the_output_directory_as_it_was(workdir, capsys, monkeypatch):
-    """A directory under ``phi.csv``'s final name fails its rename after the
-    three artifacts before it are renamed: exit 1 with one line naming the
-    final path, not the temporary, and the output directory holds that
-    directory alone again."""
+    """A directory under ``phi.csv``'s final name is refused before any
+    artifact is written: exit 1 with one line naming the final path, not a
+    temporary, and the output directory holds that directory alone."""
     out = workdir / "out"
     (out / "db4.phi.csv").mkdir(parents=True)
     monkeypatch.setenv("LATWAV_OUTPUT_DIR", str(out))
@@ -1016,28 +989,67 @@ def test_a_failed_rename_leaves_the_output_directory_as_it_was(workdir, capsys, 
     assert os.listdir(out) == ["db4.phi.csv"]
 
 
-def test_a_failed_rename_over_an_earlier_run_leaves_no_file_of_this_run(workdir, capsys,
-                                                                         monkeypatch):
+def test_a_directory_over_an_earlier_run_keeps_its_other_three_files_intact(workdir, capsys,
+                                                                           monkeypatch):
     """The same over the four artifacts of an earlier run, its ``phi.csv``
     since replaced by a directory: exit 1 with the one line, no temporary
-    left, and no file of this run under a final name.  The earlier run's
-    files under the three names this run had already renamed onto are
-    removed too: each rename replaced one, and the unlink that takes this
-    run's file back leaves nothing under that name."""
+    left, and the earlier run's other three files present and byte-identical,
+    since the refusal comes before any rename."""
     out = workdir / "out"
     monkeypatch.setenv("LATWAV_OUTPUT_DIR", str(out))
     db4 = str(workdir / "db4.json")
     assert run(capsys, "cascade", db4, "--levels", "3")[0] == 0
-    earlier = {path.name: path.read_bytes() for path in out.iterdir()}
-    assert len(earlier) == 4
     (out / "db4.phi.csv").unlink()
+    earlier = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert sorted(earlier) == ["db4.convergence.csv", "db4.grid.csv", "db4.grid.json"]
     (out / "db4.phi.csv").mkdir()
     code, stdout, err = run(capsys, "cascade", db4, "--levels", "4")
     assert (code, stdout) == (1, "")
     assert err == f"error: {out / 'db4.phi.csv'} cannot be written: {os.strerror(errno.EISDIR)}\n"
-    assert not [name for name in os.listdir(out) if name.endswith(".tmp")]
-    assert all(path.read_bytes() == earlier[path.name]
-               for path in out.iterdir() if path.is_file())
+    assert sorted(os.listdir(out)) == sorted([*earlier, "db4.phi.csv"])
+    assert {name: (out / name).read_bytes() for name in earlier} == earlier
+
+
+def test_a_failed_last_rename_takes_back_the_artifacts_renamed_before_it(workdir, capsys,
+                                                                         monkeypatch):
+    """A rename that fails after the others have succeeded (``EBUSY`` on
+    ``phi.csv``, cascade's last) unlinks the three artifacts this run had
+    renamed: exit 1 with one line naming the final path, and no file of
+    this run.  An earlier run's files under those three names go with them;
+    its ``phi.csv``, never replaced, stays as it was."""
+    out = workdir / "out"
+    monkeypatch.setenv("LATWAV_OUTPUT_DIR", str(out))
+    db4 = str(workdir / "db4.json")
+    assert run(capsys, "cascade", db4, "--levels", "3")[0] == 0
+    phi = (out / "db4.phi.csv").read_bytes()
+    replace = os.replace
+
+    def busy_phi(src, dst):
+        if Path(dst).name == "db4.phi.csv":
+            raise OSError(errno.EBUSY, os.strerror(errno.EBUSY), str(src))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", busy_phi)
+    code, stdout, err = run(capsys, "cascade", db4, "--levels", "4")
+    assert (code, stdout) == (1, "")
+    assert err == f"error: {out / 'db4.phi.csv'} cannot be written: {os.strerror(errno.EBUSY)}\n"
+    assert os.listdir(out) == ["db4.phi.csv"]
+    assert (out / "db4.phi.csv").read_bytes() == phi
+
+
+def test_a_symlink_under_a_final_name_is_replaced_even_if_it_points_to_a_directory(
+        workdir, capsys, monkeypatch):
+    """Only a directory itself is refused: a symlink under an artifact's
+    final name is replaced by the artifact, and its target is left alone."""
+    out, elsewhere = workdir / "out", workdir / "elsewhere"
+    out.mkdir()
+    elsewhere.mkdir()
+    (out / "db4.phi.csv").symlink_to(elsewhere)
+    monkeypatch.setenv("LATWAV_OUTPUT_DIR", str(out))
+    code, _, err = run(capsys, "cascade", str(workdir / "db4.json"), "--levels", "3")
+    assert code == 0, err
+    assert (out / "db4.phi.csv").is_file() and not (out / "db4.phi.csv").is_symlink()
+    assert os.listdir(elsewhere) == []
 
 
 def _limit_file_size():

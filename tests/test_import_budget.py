@@ -17,7 +17,6 @@ whose ``BUNDLED_FILTERS`` the argument parser reads for its choices.
 
 import ast
 import json
-import os
 import subprocess
 import sys
 import types
@@ -28,16 +27,14 @@ import pytest
 import latwav
 from latwav.filters import daubechies4_1d
 from latwav.jsonio import canonical_dumps, filter_to_json
+from util import SRC, child_env
 
-SRC = str(Path(latwav.__file__).resolve().parents[1])
 
 
 def _fresh_run(args: list[str], cwd: Path, code: int = 0) -> subprocess.CompletedProcess:
     """A fresh interpreter run with ``args`` in ``cwd``, exit code ``code``."""
-    env = dict(os.environ, LATWAV_OUTPUT_DIR=str(cwd))
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, *args], env=env, cwd=cwd,
+        [sys.executable, *args], env=child_env(LATWAV_OUTPUT_DIR=str(cwd)), cwd=cwd,
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == code, proc.stderr
@@ -299,7 +296,7 @@ def test_no_layer_imports_another_layers_private_name():
     private code: a decision that two modules must know belongs behind a
     public name of one of them."""
     found = []
-    for path in sorted(Path(SRC, "latwav").glob("*.py")):
+    for path in sorted((SRC / "latwav").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.ImportFrom) and node.level:
                 found += [f"{path.name}: from {'.' * node.level}{node.module or ''} "

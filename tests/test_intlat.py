@@ -24,6 +24,7 @@ from util import (
     float_is_expansive,
     lattice_window,
     random_dyadic_matrices,
+    random_expansive_conjugate,
     reference_adjugate,
     reference_charpoly,
     reference_smith_normal_form,
@@ -239,18 +240,6 @@ def test_membership_routes_cross_checked_on_random_dyadic():
                 in_dilated_lattice_exact(m, u_inv, p)
 
 
-def _random_expansive(rnd, dim: int) -> IntMatrix:
-    """U C U^-1 for the companion C of x^d +/- 2 and a random unimodular U."""
-    c = companion((1,) + (0,) * (dim - 1) + (rnd.choice((2, -2)),))
-    u = IntMatrix.identity(dim)
-    for _ in range(rnd.randint(0, 4) if dim > 1 else 0):
-        i, j = rnd.sample(range(dim), 2)
-        rows = [[int(r == s) for s in range(dim)] for r in range(dim)]
-        rows[i][j] = rnd.choice((-2, -1, 1, 2))
-        u = u.mul(IntMatrix.from_rows(rows))
-    return u.mul(c).mul(u.unimodular_inverse())
-
-
 def test_held_det_and_adjugate_match_the_exact_membership_oracle():
     """A DilationMatrix keeps det(A) and adj(A) from its one charpoly run:
     they equal the Bareiss determinant and the cofactor adjugate, and
@@ -259,7 +248,7 @@ def test_held_det_and_adjugate_match_the_exact_membership_oracle():
     rnd = random.Random(17)
     for dim in (1, 2, 3, 4):
         for _ in range(25):
-            a = _random_expansive(rnd, dim)
+            a = random_expansive_conjugate(rnd, dim)
             dil = DilationMatrix.from_matrix(a)
             assert dil.det == _reference_det([list(r) for r in a.rows]) and abs(dil.det) == 2
             assert dil.adj == a.adjugate() == reference_adjugate(a)

@@ -8,18 +8,15 @@ interpreter, as the benchmark runs it.
 """
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import latwav
 from latwav.filters import daubechies4_1d
 from latwav.jsonio import canonical_dumps, filter_to_json
+from util import SRC, child_env
 
-SRC = Path(latwav.__file__).resolve().parents[1]
 LAUNCHER = SRC.parent / "perfbench" / "launcher.py"
 
 
@@ -33,10 +30,9 @@ LAUNCHER = SRC.parent / "perfbench" / "launcher.py"
 def test_traced_launcher_resolves_every_name(tmp_path, argv, spanned):
     (tmp_path / "db4.json").write_text(canonical_dumps(filter_to_json(daubechies4_1d())))
     (tmp_path / "q.json").write_text('{"dim": 2, "rows": [[1, 1], [-1, 1]]}')
-    env = dict(os.environ, PYTHONPATH=str(SRC), LATWAV_OUTPUT_DIR=str(tmp_path))
     proc = subprocess.run(
         [sys.executable, str(LAUNCHER), str(tmp_path / "trace.json"), "0", *argv],
-        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        env=child_env(LATWAV_OUTPUT_DIR=str(tmp_path)), cwd=tmp_path, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     trace = json.loads((tmp_path / "trace.json").read_text())

@@ -11,7 +11,6 @@ import random
 import numpy as np
 import pytest
 
-import latwav.lawton
 from latwav.cascade import initial_grid
 from latwav.config import Config
 from latwav.encode import EncodingParams
@@ -22,19 +21,13 @@ from latwav.lawton import SupportSet, lawton_residuals
 from latwav.quincunx import support_pattern
 from latwav.transfer import Filter, to_one_d, transfer
 from latwav.verify import _dual_coset_shift
-from util import companion, lattice_chart, random_dyadic_matrices, reference_dual_coset_shift
-
-
-def _expansive_conjugate(rnd: random.Random, dim: int) -> DilationMatrix:
-    """U C U^-1 for the companion C of x^d +/- 2 and a random unimodular U."""
-    c = companion((1,) + (0,) * (dim - 1) + (rnd.choice((2, -2)),))
-    u = IntMatrix.identity(dim)
-    for _ in range(rnd.randint(0, 4) if dim > 1 else 0):
-        i, j = rnd.sample(range(dim), 2)
-        rows = [[int(r == s) for s in range(dim)] for r in range(dim)]
-        rows[i][j] = rnd.choice((-2, -1, 1, 2))
-        u = u.mul(IntMatrix.from_rows(rows))
-    return DilationMatrix.from_matrix(u.mul(c).mul(u.unimodular_inverse()))
+from util import (
+    count_work,
+    lattice_chart,
+    random_dyadic_matrices,
+    random_expansive_conjugate,
+    reference_dual_coset_shift,
+)
 
 
 def _matrices():
@@ -42,7 +35,8 @@ def _matrices():
     rng = np.random.default_rng(12)
     out = [make() for make in BUNDLED_MATRICES.values()]
     for dim in range(1, 5):
-        out += [_expansive_conjugate(rnd, dim) for _ in range(10)]
+        out += [DilationMatrix.from_matrix(random_expansive_conjugate(rnd, dim))
+                for _ in range(10)]
         out += [lattice_chart(m) for m in random_dyadic_matrices(rng, dim, 10)]
     return out
 
@@ -140,7 +134,6 @@ def test_repr_and_equality():
     assert SupportSet.from_points([(0,), (1,)]) == SupportSet(frozenset({(0,), (1,)}), 1)
     assert SupportSet.from_points([(0,)]) != (frozenset({(0,)}), 1)
     assert len({SupportSet.from_points([(0,)]), SupportSet.from_points([(0,)])}) == 1
-    assert len(SupportSet.from_points([(0,), (1,), (0,)])) == 2  # a repeated point counts once
     a, b = daubechies4_1d(), Filter(daubechies4_1d().matrix, dict(daubechies4_1d().coeffs))
     assert a == b and a != (a.matrix, a.coeffs)
     assert b.system == a.system and a == b  # the cached system is not a field
@@ -155,16 +148,10 @@ def test_repr_and_equality():
 def test_to_one_d_reads_the_filter_chart(monkeypatch):
     source = daubechies4_1d()
     filt = Filter(quincunx_matrix(), dict(transfer(source, quincunx_matrix()).target_filter.coeffs))
-    calls = []
-    chart = latwav.lawton._chart
-
-    def counted(support, dil):
-        calls.append(dil.dim)
-        return chart(support, dil)
-
-    monkeypatch.setattr(latwav.lawton, "_chart", counted)
+    counts = count_work(monkeypatch)
     report = to_one_d(filt)
-    assert calls == [2, 1]  # the two filters' charts, nothing more
+    # the two filters' supports and charts, nothing more; [2], made afresh; one certificate
+    assert counts == {"support": 2, "chart": [2, 1], "from_matrix": 1, "snf": 1, "verify": 1}
     got = report.source_filter.chart
     assert report.iso.support_map == {p: (c,) for p, c in zip(got.support_order, got.codes)}
     assert report.window_exponent == got.window_exponent

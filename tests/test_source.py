@@ -3,7 +3,6 @@ command's output: ``src/latwav`` holds no tuned threshold and no numpy
 import, and the README's library example runs and ends by printing
 ``True``."""
 
-import os
 import re
 import subprocess
 import sys
@@ -11,9 +10,9 @@ from pathlib import Path
 
 import pytest
 
-import latwav
+from util import SRC, child_env
 
-PACKAGE = Path(latwav.__file__).resolve().parent
+PACKAGE = SRC / "latwav"
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -37,9 +36,7 @@ def test_readme_library_example_prints_true_last(tmp_path):
     text = README.read_text()
     example = re.search(r"^## Library example\n.*?^```python\n(.*?)^```$", text,
                         re.MULTILINE | re.DOTALL).group(1)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(PACKAGE.parent), os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", example], env=env, cwd=tmp_path,
+    proc = subprocess.run([sys.executable, "-c", example], env=child_env(), cwd=tmp_path,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "True"

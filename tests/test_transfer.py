@@ -457,63 +457,47 @@ def test_transfer_preserves_residuals_for_arbitrary_coefficients():
 def test_transfer_builds_no_system(monkeypatch, tmp_path):
     """A transfer builds no reduced system.  It computes each filter's chart
     once (source, [2] and target), from one SupportSet each, and makes three
-    chart checks: the two stage witnesses and the composed one.  A fresh
-    filter is used because the bundled singletons keep the charts earlier
-    tests computed for them.  ``latwav transfer`` does the same work: the
-    input filter's support serves both its pair budget and its chart.  The
-    systems are built only on demand, and the witness holds on them."""
-    calls = count_work(monkeypatch)
-    lawton_mod = importlib.import_module("latwav.lawton")
-    chart, charts = lawton_mod._chart, []
-
-    def counted_chart(support, dil):
-        charts.append(dil.dim)
-        return chart(support, dil)
-
-    monkeypatch.setattr(lawton_mod, "_chart", counted_chart)
+    chart checks: the two stage witnesses and the composed one.  Its three
+    ``from_matrix`` runs, one SNF each, make the bundled matrices afresh.
+    ``latwav transfer`` does the same work, but reads its two matrices from
+    files: the input filter's support serves both its pair budget and its
+    chart.  The systems are built only on demand, and the witness holds on
+    them."""
+    counts = count_work(monkeypatch)
     filt = Filter.from_coeffs(quincunx_matrix(), quincunx_haar().coeffs)
     report = transfer(filt, companion_3d_matrix())
-    assert (calls, charts) == ({"verify": 3, "support": 3}, [2, 1, 3])
+    assert counts == {"verify": 3, "support": 3, "chart": [2, 1, 3], "from_matrix": 3, "snf": 3}
 
     # again on the same filter: only the new [2] and target filters' charts
-    calls.clear()
-    charts.clear()
+    counts.clear()
     assert transfer(filt, companion_3d_matrix()) == report
-    assert (calls, charts) == ({"verify": 3, "support": 2}, [1, 3])
+    assert counts == {"verify": 3, "support": 2, "chart": [1, 3]}
 
     (tmp_path / "filter.json").write_text(canonical_dumps(filter_to_json(filt)))
     (tmp_path / "target.json").write_text(canonical_dumps(matrix_to_json(companion_3d_matrix().A)))
-    calls.clear()
-    charts.clear()
+    counts.clear()
     assert main(["transfer", str(tmp_path / "filter.json"),
                  "--target", str(tmp_path / "target.json")]) == 0
-    assert (calls, charts) == ({"verify": 3, "support": 3}, [2, 1, 3])
+    assert counts == {"verify": 3, "support": 3, "chart": [2, 1, 3], "from_matrix": 2, "snf": 2}
 
-    calls.clear()
+    counts.clear()
     assert verify_isomorphism(report.source_filter.system, report.target_filter.system,
                               report.iso)
-    assert calls == {"build": 2}
+    assert counts == {"build": 2, "pairs": [2, 2]}
 
 
 def test_system_after_a_transfer_builds_off_the_held_chart(monkeypatch):
     """``Filter.system`` builds off the chart the filter holds: after a
     transfer has computed a fresh filter's chart, its system computes the
     chart no second time, and equals a build from scratch."""
-    lawton_mod = importlib.import_module("latwav.lawton")
-    chart, charts = lawton_mod._chart, []
-
-    def counted_chart(support, dil):
-        charts.append(support)
-        return chart(support, dil)
-
-    monkeypatch.setattr(lawton_mod, "_chart", counted_chart)
     filt = Filter.from_coeffs(dilation_1d(), daubechies4_1d().coeffs)
     transfer(filt, quincunx_matrix())
-    charts.clear()
+    counts = count_work(monkeypatch)
     system = filt.system
-    assert charts == []
+    assert counts == {"build": 1, "pairs": [6]}  # and no chart
+    counts.clear()
     assert system == build_reduced_system(filt.support, filt.matrix)
-    assert charts == [filt.support]
+    assert counts == {"chart": [1]}
 
 
 def test_transfer_stores_no_pair():

@@ -5,13 +5,17 @@ import importlib
 import json
 import math
 import operator
+import os
 import random
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
+import latwav
 from latwav.cascade import CascadeGrid
 from latwav.encode import (
     EncodingParams,
@@ -28,6 +32,7 @@ from latwav.errors import (
     LatwavError,
     NotDyadicError,
 )
+from latwav.filters import BUNDLED_FILTERS, BUNDLED_MATRICES
 from latwav.intlat import (
     DilationMatrix,
     IntMatrix,
@@ -63,28 +68,67 @@ def error_line(err: str) -> str:
     return last
 
 
-def _counted(counts: dict, name: str, fn):
-    def wrapper(*args, **kwargs):
-        counts[name] = counts.get(name, 0) + 1
-        return fn(*args, **kwargs)
-    return wrapper
+# The checkout's ``src``: the directory the latwav under test imports from.
+SRC = Path(latwav.__file__).resolve().parents[1]
+
+
+def child_env(**extra) -> dict[str, str]:
+    """The environment of a fresh interpreter that imports the latwav under
+    test: this process's own, with ``SRC`` first on ``PYTHONPATH`` and
+    ``extra`` set over it (a None value removes the variable)."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path, **extra}
+    return {name: value for name, value in env.items() if value is not None}
 
 
 def count_work(monkeypatch) -> dict:
-    """The work ledger: a dict that counts reduced-system builds ("build"),
-    witness checks ("verify": chart certificates and per-equation checks
-    alike) and SupportSet constructions ("support") while the test runs.
-    Each name is patched in the module that calls it: ``Filter.system``
-    builds in ``latwav.lawton``, and ``transfer`` checks its witnesses in
-    ``latwav.transfer``."""
+    """The work ledger: a dict that counts, while the test runs, the work
+    that timings cannot pin.  Each name is patched where its callers find
+    it, and a key appears once its work has run:
+    - "build": reduced-system builds (in ``latwav.lawton``, where
+      ``Filter.system`` calls it), and "pairs": each build's stored pairs;
+    - "verify": witness checks in ``latwav.transfer``, chart certificates
+      and per-equation checks alike;
+    - "support": SupportSet constructions;
+    - "chart": the dimension of each support chart computed;
+    - "from_matrix": DilationMatrix constructions from a matrix;
+    - "snf": Smith normal forms, wherever a layer binds the name;
+    - "cells": the cell count of each cascade step's grid.
+    The bundled matrices and filters are made afresh, so no count depends
+    on which tests ran before."""
+    for make in (*BUNDLED_MATRICES.values(), *BUNDLED_FILTERS.values()):
+        make.cache_clear()
     counts: dict = {}
-    for module, name, key in (("latwav.lawton", "build_reduced_system", "build"),
-                              ("latwav.transfer", "_chart_fault", "verify"),
-                              ("latwav.transfer", "verify_isomorphism", "verify")):
-        module = importlib.import_module(module)
-        monkeypatch.setattr(module, name, _counted(counts, key, getattr(module, name)))
-    monkeypatch.setattr(SupportSet, "from_points",
-                        classmethod(_counted(counts, "support", SupportSet.from_points.__func__)))
+
+    def count(owner, name: str, key: str, entry=None) -> None:
+        """Patch ``owner.name`` to count its calls under ``key``; with
+        ``entry``, to list ``entry(result, *args)`` of each call that returns."""
+        method = isinstance(owner, type)  # a classmethod: wrap its function, bind it again
+        fn = getattr(owner, name).__func__ if method else getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            if entry is None:
+                counts[key] = counts.get(key, 0) + 1
+                return fn(*args, **kwargs)
+            result = fn(*args, **kwargs)
+            counts.setdefault(key, []).append(entry(result, *args))
+            return result
+        monkeypatch.setattr(owner, name, classmethod(wrapper) if method else wrapper)
+
+    lawton, transfer, cascade = (importlib.import_module(f"latwav.{name}")
+                                 for name in ("lawton", "transfer", "cascade"))
+    count(lawton, "build_reduced_system", "build")
+    count(lawton, "build_reduced_system", "pairs",
+          lambda system, *_: sum(len(eq.pairs) for eq in system.equations.values()))
+    count(lawton, "_chart", "chart", lambda chart, support, dil: dil.dim)
+    count(transfer, "_chart_fault", "verify")
+    count(transfer, "verify_isomorphism", "verify")
+    count(cascade, "cascade_step", "cells", lambda grid, *_: len(grid.cells))
+    count(SupportSet, "from_points", "support")
+    count(DilationMatrix, "from_matrix", "from_matrix")
+    for module in [m for name, m in sys.modules.items() if name.startswith("latwav.")]:
+        if getattr(module, "smith_normal_form", None) is smith_normal_form:
+            count(module, "smith_normal_form", "snf")
     return counts
 
 
@@ -175,6 +219,18 @@ def companion(poly) -> IntMatrix:
     return IntMatrix.from_rows(
         [[1 if j == i - 1 else 0 for j in range(n - 1)] + [-poly[n - i]] for i in range(n)]
     )
+
+
+def random_expansive_conjugate(rnd: random.Random, dim: int) -> IntMatrix:
+    """U C U^-1 for the companion C of x^d +/- 2 and a random unimodular U."""
+    c = companion((1,) + (0,) * (dim - 1) + (rnd.choice((2, -2)),))
+    u = IntMatrix.identity(dim)
+    for _ in range(rnd.randint(0, 4) if dim > 1 else 0):
+        i, j = rnd.sample(range(dim), 2)
+        rows = [[int(r == s) for s in range(dim)] for r in range(dim)]
+        rows[i][j] = rnd.choice((-2, -1, 1, 2))
+        u = u.mul(IntMatrix.from_rows(rows))
+    return u.mul(c).mul(u.unimodular_inverse())
 
 
 # Exact linear algebra oracles: the library's former adjugate, which expands
