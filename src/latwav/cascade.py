@@ -84,7 +84,7 @@ def _image_box(rows, lo, hi) -> tuple[list[int], list[int]]:
 def _two_inverse(matrix: DilationMatrix) -> IntMatrix:
     """M = sign(det A) adj(A) = 2 A^-1, exact, as |det A| = 2."""
     sign = 1 if matrix.det > 0 else -1
-    return IntMatrix(tuple(tuple(sign * x for x in row) for row in matrix.adj.rows))
+    return IntMatrix((sign * x for x in row) for row in matrix.adj.rows)
 
 
 def _centre_digits(matrix: DilationMatrix) -> tuple[LatticePoint, ...]:

@@ -37,7 +37,8 @@ from pathlib import Path
 from . import filters as filters_mod
 from . import jsonio
 from .config import Config
-from .errors import InputFormatError, IsomorphismError, LatwavError
+from .errors import (InputFormatError, IsomorphismError, LatwavError, LevelBudgetExceededError,
+                     NotDyadicError)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -181,7 +182,11 @@ def _cmd_factor(args, config: Config) -> tuple:
     from .intlat import smith_normal_form
 
     matrix = jsonio.matrix_from_json(jsonio.load_json(args.matrix), args.matrix)
-    return 0, jsonio.canonical_dumps(args.render(smith_normal_form(matrix)))
+    try:
+        snf = smith_normal_form(matrix)
+    except NotDyadicError as exc:
+        raise InputFormatError(f"{args.matrix}: {exc}") from exc
+    return 0, jsonio.canonical_dumps(args.render(snf))
 
 
 def _cmd_reduce(args, config: Config) -> tuple:
@@ -239,6 +244,8 @@ def _cmd_cascade(args, config: Config) -> tuple:
         grid, diffs = run_cascade(filt, max_level=levels, tol=args.tol,
                                   cell_budget=config.cell_budget,
                                   residual_warn_tolerance=config.tolerance)
+    except LevelBudgetExceededError as exc:
+        raise InputFormatError(f"{args.filter}: {exc}") from exc
     except OverflowError as exc:
         raise InputFormatError(f"{args.filter}: a level difference is beyond double range") from exc
     try:
@@ -343,14 +350,11 @@ def main(argv=None) -> int:
                 _write_artifacts(*files)
             print(text)
             return code
-    except InputFormatError as exc:
-        _say(f"error: {exc}")
-        return 2
     except IsomorphismError as exc:
         _say(f"error: {exc}")
         return 1
     except LatwavError as exc:
-        _say(f"error: {type(exc).__name__}: {exc}")
+        _say(f"error: {exc}")
         return 2
     except OSError as exc:  # a failed write: to stdout, or of an artifact (its filename)
         if exc.filename is None:  # stdout's: the exit flush must not fail again

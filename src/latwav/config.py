@@ -6,15 +6,12 @@ import math
 from pathlib import Path
 
 from .errors import InputFormatError
+from .intlat import as_int
 
 DEFAULT_TOLERANCE = 1e-10
 DEFAULT_LEVEL_CAP = 12
 DEFAULT_CELL_BUDGET = 5_000_000
 DEFAULT_PAIR_BUDGET = 5_000_000
-
-
-def is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 class Config:
@@ -27,20 +24,25 @@ class Config:
                  cascade_level_cap: int = DEFAULT_LEVEL_CAP,
                  cell_budget: int = DEFAULT_CELL_BUDGET, output_dir: str = ".",
                  pair_budget: int = DEFAULT_PAIR_BUDGET):
-        if not (is_int(tolerance) or isinstance(tolerance, float)) \
-                or not math.isfinite(tolerance) or tolerance <= 0:
+        try:
+            number = tolerance if isinstance(tolerance, float) else as_int(tolerance)
+        except TypeError:
+            number = math.nan
+        if not math.isfinite(number) or number <= 0:
             raise InputFormatError(f"tolerance must be a positive number, got {tolerance!r}")
         for name, value in (("cascade_level_cap", cascade_level_cap),
                             ("cell_budget", cell_budget), ("pair_budget", pair_budget)):
-            if not is_int(value) or value <= 0:
+            try:
+                count = as_int(value)
+            except TypeError:
+                count = 0
+            if count <= 0:
                 raise InputFormatError(f"{name} must be a positive integer, got {value!r}")
+            setattr(self, name, count)
         if not isinstance(output_dir, str):
             raise InputFormatError(f"output_dir must be a string, got {output_dir!r}")
         self.tolerance = tolerance
-        self.cascade_level_cap = cascade_level_cap
-        self.cell_budget = cell_budget
         self.output_dir = output_dir
-        self.pair_budget = pair_budget
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)

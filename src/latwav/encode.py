@@ -18,7 +18,10 @@ For a window exponent N >= 1:
 Dimension 1 runs through the same formula: the row stride is 2 there, so
 the flattening is the identity on Z, the support window is [0, 2^N), the
 index window the nonnegative even integers below 2^N, and one-dimensional
-transfers reduce to shifts.  ``flatten_point`` itself still requires d >= 2.
+transfers reduce to shifts.  ``flatten_point`` itself requires d >= 2.
+
+Every public function takes its points through ``intlat.as_point`` at the
+dimension of its ``EncodingParams``, and its other integers through ``as_int``.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import DimensionTooSmallError, OutOfDomainError
-from .intlat import LatticePoint, check_dim
+from .intlat import LatticePoint, as_int, as_point
 
 
 class _EncodingParamsFields(NamedTuple):
@@ -40,6 +43,7 @@ class EncodingParams(_EncodingParamsFields):
     __slots__ = ()
 
     def __new__(cls, dim, window_exponent):
+        dim, window_exponent = as_int(dim), as_int(window_exponent)
         if dim < 1:
             raise DimensionTooSmallError("dimension must be >= 1")
         if window_exponent < 1:
@@ -68,8 +72,7 @@ def _radix(n_exp: int, x: LatticePoint) -> int:
 
 def radix_encode(params: EncodingParams, n: LatticePoint) -> int:
     """Base-4^N positional value of n; total on Z^d, injective on the window."""
-    check_dim(n, params.dim)
-    return _radix(params.window_exponent, n)
+    return _radix(params.window_exponent, as_point(n, params.dim))
 
 
 def _flatten(params: EncodingParams, p: LatticePoint) -> int:
@@ -84,13 +87,11 @@ def flatten_point(params: EncodingParams, p: LatticePoint) -> int:
     """Flatten p = (x, y) to an integer; requires dimension >= 2."""
     if params.dim < 2:
         raise DimensionTooSmallError("flattening requires dimension >= 2")
-    check_dim(p, params.dim)
-    return _flatten(params, p)
+    return _flatten(params, as_point(p, params.dim))
 
 
 def _support_fault(params: EncodingParams, n: LatticePoint) -> str | None:
     """Why n is outside the support window [0, 2^N)^d, or None if inside."""
-    check_dim(n, params.dim)
     w = params.window
     for j, c in enumerate(n):
         if not 0 <= c < w:
@@ -101,14 +102,13 @@ def _support_fault(params: EncodingParams, n: LatticePoint) -> str | None:
 def _index_fault(params: EncodingParams, k: LatticePoint) -> str | None:
     """Why k is outside the index window (centered, even last coordinate,
     nonnegative radix value), or None if inside."""
-    check_dim(k, params.dim)
     w = params.window
     for j, c in enumerate(k):
         if abs(c) >= w:
             return f"coordinate {j + 1} = {c} not in [{1 - w}, {w - 1}]"
     if k[-1] % 2 != 0:
         return f"last coordinate {k[-1]} is odd"
-    if radix_encode(params, k) < 0:
+    if _radix(params.window_exponent, k) < 0:
         return "radix value is negative"
     return None
 
@@ -120,29 +120,32 @@ def _checked(what: str, p: LatticePoint, fault: str | None) -> None:
 
 def in_support_window(params: EncodingParams, n: LatticePoint) -> bool:
     """Membership in [0, 2^N)^d."""
-    return _support_fault(params, n) is None
+    return _support_fault(params, as_point(n, params.dim)) is None
 
 
 def in_index_window(params: EncodingParams, k: LatticePoint) -> bool:
     """Membership in the index window: centered, even last coordinate,
     nonnegative radix value."""
-    return _index_fault(params, k) is None
+    return _index_fault(params, as_point(k, params.dim)) is None
 
 
 def encode_support(params: EncodingParams, n: LatticePoint) -> int:
     """Flattening restricted to the support window (checked)."""
+    n = as_point(n, params.dim)
     _checked("support", n, _support_fault(params, n))
     return _flatten(params, n)
 
 
 def encode_index(params: EncodingParams, k: LatticePoint) -> int:
     """Flattening restricted to the index window (checked)."""
+    k = as_point(k, params.dim)
     _checked("index", k, _index_fault(params, k))
     return _flatten(params, k)
 
 
 def additivity_holds(params: EncodingParams, n: LatticePoint, k: LatticePoint) -> bool:
     """Whether flatten(n + k) == encode_support(n) + encode_index(k)."""
+    n, k = as_point(n, params.dim), as_point(k, params.dim)
     sup = encode_support(params, n)
     idx = encode_index(params, k)
     return _flatten(params, tuple(a + b for a, b in zip(n, k))) == sup + idx
@@ -167,6 +170,7 @@ def decode_support(params: EncodingParams, value: int) -> LatticePoint | None:
     """Inverse of encode_support: value = floor(y/2)*stride + 2*sigma + (y odd)
     with 0 <= 2*sigma + 1 < stride and plain base-4^N digits in sigma splits
     uniquely.  Returns None when value is not the code of a window point."""
+    value = as_int(value)
     if value < 0:
         return None
     y_half, rest = divmod(value, params.row_stride)
@@ -179,6 +183,7 @@ def decode_index(params: EncodingParams, value: int) -> LatticePoint | None:
     """Inverse of encode_index: on the index window |2*sigma| < stride/2, so
     value = j*stride + 2*sigma splits uniquely with a balanced remainder, and
     sigma into balanced digits.  Returns None when value is not such a code."""
+    value = as_int(value)
     if value < 0 or value & 1:
         return None
     stride = params.row_stride
@@ -192,7 +197,8 @@ def decode_index(params: EncodingParams, value: int) -> LatticePoint | None:
 
 def window_exponent_for_extent(extent: int) -> int:
     """Smallest N >= 1 with extent <= 2^N - 1."""
+    extent = as_int(extent)
     if extent < 0:
         raise ValueError("extent must be nonnegative")
-    return max(1, int(extent).bit_length())
+    return max(1, extent.bit_length())
 

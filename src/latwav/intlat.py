@@ -7,6 +7,9 @@ in a single 2) and the unimodular change of basis it induces.  In the
 "adapted" coordinates c = U^-1 * p the dilated lattice A*Z^d becomes the set
 of vectors whose last coordinate is even, which is what every window/encoding
 computation downstream relies on.
+
+Every integer taken in passes ``as_int`` (``__index__``, never a ``bool``),
+which ``as_point`` applies to each coordinate and ``IntMatrix`` to each entry.
 """
 
 from __future__ import annotations
@@ -20,17 +23,21 @@ from .errors import DimensionMismatchError, NotDyadicError, NotExpansiveError
 LatticePoint = tuple[int, ...]
 
 
-def as_point(coords) -> LatticePoint:
-    """Coerce an iterable of integers into a lattice point tuple."""
-    pt = tuple(int(c) for c in coords)
+def as_int(x) -> int:
+    """``x`` as an ``int`` by ``__index__``; a ``bool`` or a non-integer raises ``TypeError``."""
+    if isinstance(x, bool):
+        raise TypeError(f"{x!r} is a bool, not an integer")
+    return operator.index(x)
+
+
+def as_point(coords, dim: int | None = None) -> LatticePoint:
+    """``coords`` by ``as_int``, as a point of dimension ``dim`` if given, else >= 1."""
+    pt = tuple(map(as_int, coords))
+    if dim is not None and len(pt) != dim:
+        raise DimensionMismatchError(f"point {pt} has dimension {len(pt)}, expected {dim}")
     if not pt:
         raise DimensionMismatchError("lattice points must have dimension >= 1")
     return pt
-
-
-def check_dim(p: LatticePoint, dim: int) -> None:
-    if len(p) != dim:
-        raise DimensionMismatchError(f"point {p} has dimension {len(p)}, expected {dim}")
 
 
 class _IntMatrixFields(NamedTuple):
@@ -38,22 +45,20 @@ class _IntMatrixFields(NamedTuple):
 
 
 class IntMatrix(_IntMatrixFields):
-    """Immutable square integer matrix with exact arithmetic."""
+    """Immutable square integer matrix, each entry taken by ``as_int``."""
 
     __slots__ = ()
 
     def __new__(cls, rows):
+        rows = tuple(tuple(map(as_int, row)) for row in rows)
         d = len(rows)
         if d == 0 or any(len(r) != d for r in rows):
             raise DimensionMismatchError("matrix must be square and non-empty")
         return tuple.__new__(cls, (rows,))
 
     @classmethod
-    def from_rows(cls, rows) -> "IntMatrix":
-        return cls(tuple(tuple(int(x) for x in row) for row in rows))
-
-    @classmethod
     def identity(cls, d: int) -> "IntMatrix":
+        d = as_int(d)
         return cls(tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d)))
 
     @property
@@ -61,25 +66,21 @@ class IntMatrix(_IntMatrixFields):
         return len(self.rows)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.rows)))
+        return IntMatrix(zip(*self.rows))
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.dim != other.dim:
             raise DimensionMismatchError("matrix dimensions differ")
         cols = other.transpose().rows
-        return IntMatrix(
-            tuple(
-                tuple(sum(map(operator.mul, row, col)) for col in cols)
-                for row in self.rows
-            )
-        )
+        return IntMatrix([sum(map(operator.mul, row, col)) for col in cols] for row in self.rows)
 
     def vec(self, p: LatticePoint) -> LatticePoint:
         """Matrix-vector product over the integers."""
-        check_dim(p, self.dim)
+        p = as_point(p, self.dim)
         return tuple(sum(map(operator.mul, row, p)) for row in self.rows)
 
     def power(self, k: int) -> "IntMatrix":
+        k = as_int(k)
         if k < 0:
             raise ValueError("negative matrix powers are not integral")
         out = IntMatrix.identity(self.dim)
@@ -104,7 +105,7 @@ class IntMatrix(_IntMatrixFields):
         _, d, adj = self._leverrier()
         if d not in (1, -1):
             raise ValueError(f"matrix with det {d} has no integer inverse")
-        return IntMatrix(tuple(tuple(d * x for x in row) for row in adj.rows))
+        return IntMatrix((d * x for x in row) for row in adj.rows)
 
     def charpoly(self) -> tuple[int, ...]:
         """Monic characteristic polynomial coefficients, highest degree first."""
@@ -132,7 +133,7 @@ class IntMatrix(_IntMatrixFields):
                     am[i][i] += c
                 m = am
         sign = 1 if n % 2 == 0 else -1  # (-1)^d
-        adj = IntMatrix(tuple(tuple(-sign * x for x in row) for row in m))
+        adj = IntMatrix((-sign * x for x in row) for row in m)
         return tuple(coeffs), sign * coeffs[-1], adj
 
 
@@ -236,7 +237,7 @@ def smith_normal_form(A: IntMatrix) -> SnfFactorization:
     a[t][t], a[-1][-1] = a[-1][-1], a[t][t]
 
     snf = SnfFactorization(
-        U=IntMatrix(tuple(zip(*ut))), D=IntMatrix.from_rows(a), V=IntMatrix.from_rows(v)
+        U=IntMatrix(zip(*ut)), D=IntMatrix(a), V=IntMatrix(v)
     )
     if snf.product() != A:
         raise AssertionError("SNF postcondition U*D*V == A failed")
@@ -263,7 +264,7 @@ def in_dilated_lattice_exact(A: IntMatrix, u_inverse: IntMatrix,
 
 
 def _membership(det_a: int, adj: IntMatrix, u_inverse: IntMatrix, p: LatticePoint) -> bool:
-    check_dim(p, adj.dim)
+    p = as_point(p, adj.dim)
     route1 = all(x % det_a == 0 for x in adj.vec(p))
     route2 = u_inverse.vec(p)[-1] % 2 == 0
     if route1 != route2:
@@ -292,7 +293,7 @@ class DilationMatrix(NamedTuple):
     @classmethod
     def from_matrix(cls, A) -> "DilationMatrix":
         if not isinstance(A, IntMatrix):
-            A = IntMatrix.from_rows(A)
+            A = IntMatrix(A)
         charpoly, det, adj = A._leverrier()
         if not is_expansive(A, charpoly):
             raise NotExpansiveError("matrix has an eigenvalue of modulus <= 1")

@@ -11,9 +11,9 @@ import math
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .config import is_int
-from .errors import InputFormatError, LatwavError
-from .intlat import DilationMatrix, IntMatrix, SnfFactorization, coset_representative
+from .errors import DimensionMismatchError, InputFormatError, LatwavError
+from .intlat import (DilationMatrix, IntMatrix, SnfFactorization, as_int, as_point,
+                     coset_representative)
 
 if TYPE_CHECKING:  # annotations only: the wire format loads none of these layers
     from .cascade import CascadeGrid
@@ -44,6 +44,14 @@ def matrix_to_json(m: IntMatrix) -> dict:
     return {"dim": m.dim, "rows": [list(row) for row in m.rows]}
 
 
+def _int(x, where: str, label: str) -> int:
+    """``x`` by ``as_int``, else an input error naming ``label`` in ``where``."""
+    try:
+        return as_int(x)
+    except TypeError as exc:
+        raise InputFormatError(f"{where}: {label} = {x!r} is not an integer") from exc
+
+
 def matrix_from_json(data, where: str = "matrix") -> IntMatrix:
     if not isinstance(data, dict):
         raise InputFormatError(f"{where}: expected an object")
@@ -51,18 +59,17 @@ def matrix_from_json(data, where: str = "matrix") -> IntMatrix:
         if key not in data:
             raise InputFormatError(f"{where}: missing field '{key}'")
     rows = data["rows"]
-    dim = data["dim"]
-    if not is_int(dim):
-        raise InputFormatError(f"{where}: 'dim' = {dim!r} is not an integer")
+    dim = _int(data["dim"], where, "'dim'")
+    if dim < 1:
+        raise InputFormatError(f"{where}: 'dim' = {dim} must be at least 1")
     if not isinstance(rows, list) or len(rows) != dim:
         raise InputFormatError(f"{where}: 'rows' must be a list of {dim} rows")
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != dim:
             raise InputFormatError(f"{where}: row {i} must have {dim} entries")
         for j, x in enumerate(row):
-            if not is_int(x):
-                raise InputFormatError(f"{where}: entry ({i},{j}) = {x!r} is not an integer")
-    return IntMatrix.from_rows(rows)
+            _int(x, where, f"entry ({i},{j})")
+    return IntMatrix(rows)
 
 
 def dilation_from_json(data, where: str = "matrix") -> DilationMatrix:
@@ -122,9 +129,7 @@ def filter_from_json(data, where: str = "filter") -> Filter:
         if key not in data:
             raise InputFormatError(f"{where}: missing field '{key}'")
     dil = dilation_from_json(data["matrix"], f"{where}.matrix")
-    if not is_int(data["dim"]):
-        raise InputFormatError(f"{where}: 'dim' = {data['dim']!r} is not an integer")
-    if data["dim"] != dil.dim:
+    if _int(data["dim"], where, "'dim'") != dil.dim:
         raise InputFormatError(
             f"{where}: dim = {data['dim']} but matrix is {dil.dim}x{dil.dim}"
         )
@@ -136,11 +141,12 @@ def filter_from_json(data, where: str = "filter") -> Filter:
         if not isinstance(e, dict) or "n" not in e or "re" not in e:
             raise InputFormatError(f"{where}: coeffs[{idx}] needs fields 'n' and 're'")
         n = e["n"]
-        if not isinstance(n, (list, tuple)) or len(n) != dil.dim or not all(map(is_int, n)):
+        try:
+            p = as_point(n, dil.dim)
+        except (TypeError, DimensionMismatchError) as exc:
             raise InputFormatError(
                 f"{where}: coeffs[{idx}].n = {n!r} is not a length-{dil.dim} integer point"
-            )
-        p = tuple(n)
+            ) from exc
         if p in parsed:
             raise InputFormatError(f"{where}: duplicate coefficient at {p}")
         parsed[p] = (

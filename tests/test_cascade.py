@@ -173,7 +173,7 @@ def test_early_stop_on_tolerance():
 def _inverse_numerator(matrix) -> IntMatrix:
     """M = sign(det A) adj(A), so that A^-1 = M / 2."""
     sign = 1 if matrix.A.det() > 0 else -1
-    return IntMatrix.from_rows([[sign * x for x in row] for row in matrix.A.adjugate().rows])
+    return IntMatrix([[sign * x for x in row] for row in matrix.A.adjugate().rows])
 
 
 def test_support_bounding_box_contains_cells():
@@ -205,7 +205,7 @@ def _attractor_points(matrix, digits, rnd, count: int, steps: int):
     """Exact points of the attractor of the maps x -> A^-1 (x + s), s in
     ``digits``, as (integer numerators, positive denominator): the fixed
     point (A - I)^-1 c of one map, pushed through ``steps`` random maps."""
-    shifted = IntMatrix.from_rows(
+    shifted = IntMatrix(
         [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(matrix.A.rows)]
     )
     det = shifted.det()
@@ -268,7 +268,7 @@ def test_support_bounding_box_holds_attractor_points_and_tightens_the_former_box
 
 
 def _shear(dim: int, row: int, col: int, t: int) -> IntMatrix:
-    return IntMatrix.from_rows(
+    return IntMatrix(
         [[int(i == j) + (t if (i, j) == (row, col) else 0) for j in range(dim)]
          for i in range(dim)]
     )
@@ -283,7 +283,7 @@ def _differential_filters():
     scan grows with the entries of A."""
     for make in BUNDLED:
         yield make(), 8
-    matrices = [IntMatrix.from_rows([[2]]), IntMatrix.from_rows([[-2]])]
+    matrices = [IntMatrix([[2]]), IntMatrix([[-2]])]
     for c in (2, -2):
         base = companion((1, 0, c))
         s01, s10 = _shear(2, 0, 1, 1), _shear(2, 1, 0, -1)

@@ -474,14 +474,22 @@ def test_verify_of_a_phase_beyond_double_range_is_an_input_error(workdir, capsys
     (["verify", "{f}"], "[1, 2]", "error: {f}: expected an object"),
     (["verify", "{f}"], '{"dim": 2, "matrix": {"dim": 1, "rows": [[2]]}, "coeffs": []}',
      "error: {f}: dim = 2 but matrix is 1x1"),
-], ids=["encode-point-not-integer", "encode-point-length", "filter-list", "filter-dim-mismatch"])
+    (["snf", "{f}"], '{"dim": 0, "rows": []}', "error: {f}: 'dim' = 0 must be at least 1"),
+    (["snf", "{f}"], '{"dim": 1, "rows": [[0]]}', "error: {f}: determinant is 0, expected +/-2"),
+    (["basis", "{f}"], '{"dim": 1, "rows": [[0]]}',
+     "error: {f}: determinant is 0, expected +/-2"),
+    (["--config", "{f}", "cascade", "{db4}", "--levels", "5"], '{"cell_budget": 10}',
+     "error: {db4}: level 3 exceeds the cell budget 10"),
+], ids=["encode-point-not-integer", "encode-point-length", "filter-list", "filter-dim-mismatch",
+        "matrix-dim-0", "snf-singular", "basis-singular", "cascade-cell-budget"])
 def test_input_guards_pin_their_message(workdir, capsys, argv, text, message):
-    path = workdir / "f.json"
+    """Each refusal is one line that names its input."""
+    paths = {"f": workdir / "f.json", "db4": workdir / "db4.json"}
     if text is not None:
-        path.write_text(text)
-    code, out, err = run(capsys, *(a.format(f=path) for a in argv))
+        paths["f"].write_text(text)
+    code, out, err = run(capsys, *(a.format(**paths) for a in argv))
     assert (code, out) == (2, "")
-    assert err.splitlines() == [message.format(f=path)]
+    assert err.splitlines() == [message.format(**paths)]
 
 
 def test_a_filter_of_zeros_is_an_input_error(workdir, capsys):

@@ -58,10 +58,10 @@ def det_two_matrices(draw, max_dim: int = 5) -> IntMatrix:
                 rows[i], rows[j] = rows[j], rows[i]
             else:
                 rows[i] = [-x for x in rows[i]]
-        return IntMatrix.from_rows(rows)
+        return IntMatrix(rows)
 
     last = draw(st.sampled_from((2, -2)))
-    diag = IntMatrix.from_rows(
+    diag = IntMatrix(
         [[(last if i == d - 1 else 1) if i == j else 0 for j in range(d)] for i in range(d)]
     )
     return unimodular().mul(diag).mul(unimodular())

@@ -49,25 +49,25 @@ def assert_snf_postconditions(m: IntMatrix):
 
 
 def test_snf_one_dimensional():
-    snf = smith_normal_form(IntMatrix.from_rows([[2]]))
+    snf = smith_normal_form(IntMatrix([[2]]))
     assert snf.U.rows == ((1,),)
     assert snf.D.rows == ((2,),)
     assert snf.V.rows == ((1,),)
 
 
 def test_snf_quincunx():
-    assert_snf_postconditions(IntMatrix.from_rows(QUINCUNX))
+    assert_snf_postconditions(IntMatrix(QUINCUNX))
 
 
 def test_snf_antidiagonal():
-    assert_snf_postconditions(IntMatrix.from_rows(ANTIDIAG))
+    assert_snf_postconditions(IntMatrix(ANTIDIAG))
 
 
 def test_snf_rejects_non_dyadic():
     with pytest.raises(NotDyadicError):
-        smith_normal_form(IntMatrix.from_rows([[3]]))
+        smith_normal_form(IntMatrix([[3]]))
     with pytest.raises(NotDyadicError):
-        smith_normal_form(IntMatrix.from_rows([[1, 0], [0, 4]]))
+        smith_normal_form(IntMatrix([[1, 0], [0, 4]]))
 
 
 @pytest.mark.parametrize("rows, det", [
@@ -84,13 +84,13 @@ def test_snf_refuses_by_its_invariant_factors(rows, det):
     """A singular matrix leaves a zero block and a non-dyadic one pivots
     other than 1, ..., 1, 2: either way the one refusal names det A."""
     with pytest.raises(NotDyadicError) as raised:
-        smith_normal_form(IntMatrix.from_rows(rows))
+        smith_normal_form(IntMatrix(rows))
     assert type(raised.value) is NotDyadicError
     assert str(raised.value) == f"determinant is {det}, expected +/-2"
 
 
 def test_snf_deterministic():
-    m = IntMatrix.from_rows([[3, 5], [4, 6]])  # det = -2
+    m = IntMatrix([[3, 5], [4, 6]])  # det = -2
     first = smith_normal_form(m)
     second = smith_normal_form(m)
     assert first == second
@@ -99,7 +99,7 @@ def test_snf_deterministic():
 def test_snf_huge_entries_stay_exact():
     # determinant 2 with ~1e9 entries; arbitrary-precision arithmetic only
     a = 10**9 + 7
-    m = IntMatrix.from_rows([[a, a - 2], [1, 1]])
+    m = IntMatrix([[a, a - 2], [1, 1]])
     assert m.det() == 2
     assert_snf_postconditions(m)
 
@@ -112,16 +112,16 @@ def test_snf_random_sweep():
 
 
 def test_expansive_examples():
-    assert is_expansive(IntMatrix.from_rows([[2]]))
-    assert is_expansive(IntMatrix.from_rows(QUINCUNX))
-    assert is_expansive(IntMatrix.from_rows(ANTIDIAG))
-    assert is_expansive(IntMatrix.from_rows([[0, 0, -2], [1, 0, 0], [0, 1, 0]]))
+    assert is_expansive(IntMatrix([[2]]))
+    assert is_expansive(IntMatrix(QUINCUNX))
+    assert is_expansive(IntMatrix(ANTIDIAG))
+    assert is_expansive(IntMatrix([[0, 0, -2], [1, 0, 0], [0, 1, 0]]))
     # eigenvalue exactly 1 (triangular): certified false, not inconclusive
-    assert not is_expansive(IntMatrix.from_rows([[1, 1], [0, 2]]))
+    assert not is_expansive(IntMatrix([[1, 1], [0, 2]]))
     # eigenvalue inside the unit circle (golden ratio companion)
-    assert not is_expansive(IntMatrix.from_rows([[1, 1], [1, 0]]))
+    assert not is_expansive(IntMatrix([[1, 1], [1, 0]]))
     # rotation by 90 degrees: both eigenvalues exactly on the circle
-    assert not is_expansive(IntMatrix.from_rows([[0, -1], [1, 0]]))
+    assert not is_expansive(IntMatrix([[0, -1], [1, 0]]))
 
 
 def test_expansive_matches_float_oracle_on_random_matrices():
@@ -131,7 +131,7 @@ def test_expansive_matches_float_oracle_on_random_matrices():
     conclusive = {True: 0, False: 0}
     for dim in (1, 2, 3, 4, 5):
         for _ in range(300):
-            m = IntMatrix.from_rows(rng.integers(-4, 5, size=(dim, dim)).tolist())
+            m = IntMatrix(rng.integers(-4, 5, size=(dim, dim)).tolist())
             expected = float_is_expansive(m)
             if expected is None:
                 continue
@@ -161,7 +161,7 @@ def test_unit_circle_eigenvalues_decided_exactly():
 
 def test_quincunx_charpoly():
     # eigenvalues 1 +/- i: lambda^2 - 2 lambda + 2
-    assert IntMatrix.from_rows(QUINCUNX).charpoly() == (1, -2, 2)
+    assert IntMatrix(QUINCUNX).charpoly() == (1, -2, 2)
 
 
 def test_dilation_matrix_rejects_non_expansive():
@@ -263,7 +263,7 @@ def test_from_matrix_runs_each_exact_routine_once(monkeypatch):
     """Building a DilationMatrix runs the charpoly recursion once on A and
     never asks for its determinant, membership tests run neither again,
     and the Smith normal form of a dyadic A runs neither."""
-    a = IntMatrix.from_rows([[0, 0, -2], [1, 0, 0], [0, 1, 0]])
+    a = IntMatrix([[0, 0, -2], [1, 0, 0], [0, 1, 0]])
     calls = []
 
     def counted(name):
@@ -287,12 +287,12 @@ def test_from_matrix_runs_each_exact_routine_once(monkeypatch):
 
 
 def test_matrix_power_and_adjugate():
-    m = IntMatrix.from_rows(QUINCUNX)
+    m = IntMatrix(QUINCUNX)
     assert m.power(0) == IntMatrix.identity(2)
     assert m.power(3) == m.mul(m).mul(m)
     adj = m.adjugate()
     prod = m.mul(adj)
-    assert prod == IntMatrix.from_rows([[2, 0], [0, 2]])  # det * I
+    assert prod == IntMatrix([[2, 0], [0, 2]])  # det * I
 
 
 def _unimodular(rnd, d: int, steps: int, scale: int) -> IntMatrix:
@@ -304,12 +304,12 @@ def _unimodular(rnd, d: int, steps: int, scale: int) -> IntMatrix:
         i, j = rnd.sample(range(d), 2)
         q = rnd.choice((-1, 1)) * rnd.randint(1, scale)
         rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
-    return IntMatrix.from_rows(rows)
+    return IntMatrix(rows)
 
 
 def _det_two(rnd, d: int, steps: int, scale: int) -> IntMatrix:
     """U * diag(1, ..., 1, +/-2) * V with random unimodular U and V."""
-    diag = IntMatrix.from_rows(
+    diag = IntMatrix(
         [[(rnd.choice((2, -2)) if i == d - 1 else 1) if i == j else 0 for j in range(d)]
          for i in range(d)]
     )
@@ -321,18 +321,18 @@ def _oracle_sample(rnd, d: int, kind: int) -> IntMatrix:
     random matrices, by `kind` modulo 6."""
     kind %= 6
     if kind == 0:
-        return IntMatrix.from_rows([[rnd.randint(-4, 4) for _ in range(d)] for _ in range(d)])
+        return IntMatrix([[rnd.randint(-4, 4) for _ in range(d)] for _ in range(d)])
     if kind == 1:  # singular: one row is an integer combination of two others
         rows = [[rnd.randint(-6, 6) for _ in range(d)] for _ in range(d)]
         i, j, k = (rnd.randrange(d) for _ in range(3))
         p, q = rnd.randint(-3, 3), rnd.randint(-3, 3)
         rows[i] = [p * x + q * y for x, y in zip(rows[j], rows[k])]
-        return IntMatrix.from_rows(rows)
+        return IntMatrix(rows)
     if kind == 2:
         return _unimodular(rnd, d, 2 * d, 3)
     if kind == 5:  # large entries: up to about 2^40 before the product
         if rnd.random() < 0.5:
-            return IntMatrix.from_rows(
+            return IntMatrix(
                 [[rnd.randint(-2**40, 2**40) for _ in range(d)] for _ in range(d)]
             )
         return _det_two(rnd, d, 3 * d, 1000)
@@ -366,7 +366,7 @@ def test_adjugate_charpoly_det_and_snf_match_oracles():
 
 def test_snf_and_adjugate_match_oracles_on_huge_entries_and_in_32_dimensions():
     a = 10**9 + 7
-    huge = IntMatrix.from_rows([[a, a - 2], [1, 1]])
+    huge = IntMatrix([[a, a - 2], [1, 1]])
     big = _det_two(random.Random(32), 32, 40, 2)
     for m in (huge, big):
         assert smith_normal_form(m) == reference_smith_normal_form(m)
@@ -382,11 +382,11 @@ def test_snf_and_adjugate_match_oracles_on_huge_entries_and_in_32_dimensions():
     (lambda: IntMatrix(()), DimensionMismatchError, "matrix must be square and non-empty"),
     (lambda: IntMatrix(((1, 2), (3,))), DimensionMismatchError,
      "matrix must be square and non-empty"),
-    (lambda: IntMatrix.from_rows([[2]]).mul(IntMatrix.identity(2)), DimensionMismatchError,
+    (lambda: IntMatrix([[2]]).mul(IntMatrix.identity(2)), DimensionMismatchError,
      "matrix dimensions differ"),
-    (lambda: IntMatrix.from_rows([[2]]).power(-1), ValueError,
+    (lambda: IntMatrix([[2]]).power(-1), ValueError,
      "negative matrix powers are not integral"),
-    (lambda: IntMatrix.from_rows(QUINCUNX).unimodular_inverse(), ValueError,
+    (lambda: IntMatrix(QUINCUNX).unimodular_inverse(), ValueError,
      "matrix with det 2 has no integer inverse"),
 ], ids=["zero_dim_point", "empty_matrix", "ragged_matrix", "product_dimensions",
         "negative_power", "det_2_inverse"])

@@ -1,9 +1,10 @@
 """Checks that read the package's source and the README rather than a
 command's output: ``src/latwav`` holds no tuned threshold and no numpy
-import, and the README's library example runs and ends by printing
-``True``."""
+import, the README's library example runs and ends by printing ``True``,
+and the README's CLI block runs."""
 
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -40,3 +41,22 @@ def test_readme_library_example_prints_true_last(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "True"
+
+
+def test_readme_cli_block_runs(tmp_path):
+    """The ``sh`` block under the README's ``## CLI``, run by ``bash -e`` in
+    a fresh directory with ``latwav`` as ``python -m latwav.cli``, exits 0;
+    then ``latwav verify quincunx.json``, a matrix where a filter belongs,
+    exits 2."""
+    if shutil.which("bash") is None:
+        pytest.skip("bash is not installed")
+    block = re.search(r"^## CLI\n.*?^```sh\n(.*?)^```$", README.read_text(),
+                      re.MULTILINE | re.DOTALL).group(1)
+    env = child_env(LATWAV_OUTPUT_DIR=None, PYTHON=sys.executable)
+    script = 'latwav() { "$PYTHON" -m latwav.cli "$@"; }\n' + block
+    proc = subprocess.run(["bash", "-e", "-c", script], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    proc = subprocess.run([sys.executable, "-m", "latwav.cli", "verify", "quincunx.json"],
+                          env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (2, "error: quincunx.json: missing field 'matrix'\n")

@@ -53,7 +53,7 @@ def expansive_dyadic(draw, dim: int) -> DilationMatrix:
         i, j = draw(st.permutations(range(dim)))[:2]
         rows = [[int(r == s) for s in range(dim)] for r in range(dim)]
         rows[i][j] = draw(st.sampled_from((-2, -1, 1, 2)))
-        u = u.mul(IntMatrix.from_rows(rows))
+        u = u.mul(IntMatrix(rows))
     return DilationMatrix.from_matrix(u.mul(c).mul(u.unimodular_inverse()))
 
 

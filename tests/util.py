@@ -39,7 +39,6 @@ from latwav.intlat import (
     LatticePoint,
     SnfFactorization,
     as_point,
-    check_dim,
     coset_representative,
     from_adapted,
     in_dilated_lattice,
@@ -192,14 +191,14 @@ def random_dyadic_matrices(rng, dim: int, count: int) -> list[IntMatrix]:
     is confirmed with the exact integer determinant.
     """
     if dim == 1:
-        choices = [IntMatrix.from_rows([[2]]), IntMatrix.from_rows([[-2]])]
+        choices = [IntMatrix([[2]]), IntMatrix([[-2]])]
         return [choices[int(rng.integers(0, 2))] for _ in range(count)]
     out: list[IntMatrix] = []
     while len(out) < count:
         batch = rng.integers(-9, 10, size=(4096, dim, dim))
         dets = np.rint(np.linalg.det(batch)).astype(np.int64)
         for raw in batch[np.abs(dets) == 2]:
-            m = IntMatrix.from_rows(raw.tolist())
+            m = IntMatrix(raw.tolist())
             if abs(m.det()) == 2:
                 out.append(m)
                 if len(out) == count:
@@ -216,7 +215,7 @@ def companion(poly) -> IntMatrix:
     """Companion matrix of the monic x^n + c_1 x^(n-1) + ... + c_n, given as
     (1, c_1, ..., c_n); its characteristic polynomial is that polynomial."""
     n = len(poly) - 1
-    return IntMatrix.from_rows(
+    return IntMatrix(
         [[1 if j == i - 1 else 0 for j in range(n - 1)] + [-poly[n - i]] for i in range(n)]
     )
 
@@ -229,7 +228,7 @@ def random_expansive_conjugate(rnd: random.Random, dim: int) -> IntMatrix:
         i, j = rnd.sample(range(dim), 2)
         rows = [[int(r == s) for s in range(dim)] for r in range(dim)]
         rows[i][j] = rnd.choice((-2, -1, 1, 2))
-        u = u.mul(IntMatrix.from_rows(rows))
+        u = u.mul(IntMatrix(rows))
     return u.mul(c).mul(u.unimodular_inverse())
 
 
@@ -375,7 +374,7 @@ def reference_smith_normal_form(A: IntMatrix) -> SnfFactorization:
         swap_cols(t, d - 1)
 
     snf = SnfFactorization(
-        U=IntMatrix.from_rows(u), D=IntMatrix.from_rows(a), V=IntMatrix.from_rows(v)
+        U=IntMatrix(u), D=IntMatrix(a), V=IntMatrix(v)
     )
     if snf.product() != A:
         raise AssertionError("SNF postcondition U*D*V == A failed")
@@ -758,8 +757,7 @@ def reference_base_weights(params: EncodingParams) -> tuple[int, ...]:
 
 def reference_radix_encode(params: EncodingParams, n: LatticePoint) -> int:
     """Base-4^N positional value of n; total on Z^d, injective on the window."""
-    check_dim(n, params.dim)
-    return sum(c * w for c, w in zip(n, reference_base_weights(params)))
+    return sum(c * w for c, w in zip(as_point(n, params.dim), reference_base_weights(params)))
 
 
 def reference_decode_support(params: EncodingParams, value: int) -> LatticePoint | None:
