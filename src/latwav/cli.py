@@ -163,6 +163,16 @@ def _require(ok: bool, message: str) -> None:
         raise InputFormatError(message)
 
 
+def _render(path: str, dump, obj) -> str:
+    """``dump(obj)``, the output document of the input at ``path``: its
+    refusal (a result that is not finite, or holds an integer too long to
+    print) names that input."""
+    try:
+        return dump(obj)
+    except InputFormatError as exc:
+        raise InputFormatError(f"{path}: {exc}") from exc
+
+
 def _load_filter(path: str, config: Config):
     """The filter in ``path``, refused before any pair is scanned or stored
     when its reduced system would hold more pairs than the pair budget."""
@@ -186,12 +196,12 @@ def _cmd_factor(args, config: Config) -> tuple:
         snf = smith_normal_form(matrix)
     except NotDyadicError as exc:
         raise InputFormatError(f"{args.matrix}: {exc}") from exc
-    return 0, jsonio.canonical_dumps(args.render(snf))
+    return 0, _render(args.matrix, jsonio.canonical_dumps, args.render(snf))
 
 
 def _cmd_reduce(args, config: Config) -> tuple:
     filt = _load_filter(args.filter, config)
-    return 0, jsonio.system_dumps(filt.system)
+    return 0, _render(args.filter, jsonio.system_dumps, filt.system)
 
 
 def _cmd_verify(args, config: Config) -> tuple:
@@ -217,7 +227,7 @@ def _cmd_verify(args, config: Config) -> tuple:
         "tolerance": tolerance,
         "pass": passed,
     })
-    return 0 if passed else 1, jsonio.canonical_dumps(data)
+    return 0 if passed else 1, _render(args.filter, jsonio.canonical_dumps, data)
 
 
 def _cmd_transfer(args, config: Config) -> tuple:
@@ -226,7 +236,7 @@ def _cmd_transfer(args, config: Config) -> tuple:
     filt = _load_filter(args.filter, config)
     target = jsonio.dilation_from_json(jsonio.load_json(args.target), args.target)
     report = transfer(filt, target)
-    return 0, jsonio.canonical_dumps(jsonio.transfer_report_to_json(report))
+    return 0, _render(args.filter, jsonio.canonical_dumps, jsonio.transfer_report_to_json(report))
 
 
 def _cmd_cascade(args, config: Config) -> tuple:
@@ -258,11 +268,13 @@ def _cmd_cascade(args, config: Config) -> tuple:
         if filt.dim == 1:
             artifacts["phi.csv"] = jsonio.grid_centers_1d_csv(grid)
     except OverflowError as exc:
-        raise InputFormatError(f"a cell centre is beyond double range: {exc}") from exc
+        raise InputFormatError(f"{args.filter}: a cell centre is beyond double range: "
+                               f"{exc}") from exc
     except ValueError as exc:
-        raise InputFormatError(f"a cell position is too long to print: {exc}") from exc
+        raise InputFormatError(f"{args.filter}: a cell position is too long to print: "
+                               f"{exc}") from exc
     stem = Path(args.filter).stem
-    return 0, jsonio.canonical_dumps({
+    return 0, _render(args.filter, jsonio.canonical_dumps, {
         "level": grid.level,
         "cells": len(grid.cells),
         "integral": float(abs(grid.integral())),

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
 
 from .errors import InputFormatError
 from .intlat import as_int
+from .jsonio import finite_number, load_json
 
 DEFAULT_TOLERANCE = 1e-10
 DEFAULT_LEVEL_CAP = 12
@@ -25,10 +25,10 @@ class Config:
                  cell_budget: int = DEFAULT_CELL_BUDGET, output_dir: str = ".",
                  pair_budget: int = DEFAULT_PAIR_BUDGET):
         try:
-            number = tolerance if isinstance(tolerance, float) else as_int(tolerance)
-        except TypeError:
-            number = math.nan
-        if not math.isfinite(number) or number <= 0:
+            number = finite_number(tolerance, "tolerance")
+        except InputFormatError:
+            number = 0.0
+        if number <= 0:
             raise InputFormatError(f"tolerance must be a positive number, got {tolerance!r}")
         for name, value in (("cascade_level_cap", cascade_level_cap),
                             ("cell_budget", cell_budget), ("pair_budget", pair_budget)):
@@ -58,8 +58,6 @@ class Config:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Config":
-        from .jsonio import load_json
-
         data = load_json(path)
         if not isinstance(data, dict):
             raise InputFormatError(f"{path}: config must be a JSON object")

@@ -107,16 +107,17 @@ def filter_to_json(filt: Filter) -> dict:
     }
 
 
-def _finite(x, where: str) -> float:
-    """A JSON number as a finite float; strings, booleans, NaN and values
-    beyond double range are input errors."""
-    if isinstance(x, (int, float)) and not isinstance(x, bool):
-        try:
-            value = float(x)
-        except OverflowError:
-            value = math.inf
-        if math.isfinite(value):
-            return value
+def finite_number(x, where: str) -> float:
+    """A float, or an integer by ``as_int``, as a finite float; anything
+    else (strings, booleans), NaN, infinities and integers beyond double
+    range are input errors naming ``where``.  The one finite-number rule of
+    the input files: filter taps and the config's tolerance."""
+    try:
+        value = float(x) if isinstance(x, float) else float(as_int(x))
+    except (TypeError, OverflowError):
+        value = math.nan
+    if math.isfinite(value):
+        return value
     raise InputFormatError(f"{where} = {x!r} is not a finite number")
 
 
@@ -150,8 +151,8 @@ def filter_from_json(data, where: str = "filter") -> Filter:
         if p in parsed:
             raise InputFormatError(f"{where}: duplicate coefficient at {p}")
         parsed[p] = (
-            _finite(e["re"], f"{where}: coeffs[{idx}].re"),
-            _finite(e.get("im", 0.0), f"{where}: coeffs[{idx}].im"),
+            finite_number(e["re"], f"{where}: coeffs[{idx}].re"),
+            finite_number(e.get("im", 0.0), f"{where}: coeffs[{idx}].im"),
         )
     any_imag = any(im for _, im in parsed.values())
     coeffs = {p: complex(re, im) if any_imag else re for p, (re, im) in parsed.items()}

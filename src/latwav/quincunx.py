@@ -24,6 +24,7 @@ import math
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DimensionMismatchError
+from .intlat import as_int
 
 if TYPE_CHECKING:  # annotations only: the Shannon coefficients need no reduced system
     from .lawton import SupportSet
@@ -47,6 +48,7 @@ def _cosine_line_integral(p: int) -> float:
 
 def shannon_coeff(m: int, n: int) -> float:
     """Two-scale coefficient s(m, n), evaluated in closed form."""
+    m, n = as_int(m), as_int(n)
     c1 = _cosine_line_integral(m + n)
     c2 = _cosine_line_integral(m - n)
     return (math.sqrt(2.0) / (4.0 * math.pi ** 2)) * 0.5 * c1 * c2
@@ -73,6 +75,7 @@ class SupportPatternReport(NamedTuple):
 
 def support_pattern(half_width: int) -> SupportPatternReport:
     """Evaluate the window and check the parity support pattern."""
+    half_width = as_int(half_width)
     if half_width < 1:
         raise ValueError("half width must be >= 1")
     values: dict[tuple[int, int], float] = {}
@@ -101,6 +104,7 @@ def sublattice_premise(support: SupportSet, half_width: int) -> bool:
     the support; a support with this property (for all widths) cannot be
     carried onto a one-dimensional system by any algebraic isomorphism.
     """
+    half_width = as_int(half_width)
     if support.dim != 2:
         raise DimensionMismatchError(f"support is {support.dim}-dimensional, expected 2")
     pts = support.points

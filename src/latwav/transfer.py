@@ -2,12 +2,15 @@
 
 ``to_one_d`` carries a filter over any expansive dyadic matrix onto the
 one-dimensional dilation [2]; ``from_one_d`` is the reverse direction for an
-arbitrary target matrix; ``transfer`` is their composition.  Every step
+arbitrary target matrix; ``transfer`` runs the two as stages.  Every step
 returns a TransferReport whose witness the two filters' charts certify: the
 target system literally is the source system with variables renamed through
 the support map and generators renamed through the index map, so solutions
 (and their residual values) carry over unchanged, and no system is built.
-``verify_isomorphism`` checks any witness equation by equation.
+Each index map is read off one pair (a, b) per generator, b - a going to
+theta(b) - theta(a); ``transfer`` scans the source chart for those pairs
+once, for all three of its reports.  ``verify_isomorphism`` checks any
+witness equation by equation.
 """
 
 from __future__ import annotations
@@ -104,22 +107,26 @@ def _chart_fault(chart_a: Chart, chart_b: Chart, support_map) -> str | None:
     return None
 
 
-def _carry(filt: Filter, target: Filter, support_map, shift: LatticePoint,
+def _carry(filt: Filter, target: Filter, support_map, pairs, shift: LatticePoint,
            n_exp: int, stages: tuple[TransferReport, ...] = ()) -> TransferReport:
     """The report that ``support_map`` carries ``filt`` onto ``target``: a
-    generator b - a goes to theta(b) - theta(a), read off one pair (a, b) per
-    generator, or through the stages' index maps composed.  Every report is
-    built here, its witness certified by the two charts first."""
+    generator b - a goes to theta(b) - theta(a), read off the one pair (a, b)
+    per generator in ``pairs``.  Every report is built here, its witness
+    certified by the two charts first."""
     if (fault := _chart_fault(filt.chart, target.chart, support_map)) is not None:
         raise IsomorphismError(f"transfer witness fails: {fault}")
-    if stages:
-        first, second = (stage.iso.index_map for stage in stages)
-        index_map = {k: second[m] for k, m in first.items()}
-    else:
-        index_map = {tuple(map(operator.sub, b, a)):
-                     tuple(map(operator.sub, support_map[b], support_map[a]))
-                     for a, b in generator_pairs(filt.chart)}
+    index_map = {tuple(map(operator.sub, b, a)):
+                 tuple(map(operator.sub, support_map[b], support_map[a])) for a, b in pairs}
     return TransferReport(filt, target, IsoMap(support_map, index_map), shift, n_exp, stages)
+
+
+def _to_one_d(filt: Filter, pairs) -> TransferReport:
+    """``to_one_d`` with the source chart's ``generator_pairs`` given."""
+    chart = filt.chart
+    support_map = {p: (c,) for p, c in zip(chart.support_order, chart.codes)}
+    target = Filter(dilation_1d(), {support_map[p]: v for p, v in filt.coeffs.items()})
+    return _carry(filt, target, support_map, pairs,
+                  from_adapted(filt.matrix, chart.c_min), chart.window_exponent)
 
 
 def to_one_d(filt: Filter) -> TransferReport:
@@ -130,11 +137,19 @@ def to_one_d(filt: Filter) -> TransferReport:
     them.  The reported shift is the removed translation expressed in
     standard coordinates.
     """
+    return _to_one_d(filt, generator_pairs(filt.chart))
+
+
+def _from_one_d(filt: Filter, target_matrix: DilationMatrix, pairs) -> TransferReport:
+    """``from_one_d``, past its checks, with the 1-D chart's pairs given."""
     chart = filt.chart
-    support_map = {p: (c,) for p, c in zip(chart.support_order, chart.codes)}
-    target = Filter(dilation_1d(), {support_map[p]: v for p, v in filt.coeffs.items()})
-    return _carry(filt, target, support_map,
-                  from_adapted(filt.matrix, chart.c_min), chart.window_exponent)
+    top = chart.codes[-1]
+    n_exp = window_exponent_for_extent(top if target_matrix.dim == 1 else top >> 1)
+    params = EncodingParams(target_matrix.dim, n_exp)
+    support_map = {p: from_adapted(target_matrix, decode_support(params, c))
+                   for p, c in zip(chart.support_order, chart.codes)}
+    target = Filter(target_matrix, {support_map[p]: v for p, v in filt.coeffs.items()})
+    return _carry(filt, target, support_map, pairs, chart.c_min, n_exp)
 
 
 def from_one_d(filt: Filter, target_matrix: DilationMatrix) -> TransferReport:
@@ -153,24 +168,22 @@ def from_one_d(filt: Filter, target_matrix: DilationMatrix) -> TransferReport:
         # [-2] shares the lattice 2Z but reverses the canonical order; route
         # such sources through to_one_d (transfer() does) instead.
         raise ValueError("from_one_d requires a filter over the dilation [2]")
-    chart = filt.chart
-    top = chart.codes[-1]
-    n_exp = window_exponent_for_extent(top if target_matrix.dim == 1 else top >> 1)
-    params = EncodingParams(target_matrix.dim, n_exp)
-    support_map = {p: from_adapted(target_matrix, decode_support(params, c))
-                   for p, c in zip(chart.support_order, chart.codes)}
-    target = Filter(target_matrix, {support_map[p]: v for p, v in filt.coeffs.items()})
-    return _carry(filt, target, support_map, chart.c_min, n_exp)
+    return _from_one_d(filt, target_matrix, generator_pairs(filt.chart))
 
 
 def transfer(filt: Filter, target_matrix: DilationMatrix) -> TransferReport:
     """Transfer between arbitrary expansive dyadic matrices via dilation [2].
 
+    Stage 1's certified support map keeps every code difference, so the
+    source chart's pairs, mapped through it, are the 1-D chart's for stage 2.
     The composed support map is certified against the end filters' charts,
     so the report is a self-contained certificate of the isomorphism.
     """
-    stage1 = to_one_d(filt)
-    stage2 = from_one_d(stage1.target_filter, target_matrix)
-    support_map = {p: stage2.iso.support_map[m] for p, m in stage1.iso.support_map.items()}
-    return _carry(filt, stage2.target_filter, support_map, stage1.shift,
+    pairs = generator_pairs(filt.chart)
+    stage1 = _to_one_d(filt, pairs)
+    theta1 = stage1.iso.support_map
+    stage2 = _from_one_d(stage1.target_filter, target_matrix,
+                         [(theta1[a], theta1[b]) for a, b in pairs])
+    support_map = {p: stage2.iso.support_map[m] for p, m in theta1.items()}
+    return _carry(filt, stage2.target_filter, support_map, pairs, stage1.shift,
                   stage1.window_exponent, stages=(stage1, stage2))

@@ -29,8 +29,13 @@ MUTANTS = [
      "        if cb - ca > shift:",
      "tests/test_transfer.py"),
     ("transfer.py",
-     "                     tuple(map(operator.sub, support_map[b], support_map[a]))",
-     "                     tuple(map(operator.sub, support_map[a], support_map[b]))",
+     "                 tuple(map(operator.sub, support_map[b], support_map[a])) for a, b in pairs}",
+     "                 tuple(map(operator.sub, support_map[a], support_map[b])) for a, b in pairs}",
+     "tests/test_transfer.py"),
+    # killed by test_transfer.py: stage 2 reads 1-D points off source pairs of any dimension
+    ("transfer.py",
+     "                         [(theta1[a], theta1[b]) for a, b in pairs])",
+     "                         pairs)",
      "tests/test_transfer.py"),
     ("lawton.py",
      "        yield a, ca, tails[ca & 1][start:]",
@@ -167,6 +172,19 @@ MUTANTS = [
      "    if dim < 1:",
      "    if False:",
      "tests/test_cli.py"),
+    # killed by test_cli.py's 10^400 cases: a coefficient, or a config tolerance
+    # (test_input_guards_pin_their_message[config-tolerance-beyond-double]), of 10^400
+    # ends in an OverflowError traceback
+    ("jsonio.py",
+     "    except (TypeError, OverflowError):",
+     "    except TypeError:",
+     "tests/test_cli.py"),
+    # killed by test_an_integer_entry_refuses_what_is_not_an_integer[*-shannon_coeff]:
+    # shannon_coeff(0.5, 1) returns a float
+    ("quincunx.py",
+     "    m, n = as_int(m), as_int(n)",
+     "    m, n = m, n",
+     "tests/test_records.py"),
 ]
 
 

@@ -315,13 +315,14 @@ def test_pair_budget_is_checked_before_the_build(workdir, capsys, monkeypatch, c
 
 @pytest.mark.parametrize("argv, want", [
     (["reduce", "{db4}"],
-     {"support": 1, "chart": [1], "build": 1, "pairs": [6], "from_matrix": 1, "snf": 1}),
-    (["verify", "{db4}"], {"support": 1, "chart": [1], "from_matrix": 1, "snf": 1}),
+     {"support": 1, "chart": [1], "build": 1, "pairs": [6], "from_matrix": 1, "snf": 1,
+      "scan": 1}),
+    (["verify", "{db4}"], {"support": 1, "chart": [1], "from_matrix": 1, "snf": 1, "scan": 1}),
     (["cascade", "{db4}", "--levels", "8"],
-     {"support": 1, "chart": [1], "from_matrix": 1, "snf": 1,
+     {"support": 1, "chart": [1], "from_matrix": 1, "snf": 1, "scan": 1,
       "cells": [4, 10, 22, 46, 94, 190, 382, 766]}),
     (["transfer", "{db4}", "--target", "{quincunx}"],
-     {"support": 3, "chart": [1, 1, 2], "from_matrix": 3, "snf": 3, "verify": 3}),
+     {"support": 3, "chart": [1, 1, 2], "from_matrix": 3, "snf": 3, "verify": 3, "scan": 1}),
     (["snf", "{quincunx}"], {"snf": 1}),
     (["basis", "{quincunx}"], {"snf": 1}),
     (["encode", "eval", "--d", "2", "--N", "1", "--point", "1,2"], {}),
@@ -342,8 +343,11 @@ def test_cli_work_ledger(workdir, capsys, monkeypatch, argv, want):
     SupportSets, charts and ``from_matrix`` runs (source, [2] and target)
     and three chart checks.  ``bundled db4`` makes [2] and no chart;
     ``encode eval`` and ``quincunx pattern`` do none of this work.  Every
-    build stores the pairs that ``pair_count`` gives for the input.  A change
-    that adds work fails here on every machine."""
+    build stores the pairs that ``pair_count`` gives for the input.  Each of
+    ``reduce``, ``verify``, ``cascade`` and ``transfer`` makes one O(L^2)
+    same-parity scan: the build's, the residuals', or the source chart's
+    generator pairs, which both transfer stages read.  A change that adds
+    work fails here on every machine."""
     pairs = pair_count(daubechies4_1d().chart)
     counts = count_work(monkeypatch)
     code, _, err = run(capsys, *(a.format(db4=workdir / "db4.json",
@@ -466,6 +470,10 @@ def test_verify_of_a_phase_beyond_double_range_is_an_input_error(workdir, capsys
     assert "result is not finite" in err
 
 
+TOO_LONG = ("Exceeds the limit (4300 digits) for integer string conversion; "
+            "use sys.set_int_max_str_digits() to increase the limit")
+
+
 @pytest.mark.parametrize("argv, text, message", [
     (["encode", "eval", "--d", "2", "--N", "1", "--point", "1,x"], None,
      "error: --point '1,x' is not a comma-separated integer tuple"),
@@ -480,11 +488,26 @@ def test_verify_of_a_phase_beyond_double_range_is_an_input_error(workdir, capsys
      "error: {f}: determinant is 0, expected +/-2"),
     (["--config", "{f}", "cascade", "{db4}", "--levels", "5"], '{"cell_budget": 10}',
      "error: {db4}: level 3 exceeds the cell budget 10"),
+    (["--config", "{f}", "bundled", "db4"], '{"tolerance": 1' + "0" * 400 + "}",
+     "error: {f}: tolerance must be a positive number, got 1" + "0" * 400),
+    (["cascade", "{f}", "--levels", "2"], _two_tap([("1" + "0" * 400,), ("1",)]),
+     "error: {f}: a cell centre is beyond double range: int too large to convert to float"),
+    (["cascade", "{f}", "--levels", "2"], _two_tap([("9" * 4300,), ("9" * 4299 + "8",)]),
+     "error: {f}: a cell position is too long to print: " + TOO_LONG),
+    (["verify", "{f}"], _two_tap([("1" + "0" * 308,), ("1",)]),
+     "error: {f}: result is not finite: Out of range float values are not JSON compliant"),
+    (["transfer", "{f}", "--target", "{quincunx}"], _two_tap([("0", "0"), ("1" + "0" * 2200, "1")]),
+     "error: {f}: result holds an integer too long to print: " + TOO_LONG),
+    (["reduce", "{f}"], _two_tap([("9" * 4300,), ("-" + "9" * 4300,)]),
+     "error: {f}: result holds an integer too long to print: " + TOO_LONG),
 ], ids=["encode-point-not-integer", "encode-point-length", "filter-list", "filter-dim-mismatch",
-        "matrix-dim-0", "snf-singular", "basis-singular", "cascade-cell-budget"])
+        "matrix-dim-0", "snf-singular", "basis-singular", "cascade-cell-budget",
+        "config-tolerance-beyond-double", "cascade-far-centre", "cascade-long-cell",
+        "verify-not-finite", "transfer-long-result", "reduce-long-generator"])
 def test_input_guards_pin_their_message(workdir, capsys, argv, text, message):
     """Each refusal is one line that names its input."""
-    paths = {"f": workdir / "f.json", "db4": workdir / "db4.json"}
+    paths = {"f": workdir / "f.json", "db4": workdir / "db4.json",
+             "quincunx": workdir / "quincunx.json"}
     if text is not None:
         paths["f"].write_text(text)
     code, out, err = run(capsys, *(a.format(**paths) for a in argv))

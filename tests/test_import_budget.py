@@ -312,7 +312,7 @@ import sys, threading, types
 import latwav
 
 sys.setswitchinterval(1e-6)
-for name in ["errors", "intlat", "config", "encode", "jsonio", "filters", "lawton",
+for name in ["errors", "intlat", "jsonio", "config", "encode", "filters", "lawton",
              "quincunx", "transfer", "verify", "cascade"]:
     module = sys.modules["latwav." + name]
     assert type(module) is not types.ModuleType, name

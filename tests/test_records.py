@@ -45,7 +45,7 @@ from latwav.intlat import (
     to_adapted,
 )
 from latwav.lawton import SupportSet, lawton_residuals
-from latwav.quincunx import support_pattern
+from latwav.quincunx import shannon_coeff, sublattice_premise, support_pattern
 from latwav.transfer import Filter, to_one_d, transfer
 from latwav.verify import _dual_coset_shift
 from util import (
@@ -145,6 +145,9 @@ INTEGER_ENTRIES = {
     "window_exponent_for_extent": window_exponent_for_extent,
     "from_points": lambda v: SupportSet.from_points([(v,)]),
     "from_coeffs": lambda v: Filter.from_coeffs(dilation_1d(), {(v,): 1.0}),
+    "shannon_coeff": lambda v: shannon_coeff(v, 1),
+    "support_pattern": support_pattern,
+    "sublattice_premise": lambda v: sublattice_premise(SupportSet.from_points([(0, 0)]), v),
 }
 
 
@@ -273,7 +276,8 @@ def test_to_one_d_reads_the_filter_chart(monkeypatch):
     counts = count_work(monkeypatch)
     report = to_one_d(filt)
     # the two filters' supports and charts, nothing more; [2], made afresh; one certificate
-    assert counts == {"support": 2, "chart": [2, 1], "from_matrix": 1, "snf": 1, "verify": 1}
+    assert counts == {"support": 2, "chart": [2, 1], "from_matrix": 1, "snf": 1, "verify": 1,
+                      "scan": 1}
     got = report.source_filter.chart
     assert report.iso.support_map == {p: (c,) for p, c in zip(got.support_order, got.codes)}
     assert report.window_exponent == got.window_exponent

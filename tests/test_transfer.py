@@ -457,7 +457,8 @@ def test_transfer_preserves_residuals_for_arbitrary_coefficients():
 def test_transfer_builds_no_system(monkeypatch, tmp_path):
     """A transfer builds no reduced system.  It computes each filter's chart
     once (source, [2] and target), from one SupportSet each, and makes three
-    chart checks: the two stage witnesses and the composed one.  Its three
+    chart checks: the two stage witnesses and the composed one.  It scans
+    the source chart's same-parity pairs once, for both stages.  Its three
     ``from_matrix`` runs, one SNF each, make the bundled matrices afresh.
     ``latwav transfer`` does the same work, but reads its two matrices from
     files: the input filter's support serves both its pair budget and its
@@ -466,24 +467,26 @@ def test_transfer_builds_no_system(monkeypatch, tmp_path):
     counts = count_work(monkeypatch)
     filt = Filter.from_coeffs(quincunx_matrix(), quincunx_haar().coeffs)
     report = transfer(filt, companion_3d_matrix())
-    assert counts == {"verify": 3, "support": 3, "chart": [2, 1, 3], "from_matrix": 3, "snf": 3}
+    assert counts == {"verify": 3, "support": 3, "chart": [2, 1, 3], "from_matrix": 3, "snf": 3,
+                      "scan": 1}
 
     # again on the same filter: only the new [2] and target filters' charts
     counts.clear()
     assert transfer(filt, companion_3d_matrix()) == report
-    assert counts == {"verify": 3, "support": 2, "chart": [1, 3]}
+    assert counts == {"verify": 3, "support": 2, "chart": [1, 3], "scan": 1}
 
     (tmp_path / "filter.json").write_text(canonical_dumps(filter_to_json(filt)))
     (tmp_path / "target.json").write_text(canonical_dumps(matrix_to_json(companion_3d_matrix().A)))
     counts.clear()
     assert main(["transfer", str(tmp_path / "filter.json"),
                  "--target", str(tmp_path / "target.json")]) == 0
-    assert counts == {"verify": 3, "support": 3, "chart": [2, 1, 3], "from_matrix": 2, "snf": 2}
+    assert counts == {"verify": 3, "support": 3, "chart": [2, 1, 3], "from_matrix": 2, "snf": 2,
+                      "scan": 1}
 
     counts.clear()
     assert verify_isomorphism(report.source_filter.system, report.target_filter.system,
                               report.iso)
-    assert counts == {"build": 2, "pairs": [2, 2]}
+    assert counts == {"build": 2, "pairs": [2, 2], "scan": 2}
 
 
 def test_system_after_a_transfer_builds_off_the_held_chart(monkeypatch):
@@ -494,10 +497,10 @@ def test_system_after_a_transfer_builds_off_the_held_chart(monkeypatch):
     transfer(filt, quincunx_matrix())
     counts = count_work(monkeypatch)
     system = filt.system
-    assert counts == {"build": 1, "pairs": [6]}  # and no chart
+    assert counts == {"build": 1, "pairs": [6], "scan": 1}  # and no chart
     counts.clear()
     assert system == build_reduced_system(filt.support, filt.matrix)
-    assert counts == {"chart": [1]}
+    assert counts == {"chart": [1], "scan": 1}
 
 
 def test_transfer_stores_no_pair():

@@ -1,5 +1,6 @@
 """Property tests over random expansive dyadic matrices in d = 1-4: every
-transfer's index map equals the former encode_index/decode_index route and
+transfer, to_one_d and from_one_d report equals the former two-scan
+transfer's, stages included; every transfer's index map equals the former encode_index/decode_index route and
 the former zip of the built systems' index sets, and residuals carry over
 bit for bit; one pair per generator lists the built index set in order; the
 chart certificate passes on every
@@ -27,13 +28,18 @@ from latwav.transfer import (  # noqa: E402
     IsoMap,
     _chart_fault,
     _witness_fault,
+    from_one_d,
+    to_one_d,
     transfer,
     verify_isomorphism,
 )
 from util import (  # noqa: E402
     companion,
     reference_canonical_dumps,
+    reference_from_one_d,
     reference_index_map,
+    reference_to_one_d,
+    reference_transfer,
     reference_witness_fault,
     reference_zipped_index_map,
 )
@@ -80,6 +86,22 @@ def transfers(draw):
     target = draw(expansive_dyadic(draw(st.integers(1, 4))))
     filt = draw(filters(source))
     return filt, transfer(filt, target)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_reports_equal_the_two_scan_transfer(data):
+    """One scan of the source chart gives the reports that scanning each
+    stage's own chart and composing the stages' index maps gave: equal, and
+    every index map in the same order."""
+    filt, report = data.draw(transfers())
+    target, line = report.target_filter.matrix, report.stages[0].target_filter
+    for got, want in ((report, reference_transfer(filt, target)),
+                      (to_one_d(filt), reference_to_one_d(filt)),
+                      (from_one_d(line, target), reference_from_one_d(line, target))):
+        assert got == want
+        for a, b in zip((got, *got.stages), (want, *want.stages), strict=True):
+            assert list(a.iso.index_map) == list(b.iso.index_map)
 
 
 @PROPERTY

@@ -20,6 +20,7 @@ from latwav.cascade import CascadeGrid
 from latwav.encode import (
     EncodingParams,
     decode_index,
+    decode_support,
     encode_index,
     encode_support,
     in_index_window,
@@ -29,10 +30,12 @@ from latwav.encode import (
 from latwav.errors import (
     DimensionMismatchError,
     DomainMismatchError,
+    IsomorphismError,
     LatwavError,
     NotDyadicError,
+    NotOneDimensionalError,
 )
-from latwav.filters import BUNDLED_FILTERS, BUNDLED_MATRICES
+from latwav.filters import BUNDLED_FILTERS, BUNDLED_MATRICES, dilation_1d
 from latwav.intlat import (
     DilationMatrix,
     IntMatrix,
@@ -53,8 +56,9 @@ from latwav.lawton import (
     SupportSet,
     _chart,
     equations_equal_up_to_conjugation,
+    generator_pairs,
 )
-from latwav.transfer import Filter, IsoMap
+from latwav.transfer import Filter, IsoMap, TransferReport, _chart_fault
 from latwav.verify import SQRT2, _dual_coset_shift, _sample_points
 
 def error_line(err: str) -> str:
@@ -92,7 +96,10 @@ def count_work(monkeypatch) -> dict:
     - "chart": the dimension of each support chart computed;
     - "from_matrix": DilationMatrix constructions from a matrix;
     - "snf": Smith normal forms, wherever a layer binds the name;
-    - "cells": the cell count of each cascade step's grid.
+    - "cells": the cell count of each cascade step's grid;
+    - "scan": passes of ``_same_parity_scan``, the O(L^2) walk over a
+      chart's same-parity pairs that builds, residuals and generator pairs
+      all make.
     The bundled matrices and filters are made afresh, so no count depends
     on which tests ran before."""
     for make in (*BUNDLED_MATRICES.values(), *BUNDLED_FILTERS.values()):
@@ -120,6 +127,7 @@ def count_work(monkeypatch) -> dict:
     count(lawton, "build_reduced_system", "pairs",
           lambda system, *_: sum(len(eq.pairs) for eq in system.equations.values()))
     count(lawton, "_chart", "chart", lambda chart, support, dil: dil.dim)
+    count(lawton, "_same_parity_scan", "scan")
     count(transfer, "_chart_fault", "verify")
     count(transfer, "verify_isomorphism", "verify")
     count(cascade, "cascade_step", "cells", lambda grid, *_: len(grid.cells))
@@ -644,6 +652,54 @@ def reference_zipped_index_map(report) -> dict:
     built systems' index sets, zipped in order."""
     return dict(zip(report.source_filter.system.index_set,
                     report.target_filter.system.index_set))
+
+
+# Transfer oracle: the library's former transfer, whose two stages each scan
+# their own source chart for one pair per generator, and whose composed
+# index map composes the stages' maps.
+def _reference_carry(filt: Filter, target: Filter, support_map, shift: LatticePoint,
+                     n_exp: int, stages: tuple = ()) -> TransferReport:
+    if (fault := _chart_fault(filt.chart, target.chart, support_map)) is not None:
+        raise IsomorphismError(f"transfer witness fails: {fault}")
+    if stages:
+        first, second = (stage.iso.index_map for stage in stages)
+        index_map = {k: second[m] for k, m in first.items()}
+    else:
+        index_map = {tuple(map(operator.sub, b, a)):
+                     tuple(map(operator.sub, support_map[b], support_map[a]))
+                     for a, b in generator_pairs(filt.chart)}
+    return TransferReport(filt, target, IsoMap(support_map, index_map), shift, n_exp, stages)
+
+
+def reference_to_one_d(filt: Filter) -> TransferReport:
+    chart = filt.chart
+    support_map = {p: (c,) for p, c in zip(chart.support_order, chart.codes)}
+    target = Filter(dilation_1d(), {support_map[p]: v for p, v in filt.coeffs.items()})
+    return _reference_carry(filt, target, support_map,
+                            from_adapted(filt.matrix, chart.c_min), chart.window_exponent)
+
+
+def reference_from_one_d(filt: Filter, target_matrix: DilationMatrix) -> TransferReport:
+    if filt.dim != 1:
+        raise NotOneDimensionalError(f"filter is {filt.dim}-dimensional")
+    if filt.matrix.A.rows != ((2,),):
+        raise ValueError("from_one_d requires a filter over the dilation [2]")
+    chart = filt.chart
+    top = chart.codes[-1]
+    n_exp = window_exponent_for_extent(top if target_matrix.dim == 1 else top >> 1)
+    params = EncodingParams(target_matrix.dim, n_exp)
+    support_map = {p: from_adapted(target_matrix, decode_support(params, c))
+                   for p, c in zip(chart.support_order, chart.codes)}
+    target = Filter(target_matrix, {support_map[p]: v for p, v in filt.coeffs.items()})
+    return _reference_carry(filt, target, support_map, chart.c_min, n_exp)
+
+
+def reference_transfer(filt: Filter, target_matrix: DilationMatrix) -> TransferReport:
+    stage1 = reference_to_one_d(filt)
+    stage2 = reference_from_one_d(stage1.target_filter, target_matrix)
+    support_map = {p: stage2.iso.support_map[m] for p, m in stage1.iso.support_map.items()}
+    return _reference_carry(filt, stage2.target_filter, support_map, stage1.shift,
+                            stage1.window_exponent, stages=(stage1, stage2))
 
 
 def reference_lawton_residuals(filt: Filter) -> ResidualReport:
