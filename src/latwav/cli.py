@@ -5,8 +5,10 @@ or of an artifact: one error line, none when the reader closed stdout), 2
 input error.  Errors and library warnings go to stderr as single
 ``error: ...`` / ``warning: ...`` lines by ``_say``; a line that cannot be
 written is lost, and the exit code stands.  A handler writes nothing: it
-returns its exit code, its stdout document and any artifacts, and ``main``
-writes the artifacts, all or none, before it prints the document.
+returns its exit code, its document and any artifacts.  ``main`` renders
+the document by the command's ``dump``, prefixes the input file to a
+refusal that names none (a library error, or a result that cannot be
+rendered), writes the artifacts, all or none, then prints the document.
 
 A command runs with the cyclic garbage collector paused, and ``main``
 restores the collector's previous state when it returns.  The commands
@@ -37,8 +39,7 @@ from pathlib import Path
 from . import filters as filters_mod
 from . import jsonio
 from .config import Config
-from .errors import (InputFormatError, IsomorphismError, LatwavError, LevelBudgetExceededError,
-                     NotDyadicError)
+from .errors import InputFormatError, IsomorphismError, LatwavError, shown
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -48,6 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "cross-dimension transfer of scaling filters",
     )
     parser.add_argument("--config", help="JSON file overriding default limits")
+    parser.set_defaults(dump=jsonio.canonical_dumps)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("snf", help="Smith normal form of a determinant +/-2 matrix")
@@ -59,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix", help="matrix JSON file")
 
     p = sub.add_parser("reduce", help="reduced system of a filter's support")
-    p.set_defaults(run=_cmd_reduce)
+    p.set_defaults(run=_cmd_reduce, dump=jsonio.system_dumps)
     p.add_argument("filter", help="filter JSON file")
 
     p = sub.add_parser("verify", help="residuals of a filter against its system")
@@ -163,16 +165,6 @@ def _require(ok: bool, message: str) -> None:
         raise InputFormatError(message)
 
 
-def _render(path: str, dump, obj) -> str:
-    """``dump(obj)``, the output document of the input at ``path``: its
-    refusal (a result that is not finite, or holds an integer too long to
-    print) names that input."""
-    try:
-        return dump(obj)
-    except InputFormatError as exc:
-        raise InputFormatError(f"{path}: {exc}") from exc
-
-
 def _load_filter(path: str, config: Config):
     """The filter in ``path``, refused before any pair is scanned or stored
     when its reduced system would hold more pairs than the pair budget."""
@@ -187,21 +179,16 @@ def _load_filter(path: str, config: Config):
 
 
 def _cmd_factor(args, config: Config) -> tuple:
-    """``snf`` and ``basis``: the matrix's Smith normal form, rendered by
-    the ``render`` its subparser sets."""
+    """``snf`` and ``basis``: the matrix's Smith normal form, as the
+    document that the ``render`` its subparser sets makes of it."""
     from .intlat import smith_normal_form
 
     matrix = jsonio.matrix_from_json(jsonio.load_json(args.matrix), args.matrix)
-    try:
-        snf = smith_normal_form(matrix)
-    except NotDyadicError as exc:
-        raise InputFormatError(f"{args.matrix}: {exc}") from exc
-    return 0, _render(args.matrix, jsonio.canonical_dumps, args.render(snf))
+    return 0, args.render(smith_normal_form(matrix))
 
 
 def _cmd_reduce(args, config: Config) -> tuple:
-    filt = _load_filter(args.filter, config)
-    return 0, _render(args.filter, jsonio.system_dumps, filt.system)
+    return 0, _load_filter(args.filter, config).system
 
 
 def _cmd_verify(args, config: Config) -> tuple:
@@ -227,7 +214,7 @@ def _cmd_verify(args, config: Config) -> tuple:
         "tolerance": tolerance,
         "pass": passed,
     })
-    return 0 if passed else 1, _render(args.filter, jsonio.canonical_dumps, data)
+    return 0 if passed else 1, data
 
 
 def _cmd_transfer(args, config: Config) -> tuple:
@@ -235,8 +222,7 @@ def _cmd_transfer(args, config: Config) -> tuple:
 
     filt = _load_filter(args.filter, config)
     target = jsonio.dilation_from_json(jsonio.load_json(args.target), args.target)
-    report = transfer(filt, target)
-    return 0, _render(args.filter, jsonio.canonical_dumps, jsonio.transfer_report_to_json(report))
+    return 0, jsonio.transfer_report_to_json(transfer(filt, target))
 
 
 def _cmd_cascade(args, config: Config) -> tuple:
@@ -254,19 +240,10 @@ def _cmd_cascade(args, config: Config) -> tuple:
         grid, diffs = run_cascade(filt, max_level=levels, tol=args.tol,
                                   cell_budget=config.cell_budget,
                                   residual_warn_tolerance=config.tolerance)
-    except LevelBudgetExceededError as exc:
-        raise InputFormatError(f"{args.filter}: {exc}") from exc
     except OverflowError as exc:
         raise InputFormatError(f"{args.filter}: a level difference is beyond double range") from exc
     try:
-        artifacts = {
-            "grid.csv": jsonio.grid_to_csv(grid),
-            "grid.json": jsonio.canonical_dumps(jsonio.grid_sidecar_json(grid)),
-            "convergence.csv": "level,l2_difference\n"
-            + "".join(f"{i + 1},{d!r}\n" for i, d in enumerate(diffs)),
-        }
-        if filt.dim == 1:
-            artifacts["phi.csv"] = jsonio.grid_centers_1d_csv(grid)
+        artifacts = jsonio.cascade_artifacts(grid, diffs)
     except OverflowError as exc:
         raise InputFormatError(f"{args.filter}: a cell centre is beyond double range: "
                                f"{exc}") from exc
@@ -274,13 +251,13 @@ def _cmd_cascade(args, config: Config) -> tuple:
         raise InputFormatError(f"{args.filter}: a cell position is too long to print: "
                                f"{exc}") from exc
     stem = Path(args.filter).stem
-    return 0, _render(args.filter, jsonio.canonical_dumps, {
+    return 0, {
         "level": grid.level,
         "cells": len(grid.cells),
         "integral": float(abs(grid.integral())),
         "differences": diffs,
         "output_dir": str(out),
-    }), {out / f"{stem}.{name}": text for name, text in artifacts.items()}
+    }, {out / f"{stem}.{name}": text for name, text in artifacts.items()}
 
 
 def _cmd_quincunx(args, config: Config) -> tuple:
@@ -288,18 +265,18 @@ def _cmd_quincunx(args, config: Config) -> tuple:
 
     _require(args.width >= 1, f"--width must be >= 1, got {args.width}")
     _require((2 * args.width + 1) ** 2 <= config.cell_budget,
-             f"--width {args.width} needs {(2 * args.width + 1) ** 2} coefficients, "
+             f"--width {args.width} needs {shown((2 * args.width + 1) ** 2)} coefficients, "
              f"cell budget is {config.cell_budget}")
     out = _out_dir(config)
     report = support_pattern(args.width)
     rows = "".join(f"{m},{n},{s!r}\n" for (m, n), s in report.values.items())
-    return 0 if report.pattern_holds else 1, jsonio.canonical_dumps({
+    return 0 if report.pattern_holds else 1, {
         "half_width": report.half_width,
         "min_odd_magnitude": report.min_odd_magnitude,
         "max_even_magnitude": report.max_even_magnitude,
         "pattern_holds": report.pattern_holds,
         "output_dir": str(out),
-    }), {out / f"quincunx_pattern_w{args.width}.csv": "m,n,s\n" + rows}
+    }, {out / f"quincunx_pattern_w{args.width}.csv": "m,n,s\n" + rows}
 
 
 def _cmd_encode(args, config: Config) -> tuple:
@@ -320,12 +297,14 @@ def _cmd_encode(args, config: Config) -> tuple:
     if len(point) != args.d:
         raise InputFormatError(f"--point has {len(point)} coordinates, --d is {args.d}")
     _require(args.N >= 1, f"--N must be >= 1, got {args.N}")
-    # A bit bound on the window 2^N and the point's codes, checked before any is formed.
+    # A bit bound on the window 2^N and the point's codes, checked before any
+    # is formed; a number below 2^bits has at most bits * 0.30103 digits.
     bits = max(max(abs(c) for c in point).bit_length() + 2 * (args.d - 1) * args.N + 4,
                args.N + 1)
     limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-    _require(bits * math.log10(2) <= limit,
-             f"--N {args.N} needs integers of up to {bits} bits; at most {limit} digits print")
+    _require(bits * 30103 <= limit * 100_000,
+             f"--N {args.N} needs integers of up to {shown(bits)} bits; "
+             f"at most {limit} digits print")
     params = EncodingParams(args.d, args.N)
     data = {
         "point": list(point),
@@ -337,12 +316,12 @@ def _cmd_encode(args, config: Config) -> tuple:
         data["flatten_value"] = flatten_point(params, point)
     data["support_code"] = encode_support(params, point) if data["in_support_window"] else None
     data["index_code"] = encode_index(params, point) if data["in_index_window"] else None
-    return 0, jsonio.canonical_dumps(data)
+    return 0, data
 
 
 def _cmd_bundled(args, config: Config) -> tuple:
     filt = filters_mod.BUNDLED_FILTERS[args.name]()
-    return 0, jsonio.canonical_dumps(jsonio.filter_to_json(filt))
+    return 0, jsonio.filter_to_json(filt)
 
 
 def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
@@ -351,13 +330,23 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    source = getattr(args, "filter", None) or getattr(args, "matrix", None)  # the input file
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning  # one line, like the error lines
             config = Config.from_file(args.config) if args.config else Config()
-            code, text, *files = args.run(args, config)
+            try:
+                code, document, *files = args.run(args, config)
+            except (InputFormatError, IsomorphismError):  # these name what they refuse
+                raise
+            except LatwavError as exc:  # the library's refusal names no file
+                raise InputFormatError(f"{source}: {exc}") if source else exc
+            try:
+                text = args.dump(document)
+            except InputFormatError as exc:  # a result that is not finite, or will not print
+                raise InputFormatError(f"{source}: {exc}") if source else exc
             if files:  # in place before the summary that names them is printed
                 _write_artifacts(*files)
             print(text)

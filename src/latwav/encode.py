@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import DimensionTooSmallError, OutOfDomainError
-from .intlat import LatticePoint, as_int, as_point
+from .intlat import LatticePoint, as_int, as_point, checked_make
 
 
 class _EncodingParamsFields(NamedTuple):
@@ -41,6 +41,7 @@ class EncodingParams(_EncodingParamsFields):
     """Dimension and window exponent fixing one family of encodings."""
 
     __slots__ = ()
+    _make = classmethod(checked_make)
 
     def __new__(cls, dim, window_exponent):
         dim, window_exponent = as_int(dim), as_int(window_exponent)

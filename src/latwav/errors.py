@@ -1,4 +1,19 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and ``shown``, the one rule
+for a value in their messages."""
+
+
+def shown(value) -> str:
+    """``repr(value)``, or for an integer too long to print its digit count
+    and sign, found with integers only."""
+    try:
+        return repr(value)
+    except ValueError:  # an int past sys.get_int_max_str_digits(), or a value holding one
+        if not isinstance(value, int):
+            return f"<{type(value).__name__} too long to print>"
+        digits = (abs(value).bit_length() - 1) * 30102 // 100000 + 1  # log10(2) > 0.30102
+        while abs(value) >= 10 ** digits:
+            digits += 1
+        return f"<{digits}-digit {'negative ' if value < 0 else ''}integer>"
 
 
 class LatwavError(Exception):

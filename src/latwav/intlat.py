@@ -18,7 +18,7 @@ import math
 import operator
 from typing import NamedTuple
 
-from .errors import DimensionMismatchError, NotDyadicError, NotExpansiveError
+from .errors import DimensionMismatchError, NotDyadicError, NotExpansiveError, shown
 
 LatticePoint = tuple[int, ...]
 
@@ -40,6 +40,12 @@ def as_point(coords, dim: int | None = None) -> LatticePoint:
     return pt
 
 
+def checked_make(cls, fields):
+    """``_make`` of a checked tuple record, and so its ``_replace``: the
+    record's own constructor, checks included."""
+    return cls(*fields)
+
+
 class _IntMatrixFields(NamedTuple):
     rows: tuple[tuple[int, ...], ...]
 
@@ -48,6 +54,7 @@ class IntMatrix(_IntMatrixFields):
     """Immutable square integer matrix, each entry taken by ``as_int``."""
 
     __slots__ = ()
+    _make = classmethod(checked_make)
 
     def __new__(cls, rows):
         rows = tuple(tuple(map(as_int, row)) for row in rows)
@@ -230,7 +237,7 @@ def smith_normal_form(A: IntMatrix) -> SnfFactorization:
 
     diag = [a[s][s] for s in range(d)]
     if sorted(diag) != [1] * (d - 1) + [2]:
-        raise NotDyadicError(f"determinant is {A.det()}, expected +/-2")
+        raise NotDyadicError(f"determinant is {shown(A.det())}, expected +/-2")
     t = diag.index(2)
     for m in (ut, v):
         m[t], m[-1] = m[-1], m[t]

@@ -11,7 +11,7 @@ import math
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import DimensionMismatchError, InputFormatError, LatwavError
+from .errors import DimensionMismatchError, InputFormatError, LatwavError, shown
 from .intlat import (DilationMatrix, IntMatrix, SnfFactorization, as_int, as_point,
                      coset_representative)
 
@@ -118,7 +118,7 @@ def finite_number(x, where: str) -> float:
         value = math.nan
     if math.isfinite(value):
         return value
-    raise InputFormatError(f"{where} = {x!r} is not a finite number")
+    raise InputFormatError(f"{where} = {shown(x)} is not a finite number")
 
 
 def filter_from_json(data, where: str = "filter") -> Filter:
@@ -245,6 +245,20 @@ def grid_sidecar_json(grid: CascadeGrid) -> dict:
         "matrix": matrix_to_json(grid.matrix.A),
         "cell_count": len(grid.cells),
     }
+
+
+def cascade_artifacts(grid: CascadeGrid, diffs: list[float]) -> dict[str, str]:
+    """The texts that ``cascade`` writes, by file suffix: the grid, its
+    sidecar, the convergence table and, in 1-D, the cell centres."""
+    artifacts = {
+        "grid.csv": grid_to_csv(grid),
+        "grid.json": canonical_dumps(grid_sidecar_json(grid)),
+        "convergence.csv": "level,l2_difference\n"
+        + "".join(f"{i + 1},{d!r}\n" for i, d in enumerate(diffs)),
+    }
+    if grid.matrix.dim == 1:
+        artifacts["phi.csv"] = grid_centers_1d_csv(grid)
+    return artifacts
 
 
 def grid_centers_1d_csv(grid: CascadeGrid) -> str:

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: pipelines, artifacts, exit codes."""
 
+import argparse
 import cmath
 import errno
 import gc
@@ -17,7 +18,8 @@ import pytest
 
 import latwav.cli
 import latwav.jsonio
-from latwav.cli import main
+from latwav.cli import _build_parser, main
+from latwav.config import Config
 from latwav.jsonio import (
     canonical_dumps,
     filter_to_json,
@@ -472,6 +474,8 @@ def test_verify_of_a_phase_beyond_double_range_is_an_input_error(workdir, capsys
 
 TOO_LONG = ("Exceeds the limit (4300 digits) for integer string conversion; "
             "use sys.set_int_max_str_digits() to increase the limit")
+E2200 = "1" + "0" * 2200  # 10^2200, whose square has 4401 digits: too many to print
+BIG_DIAGONAL = '{"dim": 2, "rows": [[%s, 0], [0, %s]]}' % (E2200, E2200)
 
 
 @pytest.mark.parametrize("argv, text, message", [
@@ -500,10 +504,19 @@ TOO_LONG = ("Exceeds the limit (4300 digits) for integer string conversion; "
      "error: {f}: result holds an integer too long to print: " + TOO_LONG),
     (["reduce", "{f}"], _two_tap([("9" * 4300,), ("-" + "9" * 4300,)]),
      "error: {f}: result holds an integer too long to print: " + TOO_LONG),
+    (["snf", "{f}"], BIG_DIAGONAL, "error: {f}: determinant is <4401-digit integer>, expected +/-2"),
+    (["basis", "{f}"], BIG_DIAGONAL,
+     "error: {f}: determinant is <4401-digit integer>, expected +/-2"),
+    (["verify", "{f}"], '{"dim": 2, "matrix": %s, "coeffs": [{"n": [0, 0], "re": 1}]}'
+     % BIG_DIAGONAL, "error: {f}.matrix: determinant is <4401-digit integer>, expected +/-2"),
+    (["quincunx", "pattern", "--width", E2200], None,
+     f"error: --width {E2200} needs <4401-digit integer> coefficients, cell budget is 5000000"),
 ], ids=["encode-point-not-integer", "encode-point-length", "filter-list", "filter-dim-mismatch",
         "matrix-dim-0", "snf-singular", "basis-singular", "cascade-cell-budget",
         "config-tolerance-beyond-double", "cascade-far-centre", "cascade-long-cell",
-        "verify-not-finite", "transfer-long-result", "reduce-long-generator"])
+        "verify-not-finite", "transfer-long-result", "reduce-long-generator",
+        "snf-long-determinant", "basis-long-determinant", "verify-long-determinant",
+        "quincunx-width-long-square"])
 def test_input_guards_pin_their_message(workdir, capsys, argv, text, message):
     """Each refusal is one line that names its input."""
     paths = {"f": workdir / "f.json", "db4": workdir / "db4.json",
@@ -513,6 +526,95 @@ def test_input_guards_pin_their_message(workdir, capsys, argv, text, message):
     code, out, err = run(capsys, *(a.format(**paths) for a in argv))
     assert (code, out) == (2, "")
     assert err.splitlines() == [message.format(**paths)]
+
+
+# Values that an input may carry: integers at the edges of what JSON reads
+# (10^4299 is the longest literal that prints), of double range and of
+# int64, and one value of each other JSON type.
+HOSTILE = {"1e4299": 10**4299, "-1e4299": -10**4299, "1e400": 10**400, "2^63": 2**63,
+           "1e308": 1e308, "-0.0": -0.0, "true": True, "string": "1", "list": [], "null": None}
+# A command that reads each config field and refuses or finishes fast.
+CONFIG_READERS = {
+    "tolerance": ["verify", "{haar}"],
+    "cascade_level_cap": ["cascade", "{haar}", "--levels", "1"],
+    "cell_budget": ["quincunx", "pattern", "--width", "1"],
+    "output_dir": ["quincunx", "pattern", "--width", "1"],
+    "pair_budget": ["reduce", "{haar}"],
+}
+# A fast call of each command with a numeric option; the hostile option
+# is appended, and argparse keeps its last occurrence.
+OPTION_CALLS = {
+    ("verify",): ["verify", "{haar}"],
+    ("cascade",): ["cascade", "{haar}", "--levels", "1"],
+    ("quincunx", "pattern"): ["quincunx", "pattern", "--width", "1"],
+    ("encode", "eval"): ["encode", "eval", "--d", "2", "--N", "1", "--point", "1,2"],
+}
+
+
+def _numeric_options(parser, command=()):
+    """(command, option) for each option that the parser reads as a number."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _numeric_options(sub, (*command, name))
+        elif action.type in (int, float):
+            yield command, action.option_strings[0]
+
+
+def _hostile_table() -> dict:
+    """id -> (argv, the text of the file {f} or None, what a refusal names):
+    every config field, every numeric option, a matrix entry (both diagonal
+    entries, so the determinant squares it), a filter position and a filter
+    tap, crossed with every hostile value."""
+    tap = 0.5 ** 0.5
+    table = {}
+    for label, value in HOSTILE.items():
+        for field in Config._fields:
+            table[f"config-{field}-{label}"] = (["--config", "{f}", *CONFIG_READERS[field]],
+                                                json.dumps({field: value}), "{f}")
+        for command, option in _numeric_options(_build_parser()):
+            table[f"{command[0]}{option}-{label}"] = (
+                [*OPTION_CALLS[command], option, json.dumps(value)], None, option)
+        documents = {
+            "matrix-entry": ("snf", {"dim": 2, "rows": [[value, 0], [0, value]]}),
+            "filter-position": ("verify", {"dim": 1, "matrix": {"dim": 1, "rows": [[2]]},
+                                           "coeffs": [{"n": [0], "re": tap},
+                                                      {"n": [value], "re": tap}]}),
+            "filter-tap": ("verify", {"dim": 1, "matrix": {"dim": 1, "rows": [[2]]},
+                                      "coeffs": [{"n": [0], "re": value}, {"n": [1], "re": tap}]}),
+        }
+        for where, (command, document) in documents.items():
+            table[f"{where}-{label}"] = ([command, "{f}"], json.dumps(document), "{f}")
+    return table
+
+
+HOSTILE_TABLE = _hostile_table()
+
+
+@pytest.mark.parametrize("argv, text, name", HOSTILE_TABLE.values(), ids=list(HOSTILE_TABLE))
+def test_every_input_refuses_a_hostile_value_in_one_line(workdir, capsys, monkeypatch, argv,
+                                                         text, name):
+    """Each case exits 0, 1 or 2 without a traceback.  A refusal is one
+    line that names the file or the option; argparse's own refusal of an
+    option's text names the option on its last line."""
+    monkeypatch.chdir(workdir)
+    monkeypatch.delenv("LATWAV_OUTPUT_DIR")  # so the config's output_dir is read
+    paths = {"f": workdir / "f.json", "haar": workdir / "haar1d.json"}
+    if text is not None:
+        paths["f"].write_text(text)
+    try:
+        code = main([a.format(**paths) for a in argv])
+    except SystemExit as exc:
+        assert exc.code == 2
+        assert f"argument {name}: invalid" in capsys.readouterr().err.splitlines()[-1]
+        return
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == ""
+        assert name.format(**paths) in error_line(err)
+    else:
+        assert out.count("\n") == 1 and not err.startswith("error:")
 
 
 def test_a_filter_of_zeros_is_an_input_error(workdir, capsys):
@@ -538,10 +640,12 @@ def test_a_filter_of_zeros_is_an_input_error(workdir, capsys):
     (["encode", "eval", "--d", "3", "--N", "100000", "--point", "1,-2,2"], "digits print"),
     (["encode", "eval", "--d", "3", "--N", "1000000000000", "--point", "1,-2,2"], "digits print"),
     (["encode", "eval", "--d", "1", "--N", "100000", "--point=-2"], "digits print"),
+    (["encode", "eval", "--d", "2", "--N", "1" + "0" * 400, "--point", "1,2"], "digits print"),
     (["quincunx", "pattern", "--width", "100000"], "cell budget is 5000000"),
 ], ids=["encode-N-0", "quincunx-width-0", "cascade-levels-negative", "cascade-tol-negative",
         "verify-tolerance-negative", "verify-tolerance-zero", "verify-tolerance-nan",
-        "encode-N-1e5", "encode-N-1e12", "encode-N-1e5-1d", "quincunx-width-1e5"])
+        "encode-N-1e5", "encode-N-1e12", "encode-N-1e5-1d", "encode-N-1e400",
+        "quincunx-width-1e5"])
 def test_out_of_range_option_is_input_error(workdir, capsys, argv, message):
     argv = [a.format(db4=workdir / "db4.json") for a in argv]
     code, out, err = run(capsys, *argv)

@@ -92,6 +92,8 @@ def test_construction_checks_raise_the_same_errors(tmp_path):
         EncodingParams(0, 1)
     with pytest.raises(ValueError, match="window exponent"):
         EncodingParams(1, 0)
+    with pytest.raises(ValueError, match="window exponent"):
+        EncodingParams(2, 3)._replace(window_exponent=0)
     with pytest.raises(DimensionMismatchError):
         IntMatrix(())
     with pytest.raises(DimensionMismatchError):
@@ -103,6 +105,16 @@ def test_construction_checks_raise_the_same_errors(tmp_path):
                 {"cell_budget": True}, {"output_dir": 3}):
         with pytest.raises(InputFormatError):
             Config(**bad)
+        with pytest.raises(InputFormatError):
+            Config()._replace(**bad)
+    for name, value, shown in (
+        ("tolerance", 10**5000, "a positive number, got <5001-digit integer>"),
+        ("cell_budget", -10**5000, "a positive integer, got <5001-digit negative integer>"),
+        ("output_dir", [10**5000], "a string, got <list too long to print>"),
+    ):
+        with pytest.raises(InputFormatError) as raised:  # not the ValueError of repr(value)
+            Config(**{name: value})
+        assert str(raised.value) == f"{name} must be {shown}"
     with pytest.raises(TypeError):
         Config(bogus=1)
     path = tmp_path / "config.json"
@@ -121,6 +133,7 @@ INTEGER_ENTRIES = {
     "as_point": lambda v: as_point((v, 2)),
     "as_point-dim": lambda v: as_point((2, v), 2),
     "IntMatrix": lambda v: IntMatrix(((v,),)),
+    "IntMatrix-_replace": lambda v: IntMatrix([[2]])._replace(rows=((v,),)),
     "identity": lambda v: IntMatrix.identity(v),
     "power": lambda v: IntMatrix(((2,),)).power(v),
     "vec": lambda v: IntMatrix.identity(2).vec((v, 1)),
@@ -132,6 +145,7 @@ INTEGER_ENTRIES = {
     "from_adapted": lambda v: from_adapted(quincunx_matrix(), (v, 1)),
     "EncodingParams-dim": lambda v: EncodingParams(v, 2),
     "EncodingParams-exponent": lambda v: EncodingParams(2, v),
+    "EncodingParams-_replace": lambda v: EncodingParams(2, 3)._replace(window_exponent=v),
     "radix_encode": lambda v: radix_encode(_P, (v, 2)),
     "flatten_point": lambda v: flatten_point(_P, (v, 2)),
     "in_support_window": lambda v: in_support_window(_P, (v, 2)),
@@ -230,6 +244,7 @@ def _records() -> dict:
         "filter": lawton_residuals(report.source_filter),
         "level": initial_grid(dil),
         "half_width": support_pattern(1),
+        "tolerance": Config(),
     }
 
 
@@ -255,6 +270,8 @@ def test_repr_and_equality():
     # The tuple records compare and hash as tuples, and iterate their fields.
     assert EncodingParams(2, 3) == (2, 3) and hash(EncodingParams(2, 3)) == hash((2, 3))
     assert tuple(IntMatrix([[2]])) == (((2,),),)
+    assert Config() == (1e-10, 12, 5_000_000, ".", 5_000_000)
+    assert Config()._replace(cell_budget=3) == Config(cell_budget=3) != Config()
     # The plain classes compare by class and fields.
     assert SupportSet.from_points([(0,), (1,)]) == SupportSet(frozenset({(0,), (1,)}), 1)
     assert SupportSet.from_points([(0,)]) != (frozenset({(0,)}), 1)
@@ -264,10 +281,6 @@ def test_repr_and_equality():
     assert b.system == a.system and a == b  # the cached system is not a field
     with pytest.raises(TypeError):
         hash(a)
-    config = Config()
-    config.cell_budget = 3
-    assert config != Config()
-    assert Config().__eq__(object()) is NotImplemented and (Config() == object()) is False
 
 
 def test_to_one_d_reads_the_filter_chart(monkeypatch):
