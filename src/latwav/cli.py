@@ -242,14 +242,7 @@ def _cmd_cascade(args, config: Config) -> tuple:
                                   residual_warn_tolerance=config.tolerance)
     except OverflowError as exc:
         raise InputFormatError(f"{args.filter}: a level difference is beyond double range") from exc
-    try:
-        artifacts = jsonio.cascade_artifacts(grid, diffs)
-    except OverflowError as exc:
-        raise InputFormatError(f"{args.filter}: a cell centre is beyond double range: "
-                               f"{exc}") from exc
-    except ValueError as exc:
-        raise InputFormatError(f"{args.filter}: a cell position is too long to print: "
-                               f"{exc}") from exc
+    artifacts = jsonio.cascade_artifacts(grid, diffs)
     stem = Path(args.filter).stem
     return 0, {
         "level": grid.level,
@@ -339,13 +332,10 @@ def main(argv=None) -> int:
             config = Config.from_file(args.config) if args.config else Config()
             try:
                 code, document, *files = args.run(args, config)
+                text = args.dump(document)
             except (InputFormatError, IsomorphismError):  # these name what they refuse
                 raise
-            except LatwavError as exc:  # the library's refusal names no file
-                raise InputFormatError(f"{source}: {exc}") if source else exc
-            try:
-                text = args.dump(document)
-            except InputFormatError as exc:  # a result that is not finite, or will not print
+            except LatwavError as exc:  # a library or render refusal names no file
                 raise InputFormatError(f"{source}: {exc}") if source else exc
             if files:  # in place before the summary that names them is printed
                 _write_artifacts(*files)

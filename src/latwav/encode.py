@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import DimensionTooSmallError, OutOfDomainError
+from .errors import DimensionTooSmallError, OutOfDomainError, shown
 from .intlat import LatticePoint, as_int, as_point, checked_make
 
 
@@ -96,7 +96,7 @@ def _support_fault(params: EncodingParams, n: LatticePoint) -> str | None:
     w = params.window
     for j, c in enumerate(n):
         if not 0 <= c < w:
-            return f"coordinate {j + 1} = {c} not in [0, {w - 1}]"
+            return f"coordinate {j + 1} = {shown(c)} not in [0, {shown(w - 1)}]"
     return None
 
 
@@ -106,9 +106,9 @@ def _index_fault(params: EncodingParams, k: LatticePoint) -> str | None:
     w = params.window
     for j, c in enumerate(k):
         if abs(c) >= w:
-            return f"coordinate {j + 1} = {c} not in [{1 - w}, {w - 1}]"
+            return f"coordinate {j + 1} = {shown(c)} not in [{shown(1 - w)}, {shown(w - 1)}]"
     if k[-1] % 2 != 0:
-        return f"last coordinate {k[-1]} is odd"
+        return f"last coordinate {shown(k[-1])} is odd"
     if _radix(params.window_exponent, k) < 0:
         return "radix value is negative"
     return None
@@ -116,7 +116,7 @@ def _index_fault(params: EncodingParams, k: LatticePoint) -> str | None:
 
 def _checked(what: str, p: LatticePoint, fault: str | None) -> None:
     if fault is not None:
-        raise OutOfDomainError(f"{p} is outside the {what} window: {fault}")
+        raise OutOfDomainError(f"{shown(p)} is outside the {what} window: {fault}")
 
 
 def in_support_window(params: EncodingParams, n: LatticePoint) -> bool:

@@ -34,7 +34,7 @@ def as_point(coords, dim: int | None = None) -> LatticePoint:
     """``coords`` by ``as_int``, as a point of dimension ``dim`` if given, else >= 1."""
     pt = tuple(map(as_int, coords))
     if dim is not None and len(pt) != dim:
-        raise DimensionMismatchError(f"point {pt} has dimension {len(pt)}, expected {dim}")
+        raise DimensionMismatchError(f"point {shown(pt)} has dimension {len(pt)}, expected {dim}")
     if not pt:
         raise DimensionMismatchError("lattice points must have dimension >= 1")
     return pt
@@ -111,7 +111,7 @@ class IntMatrix(_IntMatrixFields):
         """Exact integer inverse det * adj; requires det = +/-1."""
         _, d, adj = self._leverrier()
         if d not in (1, -1):
-            raise ValueError(f"matrix with det {d} has no integer inverse")
+            raise ValueError(f"matrix with det {shown(d)} has no integer inverse")
         return IntMatrix((d * x for x in row) for row in adj.rows)
 
     def charpoly(self) -> tuple[int, ...]:

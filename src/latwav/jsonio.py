@@ -26,14 +26,15 @@ def canonical_dumps(obj) -> str:
     overflow double precision) is refused rather than written as a bare
     token.  Without ``indent`` the json module uses its C encoder.  Every
     document is a tree built fresh by a ``*_to_json`` function, so the
-    encoder keeps no cycle markers."""
+    encoder keeps no cycle markers.  A refusal names no file; the CLI adds
+    the command's input."""
     try:
         return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False,
                           check_circular=False)
     except ValueError as exc:
         if "integer string conversion" in str(exc):
-            raise InputFormatError(f"result holds an integer too long to print: {exc}") from exc
-        raise InputFormatError(f"result is not finite: {exc}") from exc
+            raise LatwavError(f"result holds an integer too long to print: {exc}") from exc
+        raise LatwavError(f"result is not finite: {exc}") from exc
 
 
 # Texts of integer points already checked by a ``canonical_dumps`` call.
@@ -249,15 +250,21 @@ def grid_sidecar_json(grid: CascadeGrid) -> dict:
 
 def cascade_artifacts(grid: CascadeGrid, diffs: list[float]) -> dict[str, str]:
     """The texts that ``cascade`` writes, by file suffix: the grid, its
-    sidecar, the convergence table and, in 1-D, the cell centres."""
-    artifacts = {
-        "grid.csv": grid_to_csv(grid),
-        "grid.json": canonical_dumps(grid_sidecar_json(grid)),
-        "convergence.csv": "level,l2_difference\n"
-        + "".join(f"{i + 1},{d!r}\n" for i, d in enumerate(diffs)),
-    }
-    if grid.matrix.dim == 1:
-        artifacts["phi.csv"] = grid_centers_1d_csv(grid)
+    sidecar, the convergence table and, in 1-D, the cell centres.  A cell
+    that will not print is refused, naming no file."""
+    try:
+        artifacts = {
+            "grid.csv": grid_to_csv(grid),
+            "grid.json": canonical_dumps(grid_sidecar_json(grid)),
+            "convergence.csv": "level,l2_difference\n"
+            + "".join(f"{i + 1},{d!r}\n" for i, d in enumerate(diffs)),
+        }
+        if grid.matrix.dim == 1:
+            artifacts["phi.csv"] = grid_centers_1d_csv(grid)
+    except OverflowError as exc:
+        raise LatwavError(f"a cell centre is beyond double range: {exc}") from exc
+    except ValueError as exc:
+        raise LatwavError(f"a cell position is too long to print: {exc}") from exc
     return artifacts
 
 

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from latwav.cascade import initial_grid, run_cascade
-from latwav.errors import InputFormatError
+from latwav.errors import InputFormatError, LatwavError
 from latwav.filters import daubechies4_1d, quincunx_haar, quincunx_matrix
 from latwav.intlat import smith_normal_form
 from latwav.lawton import SupportSet, build_reduced_system, lawton_residuals
@@ -114,14 +114,15 @@ def test_system_report_shape():
 @pytest.mark.parametrize("points", [[(0,), (10**5000,)], [(1 - 10**4300,), (10**4300 - 1,)]],
                          ids=["point", "generator"])
 def test_system_dumps_refuses_integers_too_long_to_print(points):
-    """A support point or generator past the print limit is the same input
-    error as in the encoder's dump.  The second support's points have 4300
-    digits and print; its generator has 4301."""
+    """A support point or generator past the print limit is the same
+    refusal as in the encoder's dump, a plain ``LatwavError`` that names no
+    file.  The second support's points have 4300 digits and print; its
+    generator has 4301."""
     system = build_reduced_system(SupportSet.from_points(points), daubechies4_1d().matrix)
-    with pytest.raises(InputFormatError, match="result holds an integer too long to print"):
-        canonical_dumps(system_to_json(system))
-    with pytest.raises(InputFormatError, match="result holds an integer too long to print"):
-        system_dumps(system)
+    for dump in (lambda: canonical_dumps(system_to_json(system)), lambda: system_dumps(system)):
+        with pytest.raises(LatwavError, match="result holds an integer too long to print") as raised:
+            dump()
+        assert type(raised.value) is LatwavError
 
 
 def test_residual_report_round_trip():

@@ -26,7 +26,12 @@ from latwav.encode import (
     radix_encode,
     window_exponent_for_extent,
 )
-from latwav.errors import DimensionMismatchError, DimensionTooSmallError, InputFormatError
+from latwav.errors import (
+    DimensionMismatchError,
+    DimensionTooSmallError,
+    InputFormatError,
+    OutOfDomainError,
+)
 from latwav.filters import (
     BUNDLED_FILTERS,
     BUNDLED_MATRICES,
@@ -100,6 +105,27 @@ def test_construction_checks_raise_the_same_errors(tmp_path):
         IntMatrix(((1, 2), (3,)))
     with pytest.raises(DimensionMismatchError):
         IntMatrix([[1, 2]])
+    # A point or integer too long to print is shown by its size, not by the
+    # ValueError of repr: 10^5000, 2^14300 - 1 (4305 digits), a 4401-digit det.
+    huge = 10**5000
+    for build, error, message in (
+        (lambda: as_point((huge,), 2), DimensionMismatchError,
+         "point <tuple too long to print> has dimension 1, expected 2"),
+        (lambda: encode_support(EncodingParams(2, 3), (huge, 0)), OutOfDomainError,
+         "<tuple too long to print> is outside the support window: "
+         "coordinate 1 = <5001-digit integer> not in [0, 7]"),
+        (lambda: encode_support(EncodingParams(1, 14300), (-1,)), OutOfDomainError,
+         "(-1,) is outside the support window: coordinate 1 = -1 not in [0, <4305-digit integer>]"),
+        (lambda: encode_index(EncodingParams(2, 3), (0, -huge)), OutOfDomainError,
+         "<tuple too long to print> is outside the index window: "
+         "coordinate 2 = <5001-digit negative integer> not in [-7, 7]"),
+        (lambda: IntMatrix(((10**2200, 0), (0, 10**2200))).unimodular_inverse(), ValueError,
+         "matrix with det <4401-digit integer> has no integer inverse"),
+    ):
+        with pytest.raises(error) as raised:
+            build()
+        assert str(raised.value) == message
+    assert not in_support_window(EncodingParams(2, 3), (huge, 0))
     for bad in ({"tolerance": 0}, {"tolerance": "1"}, {"tolerance": math.nan},
                 {"tolerance": True}, {"cascade_level_cap": 0}, {"cascade_level_cap": 2.0},
                 {"cell_budget": True}, {"output_dir": 3}):
@@ -272,6 +298,7 @@ def test_repr_and_equality():
     assert tuple(IntMatrix([[2]])) == (((2,),),)
     assert Config() == (1e-10, 12, 5_000_000, ".", 5_000_000)
     assert Config()._replace(cell_budget=3) == Config(cell_budget=3) != Config()
+    assert Config().__eq__(object()) is NotImplemented and (Config() == object()) is False
     # The plain classes compare by class and fields.
     assert SupportSet.from_points([(0,), (1,)]) == SupportSet(frozenset({(0,), (1,)}), 1)
     assert SupportSet.from_points([(0,)]) != (frozenset({(0,)}), 1)
